@@ -3,28 +3,21 @@
 from .engine import (
     AnchorState,
     GalaConfig,
-    GalaStepResult,
+    GalaPolicy,
     ParameterGrouping,
     SelectionDecision,
-    UpdateProposal,
-    apply_masked_update,
     build_grouping,
     cosine_alignment,
     cosine_via_decomposition,
     decide,
-    gala_step,
     init_anchor,
-    maybe_reset,
     total_displacement,
     vector_angle,
     warmup_scale,
 )
 from .baselines import (
-    BaselineSelector,
-    BaselineStepResult,
-    OracleSweepResult,
     SelectorKind,
-    oracle_sweep,
+    baseline_policy,
 )
 from .config import (
     SWEEP_AXES,
@@ -57,7 +50,13 @@ from .metrics import (
     write_summary,
     write_trace,
 )
-from .runner import run_baseline, run_gala
+from .runner import (
+    OracleSweepResult,
+    adapt_step,
+    oracle_sweep,
+    run_baseline,
+    run_gala,
+)
 from .shiftbench import (
     ShiftSpec,
     ShiftStream,
@@ -65,10 +64,7 @@ from .shiftbench import (
     TaskSpec,
     apply_shift,
     build_stream,
-    export_stream_data,
     generate_task,
-    load_manifest,
-    save_manifest,
 )
 from .nn import (
     Batch,

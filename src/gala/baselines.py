@@ -1,11 +1,12 @@
-"""Comparison selectors sharing the adaptation step shape.
+"""Comparison selectors as scale policies for the adaptation step.
 
-erm never updates; all_layers updates everything (implemented through
-the same code path as the aligned selector with a degenerate threshold,
-so the two are bit-identical by construction); random_block updates one
-uniformly drawn group per sample; auto_rgn scales every group's
-learning rate by its smoothed relative gradient norm; oracle selectors
-replay the single best or worst group found by a brute-force sweep.
+Each policy maps a step's gradients to one scale per parameter group,
+like gala's: erm scales every group by zero (it never updates);
+all_layers by one (plain SGD); random_block picks one uniformly drawn
+group per sample; oracle selectors replay the single best or worst
+group found by a brute-force sweep; auto_rgn scales every group's
+learning rate by its smoothed relative gradient norm. Their decisions
+carry nan cosines, as no alignment is measured.
 """
 
 from __future__ import annotations
@@ -15,21 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (
-    AnchorState,
-    GalaConfig,
-    ParameterGrouping,
-    SelectionDecision,
-    UpdateProposal,
-    apply_masked_update,
-    gala_step,
-    init_anchor,
-)
+from .engine import ParameterGrouping, SelectionDecision
 from .errors import ConfigurationError
-from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
+from .nn import ModelParameters
 
 SELECTOR_VARIANTS = ("erm", "all_layers", "random_block", "oracle_best", "oracle_worst",
                      "auto_rgn")
+ORACLE_VARIANTS = ("oracle_best", "oracle_worst")
+# The grouping a baseline adapts over unless told otherwise; it works on
+# every network, however few layers it has.
+BASELINE_GRANULARITY = "single_layer"
 _RGN_EPS = 1e-12
 _RGN_DECAY = 0.9
 
@@ -52,124 +48,82 @@ class SelectorKind:
             raise ConfigurationError(f"unknown selector variant {self.variant!r}")
 
 
-@dataclass
-class BaselineStepResult:
-    params: ModelParameters
-    decision: SelectionDecision
-    probs: np.ndarray
-    loss: float
+def _decision(grouping: ParameterGrouping, mask: np.ndarray) -> SelectionDecision:
+    selected = [name for name, m in zip(grouping.names, mask) if m]
+    return SelectionDecision(np.full(mask.size, math.nan), mask, selected,
+                             not mask.any(), False)
 
 
-class BaselineSelector:
-    """Stateful per-run selector; one instance per adaptation pass."""
+class FixedScales:
+    """The same scales and decision on every step: erm, all_layers, oracle."""
 
-    def __init__(self, kind: SelectorKind, grouping: ParameterGrouping):
-        self.kind = kind
+    def __init__(self, grouping: ParameterGrouping, mask: np.ndarray):
         self.grouping = grouping
-        self.rng = np.random.default_rng(kind.rng_seed)
+        self.scales = mask.astype(float)
+        self.decision = _decision(grouping, mask)
+
+    def select(self, grads, params, lr):
+        return self.scales, self.decision, 1.0
+
+    def after_update(self, params) -> bool:
+        return False
+
+
+class RandomBlock:
+    """One uniformly drawn group per step."""
+
+    def __init__(self, grouping: ParameterGrouping, rng_seed: int):
+        self.grouping = grouping
+        self.rng = np.random.default_rng(rng_seed)
+        self.picks = [FixedScales(grouping, row)
+                      for row in np.eye(grouping.num_groups, dtype=np.int64)]
+
+    def select(self, grads, params, lr):
+        return self.picks[int(self.rng.integers(self.grouping.num_groups))].select(
+            grads, params, lr)
+
+    def after_update(self, params) -> bool:
+        return False
+
+
+class AutoRGN:
+    """Every group, scaled by its EMA gradient-to-weight norm ratio over
+    the largest one."""
+
+    def __init__(self, grouping: ParameterGrouping):
+        self.grouping = grouping
+        self.decision = _decision(grouping, np.ones(grouping.num_groups, dtype=np.int64))
         self.ema: np.ndarray | None = None
-        if kind.variant in ("oracle_best", "oracle_worst"):
-            if kind.fixed_group is None:
-                raise ConfigurationError(
-                    f"{kind.variant} needs fixed_group; run oracle_sweep first"
-                )
-            if kind.fixed_group not in grouping.names:
-                raise ConfigurationError(f"unknown group {kind.fixed_group!r}")
-        # The degenerate-threshold configuration turns the aligned
-        # selector into plain all-layers SGD; sharing its step keeps the
-        # two trajectories bit-identical.
-        self._all_cfg = GalaConfig(threshold=-1.0, window_size=math.inf,
-                                   granularity="multi_layer", warmup_len=0,
-                                   warmup_mode="none")
-        self._all_anchor: AnchorState | None = None
 
-    def step(self, network: Network, params: ModelParameters, batch: Batch,
-             loss: LossKind, opt: OptimizerConfig) -> BaselineStepResult:
-        variant = self.kind.variant
-        n = self.grouping.num_groups
-        nan_cos = np.full(n, math.nan)
-        if variant == "erm":
-            loss_value, _ = network.loss_and_gradients(params, batch, loss)
-            decision = SelectionDecision(nan_cos, np.zeros(n, dtype=np.int64), [], True, False)
-            return BaselineStepResult(params.copy(), decision, network.forward(params, batch),
-                                      float(loss_value))
-        if variant == "all_layers":
-            if self._all_anchor is None:
-                self._all_anchor = init_anchor(params, self.grouping)
-            res = gala_step(network, params, batch, loss, opt, self._all_cfg,
-                            self._all_anchor, self.grouping)
-            self._all_anchor = res.anchor
-            return BaselineStepResult(res.params, res.decision, res.probs, res.loss)
-        loss_value, grads = network.loss_and_gradients(params, batch, loss)
-        proposal = UpdateProposal(self.grouping.gather([-opt.learning_rate * g for g in grads]))
-        live = self.grouping.gather(params.layers)
-        if variant == "random_block":
-            pick = int(self.rng.integers(n))
-            mask = np.zeros(n, dtype=np.int64)
-            mask[pick] = 1
-            decision = SelectionDecision(nan_cos, mask, [self.grouping.names[pick]],
-                                         False, False)
-            new_groups = apply_masked_update(live, proposal, decision, 1.0)
-        elif variant == "auto_rgn":
-            ratios = np.array([
-                np.linalg.norm(g) / (np.linalg.norm(p) + _RGN_EPS)
-                for g, p in zip(self.grouping.gather(grads), live)
-            ])
-            self.ema = ratios if self.ema is None else (
-                _RGN_DECAY * self.ema + (1.0 - _RGN_DECAY) * ratios
-            )
-            top = self.ema.max()
-            scales = self.ema / top if top > 0 else np.zeros(n)
-            mask = np.ones(n, dtype=np.int64)
-            decision = SelectionDecision(nan_cos, mask, list(self.grouping.names), False, False)
-            new_groups = [g + s * u for g, s, u in zip(live, scales, proposal.groups)]
-        else:  # oracle replay: one pinned group, every sample
-            pick = self.grouping.names.index(self.kind.fixed_group)
-            mask = np.zeros(n, dtype=np.int64)
-            mask[pick] = 1
-            decision = SelectionDecision(nan_cos, mask, [self.kind.fixed_group], False, False)
-            new_groups = apply_masked_update(live, proposal, decision, 1.0)
-        new_params = ModelParameters(self.grouping.scatter(new_groups),
-                                     list(params.layer_names))
-        probs = network.forward(new_params, batch)
-        return BaselineStepResult(new_params, decision, probs, float(loss_value))
+    def select(self, grads, params: ModelParameters, lr):
+        ratios = np.array([
+            np.linalg.norm(g) / (np.linalg.norm(p) + _RGN_EPS)
+            for g, p in zip(self.grouping.gather(grads), self.grouping.gather(params.layers))
+        ])
+        self.ema = ratios if self.ema is None else (
+            _RGN_DECAY * self.ema + (1.0 - _RGN_DECAY) * ratios
+        )
+        top = self.ema.max()
+        scales = self.ema / top if top > 0 else np.zeros(self.grouping.num_groups)
+        return scales, self.decision, 1.0
+
+    def after_update(self, params) -> bool:
+        return False
 
 
-@dataclass
-class OracleSweepResult:
-    group_names: list[str]
-    accuracies: list[float]
-    best_group: str
-    worst_group: str
-
-
-def oracle_sweep(
-    network: Network,
-    pretrained: ModelParameters,
-    stream,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    grouping: ParameterGrouping,
-) -> OracleSweepResult:
-    """Brute-force single-group adaptation quality.
-
-    Restarts from the pretrained parameters once per group, adapts only
-    that group on every stream sample, and scores online accuracy.
-    Labels are read for scoring only; the loss path never sees them.
-    """
-    if grouping.num_groups < 2:
-        raise ConfigurationError("oracle sweep needs at least 2 groups")
-    accuracies = []
-    for name in grouping.names:
-        selector = BaselineSelector(SelectorKind("oracle_best", fixed_group=name), grouping)
-        params = pretrained.copy()
-        correct = []
-        for batch in stream.adapt_batches:
-            res = selector.step(network, params, Batch(batch.inputs), loss, opt)
-            params = res.params
-            correct.append(np.argmax(res.probs, axis=1) == batch.labels)
-        accuracies.append(float(np.concatenate(correct).mean() * 100.0))
-    best = int(np.argmax(accuracies))
-    worst = int(np.argmin(accuracies))
-    return OracleSweepResult(list(grouping.names), accuracies,
-                             grouping.names[best], grouping.names[worst])
+def baseline_policy(kind: SelectorKind, grouping: ParameterGrouping):
+    """A fresh scale policy for one adaptation pass of a baseline."""
+    n = grouping.num_groups
+    if kind.variant == "random_block":
+        return RandomBlock(grouping, kind.rng_seed)
+    if kind.variant == "auto_rgn":
+        return AutoRGN(grouping)
+    if kind.variant in ORACLE_VARIANTS:
+        if kind.fixed_group is None:
+            raise ConfigurationError(f"{kind.variant} needs fixed_group; run oracle_sweep first")
+        if kind.fixed_group not in grouping.names:
+            raise ConfigurationError(f"unknown group {kind.fixed_group!r}")
+        mask = np.zeros(n, dtype=np.int64)
+        mask[grouping.names.index(kind.fixed_group)] = 1
+        return FixedScales(grouping, mask)
+    return FixedScales(grouping, np.full(n, int(kind.variant == "all_layers"), dtype=np.int64))

@@ -23,11 +23,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .baselines import SelectorKind, oracle_sweep
-from .config import ExperimentConfig, load_config
+from .baselines import SelectorKind
+from .config import ExperimentConfig, SelectorChoice, load_config
 from .engine import GalaConfig, build_grouping
 from .errors import ConfigurationError, GalaError
 from .metrics import (
@@ -45,7 +44,7 @@ from .nn import (
     pretrain_erm,
     save_checkpoint,
 )
-from .runner import run_baseline, run_gala
+from .runner import oracle_sweep, run_selector
 from .shiftbench import build_stream, generate_task
 
 MANIFEST_FORMAT = "gala-experiment-manifest"
@@ -74,7 +73,6 @@ def _write_manifest(directory: Path, command: str, cfg: ExperimentConfig,
         "versions": {
             "gala": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }
@@ -98,26 +96,21 @@ def _load_pretrained(root: Path):
         raise ConfigurationError(f"{e}; run the pretrain command first") from e
 
 
-def _adapt_record(network, params, stream, cfg: ExperimentConfig, seed: int):
+def _adapt_record(network, params, stream, cfg: ExperimentConfig, seed: int, sweep):
+    """One run of the configured selector; ``sweep``, a sweep already run on
+    this stream, pins an unpinned oracle. random_block draws from the run
+    seed, so each seed gets its own draws."""
     sel = cfg.selector
-    if sel.is_gala:
-        return run_gala(network, params, stream, cfg.loss, cfg.optimizer,
-                        sel.gala, seed=seed)
-    kind = SelectorKind(sel.baseline_variant, rng_seed=seed,
-                        fixed_group=sel.baseline_fixed_group)
-    return run_baseline(network, params, stream, kind, cfg.loss, cfg.optimizer,
-                        granularity=sel.baseline_granularity,
-                        num_blocks=sel.baseline_num_blocks, seed=seed)
+    kind = sel.kind
+    if isinstance(kind, SelectorKind):
+        kind = replace(kind, rng_seed=seed)
+    return run_selector(network, params, stream, cfg.loss, cfg.optimizer, kind,
+                        sel.granularity, sel.num_blocks, seed, sweep)
 
 
 def _grouping_for(network, cfg: ExperimentConfig):
-    sel = cfg.selector
-    sizes = [s.param_count for s in network.specs]
-    if sel.is_gala:
-        return build_grouping(network.layer_names, sizes, sel.gala.granularity,
-                              sel.gala.num_blocks)
-    return build_grouping(network.layer_names, sizes, sel.baseline_granularity,
-                          sel.baseline_num_blocks)
+    return build_grouping(network.layer_names, [s.param_count for s in network.specs],
+                          cfg.selector.granularity, cfg.selector.num_blocks)
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
@@ -153,7 +146,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         rundir.mkdir(parents=True, exist_ok=True)
         stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode,
                               cfg.batch_size, seed=seed)
-        record = _adapt_record(network, params, stream, cfg, seed)
+        record = _adapt_record(network, params, stream, cfg, seed, None)
         summary = summarize(network, params, record, stream.target_holdout,
                             stream.source_holdout)
         if args.trace:
@@ -182,7 +175,7 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
                               cfg.batch_size, seed=seed)
         sweep = oracle_sweep(network, params, stream, cfg.loss, cfg.optimizer,
                              grouping)
-        record = _adapt_record(network, params, stream, cfg, seed)
+        record = _adapt_record(network, params, stream, cfg, seed, sweep)
         freqs = selection_frequency(record)
         rank = spearman_rank_correlation(
             sweep.accuracies, [freqs[g] for g in sweep.group_names])
@@ -215,16 +208,16 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value):
     """One sweep point: a copy of the experiment with the axis pinned."""
     if axis == "batch_size":
         return replace(cfg, batch_size=int(value))
-    if not cfg.selector.is_gala:
+    gala = cfg.selector.kind
+    if not isinstance(gala, GalaConfig):
         raise ConfigurationError(f"sweep axis {axis} needs a gala selector")
-    gala = cfg.selector.gala
     if axis == "threshold":
         gala = replace(gala, threshold=float(value))
     elif axis == "window_size":
         gala = replace(gala, window_size=value)
     else:
         gala = replace(gala, granularity=str(value))
-    return replace(cfg, selector=replace(cfg.selector, gala=gala))
+    return replace(cfg, selector=SelectorChoice(gala, gala.granularity, gala.num_blocks))
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
@@ -241,7 +234,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         for seed in _seeds(cfg, args):
             stream = build_stream(point.task, point.shifts, point.shift_mode,
                                   point.batch_size, seed=seed)
-            record = _adapt_record(network, params, stream, point, seed)
+            record = _adapt_record(network, params, stream, point, seed, None)
             summary = summarize(network, params, record, stream.target_holdout,
                                 stream.source_holdout)
             shown = "inf" if value == math.inf else value

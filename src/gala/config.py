@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .baselines import BASELINE_GRANULARITY, SelectorKind
 from .engine import GalaConfig
 from .errors import ConfigurationError
 from .nn import LayerSpec, LossKind, OptimizerConfig
@@ -56,18 +57,15 @@ class SweepSettings:
 
 @dataclass
 class SelectorChoice:
-    """Either the aligned selector's hyperparameters or a baseline kind."""
+    """The configured selector and the grouping it scales.
 
-    gala: GalaConfig | None = None
-    baseline_variant: str | None = None
-    baseline_rng_seed: int = 0
-    baseline_fixed_group: str | None = None
-    baseline_granularity: str = "block"
-    baseline_num_blocks: int = 4
+    ``kind`` holds gala's hyperparameters or a baseline kind; a gala
+    selector's grouping is its own granularity and block count.
+    """
 
-    @property
-    def is_gala(self) -> bool:
-        return self.gala is not None
+    kind: GalaConfig | SelectorKind
+    granularity: str
+    num_blocks: int
 
 
 @dataclass
@@ -166,16 +164,16 @@ def _parse_selector(raw: dict) -> SelectorChoice:
         raise ConfigurationError(
             "selector needs exactly one of 'gala' or 'baseline'")
     if "gala" in raw:
-        return SelectorChoice(gala=_parse_gala(raw["gala"]))
+        gala = _parse_gala(raw["gala"])
+        return SelectorChoice(gala, gala.granularity, gala.num_blocks)
     b = raw["baseline"]
-    _check_keys(b, {"variant", "rng_seed", "fixed_group", "granularity",
-                    "num_blocks"}, "selector.baseline")
+    _check_keys(b, {"variant", "fixed_group", "granularity", "num_blocks"},
+                "selector.baseline")
     return SelectorChoice(
-        baseline_variant=_require(b, "variant", "selector.baseline"),
-        baseline_rng_seed=b.get("rng_seed", 0),
-        baseline_fixed_group=b.get("fixed_group", None),
-        baseline_granularity=b.get("granularity", "block"),
-        baseline_num_blocks=b.get("num_blocks", 4),
+        SelectorKind(_require(b, "variant", "selector.baseline"),
+                     fixed_group=b.get("fixed_group", None)),
+        granularity=b.get("granularity", BASELINE_GRANULARITY),
+        num_blocks=b.get("num_blocks", 4),
     )
 
 

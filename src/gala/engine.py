@@ -13,6 +13,10 @@ are updated; the rest are frozen for this sample. Anchors are refreshed
 every ``window_size`` steps so the displacement reference does not go
 stale, and the first sample after a reset updates every group
 unconditionally (there is no displacement to align with yet).
+
+``GalaPolicy`` packages the criterion as a scale policy for the
+adaptation step in ``runner``: per group, the binary mask times the
+warm-up factor.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
+from .nn import ModelParameters
 
 GRANULARITIES = ("single_layer", "multi_layer", "block")
 WARMUP_MODES = ("linear_ramp", "none")
@@ -70,7 +74,7 @@ class ParameterGrouping:
     """Ordered partition of layer indices into named groups.
 
     ``layer_sizes`` pins the flat length of each layer's parameter
-    vector so group vectors can be gathered and scattered consistently.
+    vector so group vectors can be gathered consistently.
     """
 
     names: list[str]
@@ -102,21 +106,6 @@ class ParameterGrouping:
             else:
                 out.append(np.zeros(0))
         return out
-
-    def scatter(self, group_vectors: list[np.ndarray]) -> list[np.ndarray]:
-        """Split group vectors back into per-layer vectors."""
-        if len(group_vectors) != self.num_groups:
-            raise ConfigurationError("group count mismatch in scatter")
-        layers: list[np.ndarray] = [None] * len(self.layer_sizes)
-        for group, vec in zip(self.members, group_vectors):
-            offset = 0
-            for i in group:
-                size = self.layer_sizes[i]
-                layers[i] = vec[offset : offset + size].copy()
-                offset += size
-            if offset != vec.size:
-                raise ConfigurationError("group vector size mismatch in scatter")
-        return layers
 
 
 def build_grouping(
@@ -160,21 +149,9 @@ class AnchorState:
         if self.last_reset_step > self.step_counter:
             raise ConfigurationError("last_reset_step cannot exceed step_counter")
 
-    def copy(self) -> "AnchorState":
-        return AnchorState(
-            [v.copy() for v in self.anchor_params], self.last_reset_step, self.step_counter
-        )
-
 
 def init_anchor(params: ModelParameters, grouping: ParameterGrouping) -> AnchorState:
     return AnchorState(grouping.gather(params.layers), 0, 0)
-
-
-@dataclass
-class UpdateProposal:
-    """Pre-mask per-group update vectors (-lr * gradient)."""
-
-    groups: list[np.ndarray]
 
 
 @dataclass
@@ -239,7 +216,7 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def decide(
-    proposal: UpdateProposal,
+    u: list[np.ndarray],
     live: list[np.ndarray],
     anchor: AnchorState,
     cfg: GalaConfig,
@@ -247,8 +224,9 @@ def decide(
 ) -> SelectionDecision:
     """Choose which groups the current sample may update.
 
-    Called with the pre-update parameters (anchor.step_counter still
-    holds the previous step index). The first sample after a reset
+    ``u`` holds the per-group proposed updates (-lr * gradient) and
+    ``live`` the pre-update group parameters; anchor.step_counter still
+    holds the previous step index. The first sample after a reset
     selects every group regardless of threshold or granularity; after
     that, single_layer and block modes select the argmax-cosine group if
     it clears the threshold (ties to the lowest group index), while
@@ -257,7 +235,7 @@ def decide(
     """
     td = total_displacement(live, anchor)
     cosines = np.array(
-        [cosine_alignment(u, t, cfg.epsilon) for u, t in zip(proposal.groups, td)]
+        [cosine_alignment(ug, t, cfg.epsilon) for ug, t in zip(u, td)]
     )
     first = anchor.step_counter == anchor.last_reset_step
     n = cosines.size
@@ -297,79 +275,34 @@ def warmup_scale(cfg: GalaConfig, step: int, last_reset_step: int) -> float:
     return 1.0
 
 
-def apply_masked_update(
-    live: list[np.ndarray],
-    proposal: UpdateProposal,
-    decision: SelectionDecision,
-    scale: float,
-) -> list[np.ndarray]:
-    """New per-group parameters: masked groups move by scale * u."""
-    if not (0.0 < scale <= 1.0):
-        raise ConfigurationError("warmup scale must lie in (0, 1]")
-    out = []
-    for g, u, m in zip(live, proposal.groups, decision.mask):
-        out.append(g + scale * u if m else g.copy())
-    return out
+class GalaPolicy:
+    """Gala as a scale policy: per group, the selection mask times the
+    warm-up factor. One instance per adaptation pass; it owns the anchor.
 
-
-def maybe_reset(anchor: AnchorState, live: list[np.ndarray], cfg: GalaConfig) -> AnchorState:
-    """Refresh the anchor after a completed step, if the window is full.
-
-    Call with the post-update parameters and anchor.step_counter already
-    advanced to the current step index i. With a finite window s, the
-    anchor moves to the live parameters whenever i mod s == 0; an
-    infinite window never resets.
+    ``select`` sees the pre-update parameters; ``after_update`` advances
+    the step counter and moves the anchor to the post-update parameters
+    whenever the step index completes a window (an infinite window never
+    resets).
     """
-    i = anchor.step_counter
-    if cfg.window_size != math.inf and i % int(cfg.window_size) == 0:
-        return AnchorState([g.copy() for g in live], i, i)
-    return anchor
 
+    def __init__(self, cfg: GalaConfig, grouping: ParameterGrouping, params: ModelParameters):
+        self.cfg = cfg
+        self.grouping = grouping
+        self.anchor = init_anchor(params, grouping)
 
-@dataclass
-class GalaStepResult:
-    params: ModelParameters
-    anchor: AnchorState
-    decision: SelectionDecision
-    probs: np.ndarray
-    loss: float
-    warmup: float
-    reset: bool
+    def select(self, grads: list[np.ndarray], params: ModelParameters,
+               lr: float) -> tuple[np.ndarray, SelectionDecision, float]:
+        anchor = self.anchor
+        u = self.grouping.gather([-lr * g for g in grads])
+        live = self.grouping.gather(params.layers)
+        decision = decide(u, live, anchor, self.cfg, self.grouping.names)
+        warmup = warmup_scale(self.cfg, anchor.step_counter + 1, anchor.last_reset_step)
+        return decision.mask * warmup, decision, warmup
 
-
-def gala_step(
-    network: Network,
-    params: ModelParameters,
-    batch: Batch,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    cfg: GalaConfig,
-    anchor: AnchorState,
-    grouping: ParameterGrouping,
-) -> GalaStepResult:
-    """One online adaptation step: propose, select, update, predict.
-
-    Predictions come from the post-update parameters; for skipped
-    samples they coincide with the pre-update model. The returned anchor
-    has its step counter advanced and is reset if the window completed.
-    """
-    step = anchor.step_counter + 1
-    loss_value, grads = network.loss_and_gradients(params, batch, loss)
-    proposal = UpdateProposal(grouping.gather([-opt.learning_rate * g for g in grads]))
-    live = grouping.gather(params.layers)
-    decision = decide(proposal, live, anchor, cfg, grouping.names)
-    scale = warmup_scale(cfg, step, anchor.last_reset_step)
-    new_groups = apply_masked_update(live, proposal, decision, scale)
-    new_params = ModelParameters(grouping.scatter(new_groups), list(params.layer_names))
-    advanced = AnchorState(anchor.anchor_params, anchor.last_reset_step, step)
-    new_anchor = maybe_reset(advanced, new_groups, cfg)
-    probs = network.forward(new_params, batch)
-    return GalaStepResult(
-        params=new_params,
-        anchor=new_anchor,
-        decision=decision,
-        probs=probs,
-        loss=loss_value,
-        warmup=scale,
-        reset=new_anchor.last_reset_step == step,
-    )
+    def after_update(self, params: ModelParameters) -> bool:
+        self.anchor.step_counter += 1
+        i = self.anchor.step_counter
+        if self.cfg.window_size != math.inf and i % int(self.cfg.window_size) == 0:
+            self.anchor = AnchorState(self.grouping.gather(params.layers), i, i)
+            return True
+        return False

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .engine import SelectionDecision, cosine_via_decomposition
 from .errors import ConfigurationError
@@ -101,18 +100,31 @@ def forgetting(
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; each run of tied values gets the mean of its ranks."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman_rank_correlation(rank_a, rank_b) -> float:
     """Spearman correlation with average ranks for ties.
 
-    Undefined cases (length mismatch, fewer than two entries, or a
-    constant list) are reported as nan rather than raised.
+    Undefined cases (length mismatch, fewer than two entries, a nan
+    entry, or a constant list) are reported as nan rather than raised.
     """
     a = np.asarray(rank_a, dtype=float)
     b = np.asarray(rank_b, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 2:
         return math.nan
-    ra = rankdata(a)
-    rb = rankdata(b)
+    if np.isnan(a).any() or np.isnan(b).any():
+        return math.nan
+    ra = _average_ranks(a)
+    rb = _average_ranks(b)
     va = ra.var()
     vb = rb.var()
     if va == 0.0 or vb == 0.0:

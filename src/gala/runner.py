@@ -1,6 +1,14 @@
-"""Online adaptation loops tying selectors to streams.
+"""The online adaptation step and loop, shared by every selector.
 
-Labels ride along in the stream for evaluation; every loop strips them
+A selector is a scale policy over a parameter grouping (``grouping``).
+``select(grads, params, lr)`` gets a step's per-layer gradients and the
+pre-update parameters and returns one scale per group, the step's
+SelectionDecision and its warm-up factor; ``after_update(params)`` gets
+the post-update parameters and reports whether the policy reset. The
+step moves each layer of a group with a nonzero scale s by
+s * (-lr * grad) and leaves every other layer's array as it is.
+
+Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
 label information (the losses additionally refuse labeled batches).
 """
@@ -8,25 +16,155 @@ label information (the losses additionally refuse labeled batches).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import BaselineSelector, SelectorKind, oracle_sweep
-from .engine import GalaConfig, build_grouping, gala_step, init_anchor
-from .metrics import RunRecord, config_fingerprint
+from .baselines import BASELINE_GRANULARITY, ORACLE_VARIANTS, SelectorKind, baseline_policy
+from .engine import (
+    GalaConfig,
+    GalaPolicy,
+    ParameterGrouping,
+    SelectionDecision,
+    build_grouping,
+)
+from .errors import ConfigurationError
+from .metrics import RunRecord, config_fingerprint, tta_accuracy
 from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
 from .shiftbench import ShiftStream
 
 
-def _fingerprint(method: str, loss: LossKind, opt: OptimizerConfig, seed: int,
-                 extra: dict) -> str:
-    return config_fingerprint({
+@dataclass
+class StepResult:
+    params: ModelParameters
+    decision: SelectionDecision
+    probs: np.ndarray
+    loss: float
+    warmup: float
+    reset: bool
+
+
+def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: LossKind,
+               opt: OptimizerConfig, policy) -> StepResult:
+    """One online adaptation step: propose, scale, update, predict.
+
+    Predictions come from the post-update parameters; when no group
+    moves they coincide with the pre-update model.
+    """
+    loss_value, grads = network.loss_and_gradients(params, batch, loss)
+    scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
+    layers = list(params.layers)
+    for members, s in zip(policy.grouping.members, scales):
+        if s:
+            for i in members:
+                layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
+    new_params = ModelParameters(layers, params.layer_names)
+    reset = policy.after_update(new_params)
+    return StepResult(new_params, decision, network.forward(new_params, batch), loss_value,
+                      warmup, reset)
+
+
+def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
+          opt: OptimizerConfig, policy, fingerprint: str, seed: int) -> RunRecord:
+    """Adapt a copy of ``pretrained`` over one stream, one step per batch."""
+    params = pretrained.copy()
+    correct, decisions, losses, warmups, resets = [], [], [], [], []
+    for batch in stream.adapt_batches:
+        res = adapt_step(network, params, Batch(batch.inputs), loss, opt, policy)
+        params = res.params
+        correct.append(np.argmax(res.probs, axis=1) == batch.labels)
+        decisions.append(res.decision)
+        losses.append(res.loss)
+        warmups.append(res.warmup)
+        resets.append(res.reset)
+    return RunRecord(list(policy.grouping.names), correct, decisions, losses, warmups, resets,
+                     params, fingerprint, seed)
+
+
+@dataclass
+class OracleSweepResult:
+    group_names: list[str]
+    accuracies: list[float]
+    best_group: str
+    worst_group: str
+
+
+def oracle_sweep(
+    network: Network,
+    pretrained: ModelParameters,
+    stream,
+    loss: LossKind,
+    opt: OptimizerConfig,
+    grouping: ParameterGrouping,
+) -> OracleSweepResult:
+    """Brute-force single-group adaptation quality.
+
+    Restarts from the pretrained parameters once per group, adapts only
+    that group on every stream sample, and scores online accuracy.
+    Labels are read for scoring only; the loss path never sees them.
+    """
+    if grouping.num_groups < 2:
+        raise ConfigurationError("oracle sweep needs at least 2 groups")
+    accuracies = []
+    for name in grouping.names:
+        policy = baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
+        # a trial is scored, not reported, so its record carries no fingerprint
+        accuracies.append(tta_accuracy(adapt(network, pretrained, stream, loss, opt, policy,
+                                             "", 0)))
+    best = int(np.argmax(accuracies))
+    worst = int(np.argmin(accuracies))
+    return OracleSweepResult(list(grouping.names), accuracies,
+                             grouping.names[best], grouping.names[worst])
+
+
+def run_selector(
+    network: Network,
+    pretrained: ModelParameters,
+    stream: ShiftStream,
+    loss: LossKind,
+    opt: OptimizerConfig,
+    selector: GalaConfig | SelectorKind,
+    granularity: str,
+    num_blocks: int,
+    seed: int,
+    sweep: OracleSweepResult | None,
+) -> RunRecord:
+    """Adapt with gala or a baseline over one stream.
+
+    ``granularity`` and ``num_blocks`` build the grouping the selector
+    scales. An oracle kind without a pinned group replays the best or
+    worst group of ``sweep``, a sweep of the same stream and grouping;
+    when that is None the sweep runs here.
+    """
+    grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
+                              granularity, num_blocks)
+    if isinstance(selector, GalaConfig):
+        policy = GalaPolicy(selector, grouping, pretrained)
+        method, settings = "gala", {
+            "threshold": selector.threshold,
+            "window_size": "inf" if selector.window_size == math.inf else selector.window_size,
+            "warmup_len": selector.warmup_len,
+            "warmup_mode": selector.warmup_mode,
+        }
+    else:
+        if selector.variant in ORACLE_VARIANTS and selector.fixed_group is None:
+            if sweep is None:
+                sweep = oracle_sweep(network, pretrained, stream, loss, opt, grouping)
+            selector = replace(selector, fixed_group=sweep.best_group
+                               if selector.variant == "oracle_best" else sweep.worst_group)
+        policy = baseline_policy(selector, grouping)
+        method, settings = selector.variant, {"rng_seed": selector.rng_seed,
+                                              "fixed_group": selector.fixed_group}
+    fingerprint = config_fingerprint({
         "method": method,
         "loss": {"variant": loss.variant, "shot_pl_weight": loss.shot_pl_weight},
         "opt": {"learning_rate": opt.learning_rate, "kind": opt.kind},
         "seed": seed,
-        **extra,
+        "granularity": granularity,
+        "num_blocks": num_blocks,
+        **settings,
     })
+    return adapt(network, pretrained, stream, loss, opt, policy, fingerprint, seed)
 
 
 def run_gala(
@@ -39,31 +177,8 @@ def run_gala(
     seed: int = 0,
 ) -> RunRecord:
     """Adapt with aligned layer selection over one stream."""
-    grouping = build_grouping(network.layer_names,
-                              [s.param_count for s in network.specs],
-                              cfg.granularity, cfg.num_blocks)
-    params = pretrained.copy()
-    anchor = init_anchor(params, grouping)
-    correct, decisions, losses, warmups, resets = [], [], [], [], []
-    for batch in stream.adapt_batches:
-        res = gala_step(network, params, Batch(batch.inputs), loss, opt, cfg,
-                        anchor, grouping)
-        params, anchor = res.params, res.anchor
-        correct.append(np.argmax(res.probs, axis=1) == batch.labels)
-        decisions.append(res.decision)
-        losses.append(res.loss)
-        warmups.append(res.warmup)
-        resets.append(res.reset)
-    fp = _fingerprint("gala", loss, opt, seed, {
-        "threshold": cfg.threshold,
-        "window_size": ("inf" if cfg.window_size == math.inf else cfg.window_size),
-        "granularity": cfg.granularity,
-        "warmup_len": cfg.warmup_len,
-        "warmup_mode": cfg.warmup_mode,
-        "num_blocks": cfg.num_blocks,
-    })
-    return RunRecord(list(grouping.names), correct, decisions, losses, warmups, resets,
-                     params, fp, seed)
+    return run_selector(network, pretrained, stream, loss, opt, cfg, cfg.granularity,
+                        cfg.num_blocks, seed, None)
 
 
 def run_baseline(
@@ -73,7 +188,7 @@ def run_baseline(
     kind: SelectorKind,
     loss: LossKind,
     opt: OptimizerConfig,
-    granularity: str = "block",
+    granularity: str = BASELINE_GRANULARITY,
     num_blocks: int = 4,
     seed: int = 0,
 ) -> RunRecord:
@@ -82,29 +197,5 @@ def run_baseline(
     Oracle variants without a pinned group first run the brute-force
     sweep on the same stream to find it.
     """
-    grouping = build_grouping(network.layer_names,
-                              [s.param_count for s in network.specs],
-                              granularity, num_blocks)
-    if kind.variant in ("oracle_best", "oracle_worst") and kind.fixed_group is None:
-        sweep = oracle_sweep(network, pretrained, stream, loss, opt, grouping)
-        pinned = sweep.best_group if kind.variant == "oracle_best" else sweep.worst_group
-        kind = SelectorKind(kind.variant, kind.rng_seed, pinned)
-    selector = BaselineSelector(kind, grouping)
-    params = pretrained.copy()
-    correct, decisions, losses, warmups, resets = [], [], [], [], []
-    for batch in stream.adapt_batches:
-        res = selector.step(network, params, Batch(batch.inputs), loss, opt)
-        params = res.params
-        correct.append(np.argmax(res.probs, axis=1) == batch.labels)
-        decisions.append(res.decision)
-        losses.append(res.loss)
-        warmups.append(1.0)
-        resets.append(False)
-    fp = _fingerprint(kind.variant, loss, opt, seed, {
-        "rng_seed": kind.rng_seed,
-        "fixed_group": kind.fixed_group,
-        "granularity": granularity,
-        "num_blocks": num_blocks,
-    })
-    return RunRecord(list(grouping.names), correct, decisions, losses, warmups, resets,
-                     params, fp, seed)
+    return run_selector(network, pretrained, stream, loss, opt, kind, granularity, num_blocks,
+                        seed, None)

@@ -8,9 +8,7 @@ Everything is deterministic given the task seed and a stream seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -279,58 +277,3 @@ def build_stream(
         target_holdout=target_holdout,
         source_holdout=source_holdout,
     )
-
-
-def save_manifest(path: str | Path, stream: ShiftStream) -> None:
-    """Persist everything needed to regenerate the stream exactly."""
-    payload = {
-        "format": "gala-stream-manifest",
-        "format_version": 1,
-        "task": {
-            "num_classes": stream.task.num_classes,
-            "input_dim": stream.task.input_dim,
-            "class_geometry": stream.task.class_geometry,
-            "samples_per_domain": stream.task.samples_per_domain,
-            "seed": stream.task.seed,
-        },
-        "shifts": [
-            {"kind": s.kind, "severity": int(s.severity), "params": s.params}
-            for s in stream.sequence
-        ],
-        "mode": stream.mode,
-        "batch_size": stream.batch_size,
-        "seed": stream.seed,
-        "split": {
-            "adapt_per_shift": (4 * stream.task.samples_per_domain) // 5,
-            "holdout_per_shift": stream.task.samples_per_domain
-            - (4 * stream.task.samples_per_domain) // 5,
-        },
-    }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_manifest(path: str | Path) -> ShiftStream:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"stream manifest not found at expected path: {p}")
-    payload = json.loads(p.read_text(encoding="utf-8"))
-    if payload.get("format") != "gala-stream-manifest":
-        raise ConfigurationError(f"{p} is not a stream manifest")
-    task = TaskSpec(**payload["task"])
-    shifts = [ShiftSpec(s["kind"], s["severity"], s["params"]) for s in payload["shifts"]]
-    return build_stream(task, shifts, payload["mode"], payload["batch_size"], payload["seed"])
-
-
-def export_stream_data(path: str | Path, stream: ShiftStream) -> None:
-    """Dump the stream as tab-delimited text (one sample per row)."""
-    lines = ["section\tsegment\tlabel\t" + "\t".join(
-        f"x{j}" for j in range(stream.task.input_dim))]
-    for i, batch in enumerate(stream.adapt_batches):
-        seg = stream.segment_of_batch[i]
-        for x, y in zip(batch.inputs, batch.labels):
-            lines.append("adapt\t%d\t%d\t%s" % (seg, y, "\t".join(repr(float(v)) for v in x)))
-    for name, batch in (("target_holdout", stream.target_holdout),
-                        ("source_holdout", stream.source_holdout)):
-        for x, y in zip(batch.inputs, batch.labels):
-            lines.append("%s\t-1\t%d\t%s" % (name, y, "\t".join(repr(float(v)) for v in x)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

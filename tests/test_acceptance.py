@@ -114,7 +114,8 @@ def test_criterion_02_analytic_gradients_match_finite_differences(verdict):
 
 def test_criterion_03_threshold_minus_one_is_plain_sgd(verdict):
     """threshold -1, no warm-up, no resets, multi-layer: bit-identical to
-    the always-update baseline across 10 stream seeds."""
+    the always-update baseline, and both to a plain SGD loop written here,
+    across 10 stream seeds."""
     task = TaskSpec(num_classes=3, input_dim=2, samples_per_domain=150, seed=5)
     data = generate_task(task)
     specs = [LayerSpec("dense", 2, 8, "relu"), LayerSpec("dense", 8, 3)]
@@ -138,8 +139,20 @@ def test_criterion_03_threshold_minus_one_is_plain_sgd(verdict):
                         for da, dg in zip(a.decisions, g.decisions))
         ok = ok and np.array_equal(np.concatenate(a.correct),
                                    np.concatenate(g.correct))
-    verdict(3, ok, "degenerate configuration reproduces all-layers SGD "
-                   "bit for bit on 10 stream seeds")
+        # an independent plain-SGD loop, sharing only the network's gradients
+        sgd = pre.params.copy()
+        sgd_correct = []
+        for batch in stream.adapt_batches:
+            inputs = Batch(batch.inputs)
+            _, grads = net.loss_and_gradients(sgd, inputs, loss)
+            for vec, grad in zip(sgd.layers, grads):
+                vec -= opt.learning_rate * grad
+            sgd_correct.append(np.argmax(net.forward(sgd, inputs), axis=1) == batch.labels)
+        for la, lb in zip(a.final_params.layers, sgd.layers):
+            ok = ok and np.array_equal(la, lb)
+        ok = ok and np.array_equal(np.concatenate(a.correct), np.concatenate(sgd_correct))
+    verdict(3, ok, "degenerate configuration and all-layers SGD reproduce a plain "
+                   "SGD loop bit for bit on 10 stream seeds")
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gala import (
-    BaselineSelector,
     Batch,
     ConfigurationError,
     GalaConfig,
@@ -20,6 +19,8 @@ from gala import (
     SelectorKind,
     ShiftSpec,
     TaskSpec,
+    adapt_step,
+    baseline_policy,
     build_grouping,
     build_stream,
     generate_task,
@@ -125,13 +126,22 @@ def test_all_layers_equals_degenerate_threshold():
 
 
 def test_all_layers_first_step_flags_fresh_anchor():
+    """Every step updates every group; no decision measures alignment or
+    starts a window."""
     net, params, stream = small_setup()
-    record = run_baseline(net, params, stream, SelectorKind("all_layers"),
-                          LossKind("pseudo_label"), OptimizerConfig(0.2),
-                          granularity="multi_layer")
-    assert record.decisions[0].first_sample
-    assert not any(d.first_sample for d in record.decisions[1:])
-    assert all(d.mask.all() for d in record.decisions)
+    loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.2)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              "multi_layer")
+    policy = baseline_policy(SelectorKind("all_layers"), grouping)
+    for batch in stream.adapt_batches:
+        res = adapt_step(net, params, Batch(batch.inputs), loss, opt, policy)
+        d = res.decision
+        assert d.mask.all() and not d.skipped and not d.first_sample
+        assert d.selected_groups == grouping.names
+        assert np.isnan(d.cosines).all()
+        for before, after in zip(params.layers, res.params.layers):
+            assert not np.array_equal(before, after)
+        params = res.params
 
 
 def test_random_block_long_run_frequencies():
@@ -140,13 +150,13 @@ def test_random_block_long_run_frequencies():
                    LayerSpec("dense", 4, 4, "relu"), LayerSpec("dense", 4, 2)])
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "block", num_blocks=4)
-    selector = BaselineSelector(SelectorKind("random_block", rng_seed=3), grouping)
+    policy = baseline_policy(SelectorKind("random_block", rng_seed=3), grouping)
     params = net.init_params(seed=0)
     batch = Batch(np.array([[0.3, -0.2], [-0.5, 0.9]]))
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(1e-6)
     counts = np.zeros(4)
     for _ in range(10000):
-        res = selector.step(net, params, batch, loss, opt)
+        res = adapt_step(net, params, batch, loss, opt, policy)
         counts[np.argmax(res.decision.mask)] += 1
         assert res.decision.mask.sum() == 1
     freqs = counts / 10000
@@ -183,8 +193,8 @@ def test_auto_rgn_first_step_delta():
     ratios = np.array([np.linalg.norm(g) / (np.linalg.norm(p) + 1e-12)
                        for g, p in zip(gathered_g, gathered_p)])
     scales = ratios / ratios.max()
-    selector = BaselineSelector(SelectorKind("auto_rgn"), grouping)
-    res = selector.step(net, params, batch, loss, opt)
+    res = adapt_step(net, params, batch, loss, opt,
+                     baseline_policy(SelectorKind("auto_rgn"), grouping))
     got_groups = grouping.gather(res.params.layers)
     for got, before, s, g in zip(got_groups, gathered_p, scales, gathered_g):
         np.testing.assert_allclose(got, before - opt.learning_rate * s * g,
@@ -197,7 +207,7 @@ def test_auto_rgn_ema_tracks_ratio_history():
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.3)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
-    selector = BaselineSelector(SelectorKind("auto_rgn"), grouping)
+    policy = baseline_policy(SelectorKind("auto_rgn"), grouping)
     batch1 = Batch(stream.adapt_batches[0].inputs)
     batch2 = Batch(stream.adapt_batches[1].inputs)
 
@@ -208,11 +218,11 @@ def test_auto_rgn_ema_tracks_ratio_history():
                                          grouping.gather(p.layers))])
 
     r1 = ratios_at(params, batch1)
-    res1 = selector.step(net, params, batch1, loss, opt)
-    np.testing.assert_allclose(selector.ema, r1, rtol=0, atol=1e-15)
+    res1 = adapt_step(net, params, batch1, loss, opt, policy)
+    np.testing.assert_allclose(policy.ema, r1, rtol=0, atol=1e-15)
     r2 = ratios_at(res1.params, batch2)
-    selector.step(net, res1.params, batch2, loss, opt)
-    np.testing.assert_allclose(selector.ema, 0.9 * r1 + 0.1 * r2, rtol=0, atol=1e-15)
+    adapt_step(net, res1.params, batch2, loss, opt, policy)
+    np.testing.assert_allclose(policy.ema, 0.9 * r1 + 0.1 * r2, rtol=0, atol=1e-15)
 
 
 def test_auto_rgn_updates_every_group():
@@ -230,9 +240,9 @@ def test_selector_kind_validation():
         SelectorKind("momentum_select")
     grouping = build_grouping(["L0_dense", "L1_dense"], [6, 6], "single_layer")
     with pytest.raises(ConfigurationError, match="fixed_group"):
-        BaselineSelector(SelectorKind("oracle_best"), grouping)
+        baseline_policy(SelectorKind("oracle_best"), grouping)
     with pytest.raises(ConfigurationError, match="L9"):
-        BaselineSelector(SelectorKind("oracle_worst", fixed_group="L9"), grouping)
+        baseline_policy(SelectorKind("oracle_worst", fixed_group="L9"), grouping)
 
 
 def test_oracle_replay_touches_only_pinned_group():

@@ -3,11 +3,15 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from gala import ConfigurationError, load_config, parse_config, parse_summary
+import gala.cli
+from gala import ConfigurationError, GalaConfig, load_config, parse_config, parse_summary
 from gala.cli import main
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "configs" / "quickstart.json"
 
 
 def base_config(**overrides):
@@ -45,8 +49,8 @@ def test_parse_config_builds_typed_experiment():
     assert cfg.shifts[0].kind == "rotation"
     assert [l.output_dim for l in cfg.model] == [8, 3]
     assert cfg.loss.variant == "pseudo_label"
-    assert cfg.selector.is_gala
-    assert cfg.selector.gala.threshold == 0.75
+    assert isinstance(cfg.selector.kind, GalaConfig)
+    assert cfg.selector.kind.threshold == 0.75
     assert cfg.seeds == [0, 1]
 
 
@@ -92,7 +96,7 @@ def test_parse_config_null_window_means_no_resets():
     raw = base_config()
     raw["selector"]["gala"]["window_size"] = None
     cfg = parse_config(raw)
-    assert cfg.selector.gala.window_size == math.inf
+    assert cfg.selector.kind.window_size == math.inf
 
 
 def test_parse_config_seed_list_validation():
@@ -251,6 +255,59 @@ def test_oracle_writes_rankings(workspace):
     assert payload["best_group"] in payload["group_names"]
     accs = payload["oracle_accuracies"]
     assert payload["best_group"] == payload["group_names"][accs.index(max(accs))]
+
+
+def test_baseline_rng_seed_field_rejected(tmp_path, capsys):
+    """random_block draws from the run seed; the config has no seed of its own."""
+    raw = base_config(selector={"baseline": {"variant": "random_block", "rng_seed": 3}})
+    with pytest.raises(ConfigurationError, match="selector.baseline.rng_seed"):
+        parse_config(raw)
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps(raw))
+    assert main(["adapt", "--config", str(path)]) == 2
+    assert "selector.baseline.rng_seed" in capsys.readouterr().err
+
+
+def test_quickstart_erm_adapts_with_default_grouping(tmp_path):
+    """A baseline without a granularity adapts per layer, which fits the
+    two-layer quickstart network."""
+    raw = json.loads(QUICKSTART.read_text())
+    raw.update(selector={"baseline": {"variant": "erm"}}, seeds=[0],
+               output_dir=str(tmp_path / "erm"))
+    path = tmp_path / "quickstart_erm.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(path)]) == 0
+    assert main(["adapt", "--config", str(path)]) == 0
+    summary, _ = parse_summary(tmp_path / "erm" / "adapt" / "seed0" / "summary.json")
+    assert sorted(summary.selection_frequency) == ["L0_dense", "L1_dense"]
+    assert summary.forgetting == 0.0
+
+
+def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
+    """An unpinned oracle selector replays the group of the sweep the
+    command already ran: one pass per group, plus the replay."""
+    passes = []
+
+    class CountedBatches(list):
+        def __iter__(self):
+            passes[-1] += 1
+            return super().__iter__()
+
+    def counted_stream(*args, **kwargs):
+        stream = build_stream(*args, **kwargs)
+        stream.adapt_batches = CountedBatches(stream.adapt_batches)
+        passes.append(0)
+        return stream
+
+    build_stream = gala.cli.build_stream
+    monkeypatch.setattr(gala.cli, "build_stream", counted_stream)
+    path = write_config(tmp_path, selector={"baseline": {"variant": "oracle_best",
+                                                         "granularity": "single_layer"}},
+                        output_dir=str(tmp_path / "oracle"))
+    assert main(["pretrain", "--config", str(path)]) == 0
+    assert main(["oracle", "--config", str(path)]) == 0
+    num_groups = len(base_config()["model"])
+    assert passes == [num_groups + 1, num_groups + 1]
 
 
 def test_geometry_runs_without_config(tmp_path):

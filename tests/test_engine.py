@@ -13,17 +13,14 @@ from gala import (
     ModelParameters,
     Network,
     OptimizerConfig,
+    GalaPolicy,
     ParameterGrouping,
     SelectionDecision,
-    UpdateProposal,
-    apply_masked_update,
+    adapt_step,
     build_grouping,
     cosine_alignment,
     cosine_via_decomposition,
     decide,
-    gala_step,
-    init_anchor,
-    maybe_reset,
     total_displacement,
     vector_angle,
     warmup_scale,
@@ -60,9 +57,8 @@ def test_total_displacement_accumulates_two_updates():
     u1 = [rng.normal(size=7), rng.normal(size=3)]
     u2 = [rng.normal(size=7), rng.normal(size=3)]
     anchor = anchor_of([g.copy() for g in start])
-    all_on = SelectionDecision(np.array([1.0, 1.0]), np.array([1, 1]), ["a", "b"], False, True)
-    after1 = apply_masked_update(start, UpdateProposal(u1), all_on, 1.0)
-    after2 = apply_masked_update(after1, UpdateProposal(u2), all_on, 1.0)
+    after1 = [g + 1.0 * u for g, u in zip(start, u1)]
+    after2 = [g + 1.0 * u for g, u in zip(after1, u2)]
     for td, a, b in zip(total_displacement(after2, anchor), u1, u2):
         assert np.all(np.abs(td - (a + b)) < 1e-9)
 
@@ -124,7 +120,7 @@ def test_cosine_scale_invariance_spot():
 
 def decision_for(cosines, cfg, first=False):
     groups = [forced_cosine_group(c) for c in cosines]
-    proposal = UpdateProposal([u for u, _ in groups])
+    proposal = [u for u, _ in groups]
     live = [td for _, td in groups]
     anchor = anchor_of([np.zeros(2) for _ in cosines], last_reset=0, step=0 if first else 5)
     return decide(proposal, live, anchor, cfg)
@@ -164,12 +160,12 @@ def test_decide_argmax_tie_lowest_index():
 
 def test_decide_undefined_cosines_never_selected():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer")
-    proposal = UpdateProposal([np.zeros(2), np.array([1.0, 0.0])])
+    proposal = [np.zeros(2), np.array([1.0, 0.0])]
     live = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
     d = decide(proposal, live, anchor_of([np.zeros(2), np.zeros(2)], 0, 5), cfg)
     assert math.isnan(d.cosines[0]) and not math.isnan(d.cosines[1])
     assert np.array_equal(d.mask, [0, 1])
-    all_zero = UpdateProposal([np.zeros(2), np.zeros(2)])
+    all_zero = [np.zeros(2), np.zeros(2)]
     d = decide(all_zero, live, anchor_of([np.zeros(2), np.zeros(2)], 0, 5), cfg)
     assert d.skipped
 
@@ -196,34 +192,65 @@ def test_warmup_scale_ramp():
     assert warmup_scale(GalaConfig(warmup_len=0), 1, 0) == 1.0
 
 
+class FixedScalePolicy:
+    """A stub policy that applies the given per-group scales."""
+
+    def __init__(self, grouping, scales):
+        self.grouping = grouping
+        self.scales = np.asarray(scales, dtype=float)
+
+    def select(self, grads, params, lr):
+        mask = (self.scales != 0).astype(np.int64)
+        return self.scales, SelectionDecision(np.zeros(mask.size), mask, [], not mask.any(),
+                                              False), 1.0
+
+    def after_update(self, params):
+        return False
+
+
 def test_apply_masked_update_semantics():
-    rng = np.random.default_rng(15)
-    live = [rng.normal(size=4), rng.normal(size=2)]
-    u = [rng.normal(size=4), rng.normal(size=2)]
-    off = SelectionDecision(np.zeros(2), np.array([0, 0]), [], True, False)
-    unchanged = apply_masked_update(live, UpdateProposal(u), off, 1.0)
-    for a, b in zip(unchanged, live):
+    """The step moves each layer of a scaled group by scale * u and hands
+    every other layer's array through untouched."""
+    net = Network([LayerSpec("dense", 2, 2, "tanh"), LayerSpec("dense", 2, 1)])
+    params = net.init_params(15)
+    live = params.layers
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
+    batch, loss, opt = Batch(np.array([[0.3, -0.8]])), LossKind("shot_im"), OptimizerConfig(0.7)
+    _, grads = net.loss_and_gradients(params, batch, loss)
+    u = [-opt.learning_rate * g for g in grads]
+    unchanged = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0, 0]))
+    for a, b in zip(unchanged.params.layers, live):
         assert np.array_equal(a, b)
-    partial = SelectionDecision(np.zeros(2), np.array([1, 0]), ["g0"], False, False)
-    out = apply_masked_update(live, UpdateProposal(u), partial, 1.0)
-    assert np.array_equal(out[0], live[0] + u[0])
-    assert np.array_equal(out[1], live[1])
-    halved = apply_masked_update(live, UpdateProposal(u), partial, 0.5)
-    assert np.array_equal(halved[0], live[0] + 0.5 * u[0])
+    out = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [1, 0])).params
+    assert np.array_equal(out.layers[0], live[0] + u[0])
+    assert np.array_equal(out.layers[1], live[1])
+    assert out.layers[1] is live[1]
+    halved = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0.5, 0]))
+    assert np.array_equal(halved.params.layers[0], live[0] + 0.5 * u[0])
 
 
 def test_maybe_reset_window_boundary():
+    net = Network([LayerSpec("dense", 1, 1)])
+    grouping = build_grouping(net.layer_names, [2], "single_layer")
+    live = ModelParameters([np.array([5.0, 6.0])], list(net.layer_names))
+
+    def after_update_at(step, cfg):
+        policy = GalaPolicy(cfg, grouping, live)
+        policy.anchor = anchor_of([[0.0, 0.0]], 0, step - 1)
+        reset = policy.after_update(live)
+        assert reset == (policy.anchor.last_reset_step == step)
+        return policy.anchor
+
     cfg = GalaConfig(window_size=20)
-    live = [np.array([5.0, 6.0])]
-    at20 = maybe_reset(anchor_of([[0.0, 0.0]], 0, 20), live, cfg)
+    at20 = after_update_at(20, cfg)
     assert at20.last_reset_step == 20
-    assert np.array_equal(at20.anchor_params[0], live[0])
-    at7 = maybe_reset(anchor_of([[0.0, 0.0]], 0, 7), live, cfg)
+    assert np.array_equal(at20.anchor_params[0], live.layers[0])
+    at7 = after_update_at(7, cfg)
     assert at7.last_reset_step == 0
     assert np.array_equal(at7.anchor_params[0], np.zeros(2))
     inf_cfg = GalaConfig(window_size=math.inf)
     for i in (1, 20, 400):
-        a = maybe_reset(anchor_of([[0.0, 0.0]], 0, i), live, inf_cfg)
+        a = after_update_at(i, inf_cfg)
         assert a.last_reset_step == 0
         assert np.array_equal(a.anchor_params[0], np.zeros(2))
 
@@ -280,7 +307,8 @@ def test_grouping_gather_scatter_round_trip():
     grouping = ParameterGrouping(["B0", "B1"], [[0, 1], [2, 3]], [4, 0, 6, 2])
     groups = grouping.gather(layers)
     assert groups[0].size == 4 and groups[1].size == 8
-    back = grouping.scatter(groups)
+    back = [piece for group, members in zip(groups, grouping.members)
+            for piece in np.split(group, np.cumsum([layers[i].size for i in members])[:-1])]
     for a, b in zip(back, layers):
         assert np.array_equal(a, b)
 
@@ -297,14 +325,13 @@ def test_gala_step_zero_gradient_skips_after_first_sample():
     net = Network([LayerSpec("dense", 1, 2)])
     params = ModelParameters([np.array([400.0, -400.0, 0.0, 0.0])], list(net.layer_names))
     grouping = build_grouping(net.layer_names, [4], "single_layer")
-    anchor = init_anchor(params, grouping)
-    cfg = GalaConfig(warmup_mode="none")
+    policy = GalaPolicy(GalaConfig(warmup_mode="none"), grouping, params)
     opt = OptimizerConfig(0.5)
     batch = Batch(np.array([[1.0]]))
-    r1 = gala_step(net, params, batch, LossKind("pseudo_label"), opt, cfg, anchor, grouping)
+    r1 = adapt_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
     assert r1.decision.first_sample and not r1.decision.skipped
     assert np.array_equal(r1.params.layers[0], params.layers[0])
-    r2 = gala_step(net, r1.params, batch, LossKind("pseudo_label"), opt, cfg, r1.anchor, grouping)
+    r2 = adapt_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
     assert math.isnan(r2.decision.cosines[0])
     assert r2.decision.skipped
     assert np.array_equal(r2.params.layers[0], params.layers[0])
@@ -321,11 +348,10 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", warmup_mode="none", window_size=5)
     opt = OptimizerConfig(0.05)
     loss = LossKind("pseudo_label")
-    anchor = init_anchor(params, grouping)
+    policy = GalaPolicy(cfg, grouping, params)
     for _ in range(12):
         batch = Batch(rng.normal(size=(4, 3)))
-        res = gala_step(net, params, batch, loss, opt, cfg, anchor, grouping)
-        params, anchor = res.params, res.anchor
+        params = adapt_step(net, params, batch, loss, opt, policy).params
         _, grads = net.loss_and_gradients(sgd, batch, loss)
         for vec, g in zip(sgd.layers, grads):
             vec -= opt.learning_rate * g
@@ -340,10 +366,10 @@ def test_gala_step_parallel_updates_give_cosine_one():
     cfg = GalaConfig(threshold=0.75, warmup_mode="none")
     opt = OptimizerConfig(0.1)
     batch = Batch(np.array([[1.0, 2.0]]))
-    anchor = init_anchor(params, grouping)
-    r1 = gala_step(net, params, batch, LossKind("pseudo_label"), opt, cfg, anchor, grouping)
+    policy = GalaPolicy(cfg, grouping, params)
+    r1 = adapt_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
     assert r1.decision.first_sample
-    r2 = gala_step(net, r1.params, batch, LossKind("pseudo_label"), opt, cfg, r1.anchor, grouping)
+    r2 = adapt_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
     assert abs(r2.decision.cosines[0] - 1.0) < 1e-9
     assert np.array_equal(r2.decision.mask, [1])
 
@@ -353,8 +379,8 @@ def test_gala_step_predictions_use_post_update_parameters():
     cfg = GalaConfig(warmup_mode="none")
     opt = OptimizerConfig(1.0)
     batch = Batch(np.array([[0.7, -0.4], [0.1, 0.9]]))
-    res = gala_step(net, params, batch, LossKind("pseudo_label"), opt, cfg,
-                    init_anchor(params, grouping), grouping)
+    res = adapt_step(net, params, batch, LossKind("pseudo_label"), opt,
+                     GalaPolicy(cfg, grouping, params))
     assert np.array_equal(res.probs, net.forward(res.params, batch))
     assert not np.array_equal(res.probs, net.forward(params, batch))
 
@@ -367,16 +393,16 @@ def test_anchor_consistency_and_reset_within_run():
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "multi_layer")
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", window_size=7)
     opt = OptimizerConfig(0.1)
-    anchor = init_anchor(params, grouping)
-    applied = [np.zeros_like(g) for g in anchor.anchor_params]
+    policy = GalaPolicy(cfg, grouping, params)
+    applied = [np.zeros_like(g) for g in policy.anchor.anchor_params]
     for step in range(1, 16):
         batch = Batch(rng.normal(size=(3, 2)))
-        res = gala_step(net, params, batch, LossKind("shot_im"), opt, cfg, anchor, grouping)
+        res = adapt_step(net, params, batch, LossKind("shot_im"), opt, policy)
         new_groups = grouping.gather(res.params.layers)
         old_groups = grouping.gather(params.layers)
         for acc, new, old in zip(applied, new_groups, old_groups):
             acc += new - old
-        params, anchor = res.params, res.anchor
+        params, anchor = res.params, policy.anchor
         if res.reset:
             assert step % 7 == 0
             assert anchor.last_reset_step == step
@@ -395,14 +421,12 @@ def test_trajectory_determinism():
         params = net.init_params(2)
         grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                                   "single_layer")
-        anchor = init_anchor(params, grouping)
-        cfg = GalaConfig(window_size=4)
+        policy = GalaPolicy(GalaConfig(window_size=4), grouping, params)
         opt = OptimizerConfig(0.2)
         out = []
         for _ in range(10):
             batch = Batch(rng.normal(size=(2, 3)))
-            res = gala_step(net, params, batch, LossKind("shot_im"), opt, cfg, anchor, grouping)
-            params, anchor = res.params, res.anchor
+            params = adapt_step(net, params, batch, LossKind("shot_im"), opt, policy).params
             out.append(np.concatenate([v for v in params.layers]))
         return np.concatenate(out)
 

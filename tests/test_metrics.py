@@ -171,6 +171,25 @@ def test_spearman_undefined_cases_are_nan():
     assert math.isnan(spearman_rank_correlation([1.0], [2.0]))
     assert math.isnan(spearman_rank_correlation([3.0, 3.0, 3.0], [1.0, 2.0, 3.0]))
     assert math.isnan(spearman_rank_correlation([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))
+    assert math.isnan(spearman_rank_correlation([1.0, math.nan, 3.0], [1.0, 2.0, 3.0]))
+
+
+def test_spearman_ties_match_counted_ranks():
+    """Against ranks counted directly: #smaller + (#equal + 1) / 2."""
+    rng = np.random.default_rng(8)
+
+    def ranks(v):
+        return np.array([np.sum(v < x) + (np.sum(v == x) + 1) / 2 for x in v])
+
+    for _ in range(200):
+        a, b = rng.integers(0, 4, size=(2, int(rng.integers(2, 9)))).astype(float)
+        ra, rb = ranks(a), ranks(b)
+        got = spearman_rank_correlation(a, b)
+        if ra.var() == 0.0 or rb.var() == 0.0:
+            assert math.isnan(got)
+        else:
+            want = ((ra - ra.mean()) * (rb - rb.mean())).mean() / math.sqrt(ra.var() * rb.var())
+            assert abs(got - want) <= 1e-12
 
 
 def test_spearman_monotone_invariance():

@@ -13,16 +13,15 @@ from gala import (
     AnchorState,
     Batch,
     GalaConfig,
+    GalaPolicy,
     LayerSpec,
     LossKind,
     Network,
     OptimizerConfig,
-    UpdateProposal,
+    adapt_step,
     build_grouping,
     cosine_alignment,
     decide,
-    gala_step,
-    init_anchor,
     total_displacement,
 )
 
@@ -67,7 +66,7 @@ def _random_geometry(rng):
     live = [a + t for a, t in zip(anchor_groups, tds)]
     anchor = AnchorState([a.copy() for a in anchor_groups],
                          last_reset_step=0, step_counter=5)
-    return names, UpdateProposal(us), live, anchor
+    return names, us, live, anchor
 
 
 def test_mask_exclusivity_thousand_cases():
@@ -151,7 +150,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                                   [s.param_count for s in net.specs],
                                   "single_layer")
         params = net.init_params(seed=int(rng.integers(1 << 16)))
-        anchor = init_anchor(params, grouping)
+        policy = GalaPolicy(cfg, grouping, params)
         snapshot = [g.copy() for g in grouping.gather(params.layers)]
         opt = OptimizerConfig(10.0 ** rng.uniform(-2, 0))
         expect_first = True
@@ -162,7 +161,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
             pre_params = params.copy()
             _, grads = net.loss_and_gradients(pre_params, batch, loss)
             expect_u = grouping.gather([-opt.learning_rate * g for g in grads])
-            res = gala_step(net, params, batch, loss, opt, cfg, anchor, grouping)
+            res = adapt_step(net, params, batch, loss, opt, policy)
             assert res.decision.first_sample == expect_first
             live = grouping.gather(pre_params.layers)
             tds = total_displacement(live, AnchorState([s.copy() for s in snapshot]))
@@ -178,9 +177,9 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                 checked += 1
             if res.reset:
                 snapshot = [g.copy() for g in grouping.gather(res.params.layers)]
-            for a, s in zip(res.anchor.anchor_params, snapshot):
+            for a, s in zip(policy.anchor.anchor_params, snapshot):
                 assert np.array_equal(a, s)
-            params, anchor = res.params, res.anchor
+            params = res.params
             expect_first = res.reset
     assert checked >= 1000
 
@@ -212,11 +211,11 @@ def test_trajectory_determinism_thousand_steps():
                                  else None))
 
         def replay():
-            params, anchor = init.copy(), init_anchor(init, grouping)
+            params, policy = init.copy(), GalaPolicy(cfg, grouping, init)
             out = []
             for b in batches:
-                res = gala_step(net, params, b, loss, opt, cfg, anchor, grouping)
-                params, anchor = res.params, res.anchor
+                res = adapt_step(net, params, b, loss, opt, policy)
+                params = res.params
                 out.append(res)
             return out
 

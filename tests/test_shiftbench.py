@@ -12,14 +12,10 @@ from gala import (
 )
 from gala.shiftbench import (
     ShiftSpec,
-    ShiftStream,
     TaskSpec,
     apply_shift,
     build_stream,
-    export_stream_data,
     generate_task,
-    load_manifest,
-    save_manifest,
 )
 
 
@@ -208,40 +204,3 @@ def test_severity_monotonicity_for_erm():
                 accs.append(accuracy(result.network, result.params, shifted))
             inversions = sum(1 for a, b in zip(accs, accs[1:]) if b > a)
             assert inversions <= 1, (kind, seed, accs)
-
-
-def test_manifest_round_trip(tmp_path):
-    task = TaskSpec(num_classes=2, input_dim=3, samples_per_domain=100, seed=12)
-    shifts = [ShiftSpec("additive_noise", 3), ShiftSpec("label_conditional_noise", 2)]
-    stream = build_stream(task, shifts, mode="continual", batch_size=20, seed=13)
-    path = tmp_path / "stream.json"
-    save_manifest(path, stream)
-    rebuilt = load_manifest(path)
-    assert isinstance(rebuilt, ShiftStream)
-    for a, b in zip(stream.adapt_batches, rebuilt.adapt_batches):
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(stream.target_holdout.inputs, rebuilt.target_holdout.inputs)
-    assert np.array_equal(stream.source_holdout.inputs, rebuilt.source_holdout.inputs)
-
-
-def test_manifest_missing_file_names_path(tmp_path):
-    with pytest.raises(ConfigurationError, match="missing.json"):
-        load_manifest(tmp_path / "missing.json")
-
-
-def test_export_stream_data(tmp_path):
-    task = TaskSpec(num_classes=2, input_dim=3, samples_per_domain=50, seed=14)
-    stream = build_stream(task, [ShiftSpec("rotation", 2)], batch_size=10, seed=15)
-    path = tmp_path / "stream.tsv"
-    export_stream_data(path, stream)
-    lines = path.read_text().strip().split("\n")
-    header = lines[0].split("\t")
-    assert header == ["section", "segment", "label", "x0", "x1", "x2"]
-    rows = [ln.split("\t") for ln in lines[1:]]
-    expected = stream.num_adapt_samples + stream.target_holdout.size + stream.source_holdout.size
-    assert len(rows) == expected
-    # Floats are written with repr and must round-trip exactly.
-    first = stream.adapt_batches[0]
-    assert [float(v) for v in rows[0][3:]] == list(first.inputs[0])
-    assert int(rows[0][2]) == first.labels[0]
