@@ -217,11 +217,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(seeds, list) or not seeds or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ConfigurationError("seeds must be a nonempty list of integers")
+    batch_size = raw.get("batch_size", 16)
+    if not (isinstance(batch_size, int) and not isinstance(batch_size, bool) and batch_size >= 1):
+        raise ConfigurationError(f"batch_size must be a positive integer, got {batch_size!r}")
     return ExperimentConfig(
         task=_parse_task(raw["task"]),
         shifts=[_parse_shift(s, i) for i, s in enumerate(shifts_raw)],
         shift_mode=raw.get("shift_mode", "single"),
-        batch_size=raw.get("batch_size", 16),
+        batch_size=batch_size,
         model=[_parse_layer(l, i) for i, l in enumerate(model_raw)],
         loss=_parse_loss(raw["loss"]),
         optimizer=_parse_optimizer(raw["optimizer"]),

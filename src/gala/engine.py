@@ -93,7 +93,12 @@ class ParameterGrouping:
         return len(self.names)
 
     def gather(self, layer_vectors: list[np.ndarray]) -> list[np.ndarray]:
-        """Concatenate each group's layer vectors into one flat vector."""
+        """Each group's layer vectors as one flat vector.
+
+        A multi-layer group is concatenated into a new array; a one-layer
+        group comes back as that layer's own array, not a copy, so callers
+        must not write to the result.
+        """
         if len(layer_vectors) != len(self.layer_sizes):
             raise ConfigurationError("layer count mismatch in gather")
         for vec, size in zip(layer_vectors, self.layer_sizes):
@@ -101,7 +106,9 @@ class ParameterGrouping:
                 raise ConfigurationError("layer size mismatch in gather")
         out = []
         for group in self.members:
-            if group:
+            if len(group) == 1:
+                out.append(layer_vectors[group[0]])
+            elif group:
                 out.append(np.concatenate([layer_vectors[i] for i in group]))
             else:
                 out.append(np.zeros(0))
@@ -151,7 +158,7 @@ class AnchorState:
 
 
 def init_anchor(params: ModelParameters, grouping: ParameterGrouping) -> AnchorState:
-    return AnchorState(grouping.gather(params.layers), 0, 0)
+    return AnchorState([g.copy() for g in grouping.gather(params.layers)], 0, 0)
 
 
 @dataclass
@@ -232,31 +239,42 @@ def decide(
     it clears the threshold (ties to the lowest group index), while
     multi_layer selects every group that clears it. A sample whose every
     group fails is skipped.
+
+    The cosines are ``cosine_alignment(u_k, live_k - anchor_k, eps)``,
+    computed with the same operations in the same order (norms as
+    sqrt(x . x)), so they match it bit for bit.
     """
-    td = total_displacement(live, anchor)
-    cosines = np.array(
-        [cosine_alignment(ug, t, cfg.epsilon) for ug, t in zip(u, td)]
-    )
-    first = anchor.step_counter == anchor.last_reset_step
-    n = cosines.size
-    if first:
-        mask = np.ones(n, dtype=np.int64)
-    else:
-        defined = ~np.isnan(cosines)
-        passing = np.zeros(n, dtype=bool)
-        passing[defined] = cosines[defined] > cfg.threshold
-        if cfg.granularity == "multi_layer":
-            mask = passing.astype(np.int64)
+    if not len(u) == len(live) == len(anchor.anchor_params):
+        raise ConfigurationError("group count mismatch in decide")
+    eps = cfg.epsilon
+    cosines = []
+    for uk, g, a in zip(u, live, anchor.anchor_params):
+        if not uk.shape == g.shape == a.shape:
+            raise ConfigurationError("group shape mismatch in decide")
+        r = g - a
+        r += uk
+        nu = math.sqrt(uk.dot(uk))
+        nr = math.sqrt(r.dot(r))
+        if nu < eps or nr < eps:
+            cosines.append(math.nan)
         else:
-            mask = np.zeros(n, dtype=np.int64)
-            if passing.any():
-                filled = np.where(defined, cosines, -np.inf)
-                mask[int(np.argmax(filled))] = 1
-    skipped = not mask.any()
+            c = float(uk.dot(r) / (nu * nr))
+            cosines.append(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
+    n = len(cosines)
+    first = anchor.step_counter == anchor.last_reset_step
+    if first:
+        picked = list(range(n))
+    else:
+        # nan never clears the threshold
+        picked = [k for k, c in enumerate(cosines) if c > cfg.threshold]
+        if picked and cfg.granularity != "multi_layer":
+            picked = [max(picked, key=cosines.__getitem__)]
+    mask = np.zeros(n, dtype=np.int64)
+    mask[picked] = 1
     if names is None:
         names = [f"g{i}" for i in range(n)]
-    selected = [name for name, m in zip(names, mask) if m]
-    return SelectionDecision(cosines, mask, selected, bool(skipped), bool(first))
+    return SelectionDecision(np.array(cosines, dtype=np.float64), mask,
+                             [names[k] for k in picked], not picked, first)
 
 
 def warmup_scale(cfg: GalaConfig, step: int, last_reset_step: int) -> float:
@@ -303,6 +321,7 @@ class GalaPolicy:
         self.anchor.step_counter += 1
         i = self.anchor.step_counter
         if self.cfg.window_size != math.inf and i % int(self.cfg.window_size) == 0:
-            self.anchor = AnchorState(self.grouping.gather(params.layers), i, i)
+            self.anchor = AnchorState([g.copy() for g in self.grouping.gather(params.layers)],
+                                      i, i)
             return True
         return False

@@ -280,7 +280,7 @@ class Network:
         with np.errstate(over="ignore", invalid="ignore"):
             for i, vec in enumerate(params.layers):
                 x, cache = self._layer_forward(i, x, vec, update_stats)
-                if not np.all(np.isfinite(x)):
+                if not np.isfinite(x).all():
                     raise NumericsError(
                         f"non-finite activation at layer {i} ({self.layer_names[i]})"
                     )
@@ -295,9 +295,8 @@ class Network:
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         return np.argmax(self.forward(params, batch), axis=1)
 
-    def _loss_and_dlogits(self, logits: np.ndarray, batch: Batch, loss: LossKind):
-        n = logits.shape[0]
-        p = softmax(logits)
+    def _loss_and_dlogits(self, p: np.ndarray, batch: Batch, loss: LossKind):
+        n = p.shape[0]
         if loss.variant == "cross_entropy":
             y = batch.labels
             ll = _safe_log(p[np.arange(n), y])
@@ -331,18 +330,22 @@ class Network:
 
     def loss_and_gradients(
         self, params: ModelParameters, batch: Batch, loss: LossKind, update_norm_stats: bool = False
-    ) -> tuple[float, list[np.ndarray]]:
-        """Loss value and the per-layer gradient, shaped like ``params``.
+    ) -> tuple[float, list[np.ndarray], np.ndarray]:
+        """Loss value, the per-layer gradient shaped like ``params``, and
+        the class probabilities of the loss pass.
 
-        Unsupervised losses refuse labeled batches so adaptation code
-        cannot accidentally leak labels into the update path.
+        The probabilities are the same computation as ``forward`` on the
+        same params and batch, so they match it bit for bit. Unsupervised
+        losses refuse labeled batches so adaptation code cannot
+        accidentally leak labels into the update path.
         """
         if loss.supervised and batch.labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and batch.labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
         logits, caches = self._forward_cached(params, batch.inputs, update_norm_stats)
-        value, dx = self._loss_and_dlogits(logits, batch, loss)
+        probs = softmax(logits)
+        value, dx = self._loss_and_dlogits(probs, batch, loss)
         if not np.isfinite(value):
             raise NumericsError("non-finite loss value")
         grads: list[np.ndarray] = [None] * len(self.specs)
@@ -378,7 +381,7 @@ class Network:
                 dbeta = dx.sum(axis=0)
                 dx = dx * gamma * inv_std
                 grads[i] = np.concatenate([dgamma, dbeta])
-        return float(value), grads
+        return float(value), grads, probs
 
 
 def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
@@ -434,7 +437,7 @@ def pretrain_erm(
         if batch.labels is None:
             raise ValueError("pretraining requires labeled batches")
         try:
-            _, grads = network.loss_and_gradients(params, batch, loss, update_norm_stats=True)
+            _, grads, _ = network.loss_and_gradients(params, batch, loss, update_norm_stats=True)
         except NumericsError as exc:
             raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
         for vec, g in zip(params.layers, grads):
@@ -483,24 +486,37 @@ def enumerate_norm_stats(network: Network):
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, dict]:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    A missing, undecodable or malformed file raises a
+    ConfigurationError naming the path.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"checkpoint not found at expected path: {p}")
-    payload = json.loads(p.read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"checkpoint {p} is not valid JSON: {e}") from e
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{p} is not a model checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:
         raise ConfigurationError(f"unsupported checkpoint version {payload.get('format_version')}")
-    specs = [LayerSpec(**s) for s in payload["layer_specs"]]
-    network = Network(specs)
-    for key, stats in payload["norm_stats"].items():
-        network.norm_stats[int(key)] = (
-            np.asarray(stats["mean"], dtype=np.float64),
-            np.asarray(stats["var"], dtype=np.float64),
+    try:
+        specs = [LayerSpec(**s) for s in payload["layer_specs"]]
+        network = Network(specs)
+        for key, stats in payload["norm_stats"].items():
+            network.norm_stats[int(key)] = (
+                np.asarray(stats["mean"], dtype=np.float64),
+                np.asarray(stats["var"], dtype=np.float64),
+            )
+        params = ModelParameters(
+            [np.asarray(v, dtype=np.float64) for v in payload["params"]],
+            list(payload["layer_names"]),
         )
-    params = ModelParameters(
-        [np.asarray(v, dtype=np.float64) for v in payload["params"]],
-        list(payload["layer_names"]),
-    )
-    network._check_params(params)
-    return network, params, int(payload["seed"]), dict(payload["metadata"])
+        network._check_params(params)
+        return network, params, int(payload["seed"]), dict(payload["metadata"])
+    except KeyError as e:
+        raise ConfigurationError(f"checkpoint {p} lacks field {e}") from e
+    except (ConfigurationError, TypeError, ValueError, AttributeError, OverflowError) as e:
+        raise ConfigurationError(f"checkpoint {p} is malformed: {e}") from e

@@ -48,20 +48,25 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
                opt: OptimizerConfig, policy) -> StepResult:
     """One online adaptation step: propose, scale, update, predict.
 
-    Predictions come from the post-update parameters; when no group
-    moves they coincide with the pre-update model.
+    Predictions come from the post-update parameters. When no group
+    moves, those are the pre-update parameters, so the step reuses the
+    loss pass's probabilities (the same computation on the same params
+    and batch) and runs no second forward pass.
     """
-    loss_value, grads = network.loss_and_gradients(params, batch, loss)
+    loss_value, grads, probs = network.loss_and_gradients(params, batch, loss)
     scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
     layers = list(params.layers)
+    moved = False
     for members, s in zip(policy.grouping.members, scales):
         if s:
+            moved = True
             for i in members:
                 layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
     new_params = ModelParameters(layers, params.layer_names)
     reset = policy.after_update(new_params)
-    return StepResult(new_params, decision, network.forward(new_params, batch), loss_value,
-                      warmup, reset)
+    if moved:
+        probs = network.forward(new_params, batch)
+    return StepResult(new_params, decision, probs, loss_value, warmup, reset)
 
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,

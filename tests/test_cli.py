@@ -105,6 +105,14 @@ def test_parse_config_seed_list_validation():
             parse_config(base_config(seeds=bad))
 
 
+def test_parse_config_batch_size_validation(tmp_path, capsys):
+    for bad in ("8", True, 0):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            parse_config(base_config(batch_size=bad))
+    assert main(["adapt", "--config", str(write_config(tmp_path, batch_size="8"))]) == 2
+    assert "batch_size" in capsys.readouterr().err
+
+
 def test_parse_config_sweep_axis_whitelist():
     raw = base_config(sweep={"axis": "learning_rate", "values": [0.1]})
     with pytest.raises(ConfigurationError, match="sweep.axis"):
@@ -206,6 +214,32 @@ def test_adapt_missing_checkpoint_names_path(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "checkpoint.json" in err
     assert "pretrain" in err
+
+
+def _broken_checkpoint(workspace, tmp_path, corrupt):
+    """A config whose output dir holds the workspace checkpoint, corrupted."""
+    root, _ = workspace
+    text = (root / "out" / "pretrain" / "checkpoint.json").read_text()
+    ckpt = tmp_path / "broken" / "pretrain" / "checkpoint.json"
+    ckpt.parent.mkdir(parents=True)
+    ckpt.write_text(corrupt(text))
+    return write_config(tmp_path, output_dir=str(tmp_path / "broken")), ckpt
+
+
+def _without_layer_specs(text):
+    payload = json.loads(text)
+    del payload["layer_specs"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs],
+                         ids=["truncated", "no_layer_specs"])
+def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt):
+    cfg_path, ckpt = _broken_checkpoint(workspace, tmp_path, corrupt)
+    assert main(["adapt", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err
+    assert "Traceback" not in err
 
 
 def test_erm_adapt_reports_zero_forgetting(workspace, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import scenarios
 from gala import (
     AnchorState,
     Batch,
@@ -18,6 +19,7 @@ from gala import (
     SelectionDecision,
     adapt_step,
     build_grouping,
+    build_stream,
     cosine_alignment,
     cosine_via_decomposition,
     decide,
@@ -216,7 +218,7 @@ def test_apply_masked_update_semantics():
     live = params.layers
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
     batch, loss, opt = Batch(np.array([[0.3, -0.8]])), LossKind("shot_im"), OptimizerConfig(0.7)
-    _, grads = net.loss_and_gradients(params, batch, loss)
+    _, grads, _ = net.loss_and_gradients(params, batch, loss)
     u = [-opt.learning_rate * g for g in grads]
     unchanged = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0, 0]))
     for a, b in zip(unchanged.params.layers, live):
@@ -352,7 +354,7 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     for _ in range(12):
         batch = Batch(rng.normal(size=(4, 3)))
         params = adapt_step(net, params, batch, loss, opt, policy).params
-        _, grads = net.loss_and_gradients(sgd, batch, loss)
+        _, grads, _ = net.loss_and_gradients(sgd, batch, loss)
         for vec, g in zip(sgd.layers, grads):
             vec -= opt.learning_rate * g
         for a, b in zip(params.layers, sgd.layers):
@@ -383,6 +385,113 @@ def test_gala_step_predictions_use_post_update_parameters():
                      GalaPolicy(cfg, grouping, params))
     assert np.array_equal(res.probs, net.forward(res.params, batch))
     assert not np.array_equal(res.probs, net.forward(params, batch))
+
+
+def test_skipped_step_reuses_loss_pass_predictions(monkeypatch):
+    """A step that moves no layer reports the loss pass's probabilities,
+    bit for bit, and runs no second forward; a step that moves one runs
+    exactly one."""
+    net, params, _ = scenarios.collapse_setup()
+    stream = build_stream(scenarios.COLLAPSE_TASK, scenarios.COLLAPSE_SHIFTS,
+                          mode="continual", batch_size=1, seed=0)
+    loss_pass, forward = Network.loss_and_gradients, Network.forward
+    loss_probs, forward_calls = [], []
+
+    def counted_loss_pass(self, *args, **kwargs):
+        out = loss_pass(self, *args, **kwargs)
+        loss_probs.append(out[2].copy())
+        return out
+
+    def counted_forward(self, *args, **kwargs):
+        forward_calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "loss_and_gradients", counted_loss_pass)
+    monkeypatch.setattr(Network, "forward", counted_forward)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
+    policy = GalaPolicy(GalaConfig(), grouping, params)
+    opt = OptimizerConfig(scenarios.COLLAPSE_LR)
+    moved_steps = skipped_steps = 0
+    for step in stream.adapt_batches:
+        batch = Batch(step.inputs)
+        calls_before = len(forward_calls)
+        res = adapt_step(net, params, batch, scenarios.PL, opt, policy)
+        moved = any(new is not old for new, old in zip(res.params.layers, params.layers))
+        assert len(forward_calls) - calls_before == int(moved)
+        if moved:
+            moved_steps += 1
+        else:
+            skipped_steps += 1
+            assert res.probs.tobytes() == loss_probs[-1].tobytes()
+            assert res.probs.tobytes() == forward(net, params, batch).tobytes()
+        params = res.params
+    assert moved_steps > 0 and skipped_steps > 0
+
+
+def _unit(rng, dim):
+    v = rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def test_decide_cosines_equal_reference_thousand_cases():
+    """decide's cosines are cosine_alignment(u_k, live_k - a_k, eps),
+    exactly, including undefined (nan) ones."""
+    rng = np.random.default_rng(47)
+    cfg = GalaConfig(threshold=0.5, granularity="multi_layer")
+    eps = cfg.epsilon
+    cases = 0
+    while cases < 1200:
+        k = int(rng.integers(1, 6))
+        u, live, anchors = [], [], []
+        for _ in range(k):
+            dim = int(rng.integers(0, 40))
+            a = rng.normal(size=dim) * 10.0 ** rng.uniform(-2, 2)
+            ug = rng.normal(size=dim) * 10.0 ** rng.uniform(-4, 2)
+            g = a + rng.normal(size=dim) * 10.0 ** rng.uniform(-4, 2)
+            kind = int(rng.integers(7)) if dim else 0
+            if kind == 1:  # zero proposal
+                ug = np.zeros(dim)
+            elif kind == 2:  # no displacement
+                g = a.copy()
+            elif kind == 3:  # exact cancellation u = -td
+                ug = -(g - a)
+            elif kind == 4:  # ||u|| just below or above eps
+                ug = _unit(rng, dim) * eps * (1.0 + rng.choice([-1e-6, 1e-6]))
+            elif kind == 5:  # ||u + td|| just below or above eps
+                ug = -(g - a) + _unit(rng, dim) * eps * (1.0 + rng.choice([-1e-3, 1e-3]))
+            u.append(ug)
+            live.append(g)
+            anchors.append(a)
+            cases += 1
+        d = decide(u, live, anchor_of(anchors, 0, 3), cfg)
+        want = [cosine_alignment(ug, g - a, eps) for ug, g, a in zip(u, live, anchors)]
+        for got, ref in zip(d.cosines, want):
+            assert (math.isnan(got) and math.isnan(ref)) or got == ref
+    assert cases >= 1000
+
+
+def test_anchor_owns_its_data():
+    """Writing to a live layer array in place never moves the anchor, at
+    construction or after a reset."""
+    net = Network([LayerSpec("dense", 2, 3, "tanh"), LayerSpec("dense", 3, 2)])
+    params = net.init_params(6)
+    for gran in ("single_layer", "block"):
+        grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], gran,
+                                  num_blocks=1)
+        live = params.copy()
+        policy = GalaPolicy(GalaConfig(window_size=1, granularity=gran, num_blocks=1),
+                            grouping, live)
+        before = [a.copy() for a in policy.anchor.anchor_params]
+        for vec in live.layers:
+            vec += 1.0
+        for a, b in zip(policy.anchor.anchor_params, before):
+            assert np.array_equal(a, b)
+        assert policy.after_update(live)
+        before = [a.copy() for a in policy.anchor.anchor_params]
+        for vec in live.layers:
+            vec *= 2.0
+        for a, b in zip(policy.anchor.anchor_params, before):
+            assert np.array_equal(a, b)
 
 
 def test_anchor_consistency_and_reset_within_run():

@@ -101,7 +101,7 @@ def test_cross_entropy_exact_onehot_prediction():
     net = Network([LayerSpec("dense", 1, 2)])
     params = dense_params(net, np.array([[400.0], [-400.0]]), np.zeros(2))
     batch = Batch(np.array([[1.0]]), np.array([0]))
-    value, grads = net.loss_and_gradients(params, batch, LossKind("cross_entropy"))
+    value, grads, _ = net.loss_and_gradients(params, batch, LossKind("cross_entropy"))
     assert value == 0.0
     assert all(np.all(g == 0.0) for g in grads)
 
@@ -111,9 +111,9 @@ def test_pseudo_label_equals_cross_entropy_on_argmax():
     net = Network([LayerSpec("dense", 5, 8, "tanh"), LayerSpec("dense", 8, 3)])
     params = net.init_params(2)
     x = rng.normal(size=(6, 5))
-    v_pl, g_pl = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
+    v_pl, g_pl, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
     y_hat = net.predict(params, Batch(x))
-    v_ce, g_ce = net.loss_and_gradients(params, Batch(x, y_hat), LossKind("cross_entropy"))
+    v_ce, g_ce, _ = net.loss_and_gradients(params, Batch(x, y_hat), LossKind("cross_entropy"))
     assert v_pl == v_ce
     for a, b in zip(g_pl, g_ce):
         assert np.array_equal(a, b)
@@ -127,8 +127,8 @@ def test_pseudo_label_logit_shift_invariance():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(5, 3))
     shifts = rng.normal(size=(5, 1)) * 10.0
-    v1, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
-    v2, _ = net.loss_and_gradients(params, Batch(x + shifts), LossKind("pseudo_label"))
+    v1, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
+    v2, _, _ = net.loss_and_gradients(params, Batch(x + shifts), LossKind("pseudo_label"))
     assert abs(v1 - v2) < 1e-9
 
 
@@ -137,7 +137,7 @@ def test_shot_im_zero_weight_matches_direct_recomputation():
     net = Network([LayerSpec("dense", 4, 6, "tanh"), LayerSpec("dense", 6, 3)])
     params = net.init_params(5)
     x = rng.normal(size=(8, 4))
-    value, _ = net.loss_and_gradients(params, Batch(x), LossKind("shot_im", shot_pl_weight=0.0))
+    value, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("shot_im", shot_pl_weight=0.0))
     p = net.forward(params, Batch(x))
     ent = -(p * np.log(p)).sum(axis=1).mean()
     pbar = p.mean(axis=0)
@@ -170,7 +170,7 @@ def test_gradients_match_finite_differences(variant):
         loss = LossKind(variant)
         if variant == "cross_entropy":
             batch = Batch(batch.inputs, rng.integers(0, net.num_classes, batch.size))
-        _, grads = net.loss_and_gradients(params, batch, loss)
+        _, grads, _ = net.loss_and_gradients(params, batch, loss)
         fd = finite_difference_grads(net, params, batch, loss)
         assert gradient_relative_error(grads, fd) < 1e-4
 
