@@ -59,6 +59,9 @@ class FixedScales:
 
     def __init__(self, grouping: ParameterGrouping, mask: np.ndarray):
         self.grouping = grouping
+        # only the layers it moves: none for erm, one group for an oracle
+        self.grad_layers = frozenset(i for group, m in zip(grouping.members, mask) if m
+                                     for i in group)
         self.scales = mask.astype(float)
         self.decision = _decision(grouping, mask)
 
@@ -74,6 +77,8 @@ class RandomBlock:
 
     def __init__(self, grouping: ParameterGrouping, rng_seed: int):
         self.grouping = grouping
+        # the draw happens in select, after the backward pass
+        self.grad_layers = grouping.all_layers
         self.rng = np.random.default_rng(rng_seed)
         self.picks = [FixedScales(grouping, row)
                       for row in np.eye(grouping.num_groups, dtype=np.int64)]
@@ -92,6 +97,7 @@ class AutoRGN:
 
     def __init__(self, grouping: ParameterGrouping):
         self.grouping = grouping
+        self.grad_layers = grouping.all_layers
         self.decision = _decision(grouping, np.ones(grouping.num_groups, dtype=np.int64))
         self.ema: np.ndarray | None = None
 

@@ -205,9 +205,10 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
 
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value):
-    """One sweep point: a copy of the experiment with the axis pinned."""
+    """One sweep point: a copy of the experiment with the axis pinned; the
+    value passed its axis's check in ``parse_config``."""
     if axis == "batch_size":
-        return replace(cfg, batch_size=int(value))
+        return replace(cfg, batch_size=value)
     gala = cfg.selector.kind
     if not isinstance(gala, GalaConfig):
         raise ConfigurationError(f"sweep axis {axis} needs a gala selector")
@@ -216,7 +217,7 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value):
     elif axis == "window_size":
         gala = replace(gala, window_size=value)
     else:
-        gala = replace(gala, granularity=str(value))
+        gala = replace(gala, granularity=value)
     return replace(cfg, selector=SelectorChoice(gala, gala.granularity, gala.num_blocks))
 
 

@@ -86,75 +86,140 @@ class ExperimentConfig:
     raw: dict
 
 
-def _check_keys(section: dict, allowed: set[str], path: str) -> None:
+def _where(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _check_keys(section, allowed: set[str], path: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{path} must be an object, got {section!r}")
     for key in section:
         if key not in allowed:
-            raise ConfigurationError(f"unknown config field: {path}.{key}"
-                                     if path else f"unknown config field: {key}")
+            raise ConfigurationError(f"unknown config field: {_where(path, key)}")
 
 
 def _require(section: dict, key: str, path: str):
     if key not in section:
-        where = f"{path}.{key}" if path else key
-        raise ConfigurationError(f"missing config field: {where}")
+        raise ConfigurationError(f"missing config field: {_where(path, key)}")
     return section[key]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+# Field kinds: the check a value must pass, and how a message names it.
+_INT = (_is_int, "an integer")
+_SEED = (lambda v: _is_int(v) and v >= 0, "a nonnegative integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_REAL = (_is_real, "a finite number")
+_REQUIRED_FIELD = object()
+
+
+def _typed(section: dict, key: str, path: str, kind, default=_REQUIRED_FIELD):
+    """section[key], or ``default`` when absent, checked against ``kind``."""
+    value = (_require(section, key, path) if default is _REQUIRED_FIELD
+             else section.get(key, default))
+    ok, what = kind
+    if not ok(value):
+        raise ConfigurationError(f"{_where(path, key)} must be {what}, got {value!r}")
+    return value
+
+
+def _checked(raw: dict, kinds: dict, path: str) -> dict:
+    """A copy of ``raw`` whose fields named in ``kinds`` passed their check;
+    absent ones keep their dataclass defaults."""
+    for key, kind in kinds.items():
+        if key in raw:
+            _typed(raw, key, path, kind)
+    return dict(raw)
+
+
+def _each(values, path: str, kind) -> list:
+    """``values``, a list whose every element passed the ``kind`` check."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{path} must be a list, got {values!r}")
+    ok, what = kind
+    for i, v in enumerate(values):
+        if not ok(v):
+            raise ConfigurationError(f"{path}[{i}] must be {what}, got {v!r}")
+    return values
 
 
 def _parse_task(raw: dict) -> TaskSpec:
     _check_keys(raw, {"num_classes", "input_dim", "class_geometry",
                       "samples_per_domain", "seed"}, "task")
     return TaskSpec(
-        num_classes=_require(raw, "num_classes", "task"),
-        input_dim=_require(raw, "input_dim", "task"),
+        num_classes=_typed(raw, "num_classes", "task", _INT),
+        input_dim=_typed(raw, "input_dim", "task", _INT),
         class_geometry=raw.get("class_geometry", "gaussian_blobs"),
-        samples_per_domain=raw.get("samples_per_domain", 500),
-        seed=raw.get("seed", 0),
+        samples_per_domain=_typed(raw, "samples_per_domain", "task", _INT, 500),
+        seed=_typed(raw, "seed", "task", _SEED, 0),
     )
 
 
+_SHIFT_PARAMS = {"angle_deg": _REAL, "drift": _REAL, "direction_seed": _SEED,
+                 "noise_seed": _SEED, "target_class": _INT, "toward_class": _INT}
+
+
 def _parse_shift(raw: dict, i: int) -> ShiftSpec:
-    _check_keys(raw, {"kind", "severity", "params"}, f"shifts[{i}]")
+    path = f"shifts[{i}]"
+    _check_keys(raw, {"kind", "severity", "params"}, path)
+    params = raw.get("params", None) or {}
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"{path}.params must be an object, got {params!r}")
     return ShiftSpec(
-        kind=_require(raw, "kind", f"shifts[{i}]"),
-        severity=_require(raw, "severity", f"shifts[{i}]"),
-        params=raw.get("params", None) or {},
+        kind=_require(raw, "kind", path),
+        severity=_typed(raw, "severity", path, _INT),
+        params=_checked(params, _SHIFT_PARAMS, f"{path}.params"),
     )
 
 
 def _parse_layer(raw: dict, i: int) -> LayerSpec:
-    _check_keys(raw, {"kind", "input_dim", "output_dim", "activation"},
-                f"model[{i}]")
+    path = f"model[{i}]"
+    _check_keys(raw, {"kind", "input_dim", "output_dim", "activation"}, path)
     return LayerSpec(
-        kind=_require(raw, "kind", f"model[{i}]"),
-        input_dim=_require(raw, "input_dim", f"model[{i}]"),
-        output_dim=_require(raw, "output_dim", f"model[{i}]"),
+        kind=_require(raw, "kind", path),
+        input_dim=_typed(raw, "input_dim", path, _INT),
+        output_dim=_typed(raw, "output_dim", path, _INT),
         activation=raw.get("activation", "identity"),
     )
 
 
 def _parse_loss(raw: dict) -> LossKind:
     _check_keys(raw, {"variant", "shot_pl_weight"}, "loss")
-    kwargs = {}
-    if "shot_pl_weight" in raw:
-        kwargs["shot_pl_weight"] = raw["shot_pl_weight"]
-    return LossKind(_require(raw, "variant", "loss"), **kwargs)
+    _require(raw, "variant", "loss")
+    return LossKind(**_checked(raw, {"shot_pl_weight": _REAL}, "loss"))
 
 
 def _parse_optimizer(raw: dict) -> OptimizerConfig:
     _check_keys(raw, {"learning_rate", "kind"}, "optimizer")
     return OptimizerConfig(
-        learning_rate=_require(raw, "learning_rate", "optimizer"),
+        learning_rate=_typed(raw, "learning_rate", "optimizer", _REAL),
         kind=raw.get("kind", "sgd"),
     )
 
 
 def _parse_gala(raw: dict) -> GalaConfig:
+    path = "selector.gala"
     _check_keys(raw, {"threshold", "window_size", "granularity", "warmup_len",
-                      "warmup_mode", "epsilon", "num_blocks"}, "selector.gala")
-    kwargs = dict(raw)
+                      "warmup_mode", "epsilon", "num_blocks"}, path)
+    kwargs = _checked(raw, {"threshold": _REAL, "epsilon": _REAL, "warmup_len": _INT,
+                            "num_blocks": _INT}, path)
     # JSON has no infinity literal; null means no resets
-    if kwargs.get("window_size", 0) is None:
-        kwargs["window_size"] = math.inf
+    if "window_size" in raw:
+        kwargs["window_size"] = (math.inf if raw["window_size"] is None
+                                 else _typed(raw, "window_size", path, _INT))
     return GalaConfig(**kwargs)
 
 
@@ -173,31 +238,44 @@ def _parse_selector(raw: dict) -> SelectorChoice:
         SelectorKind(_require(b, "variant", "selector.baseline"),
                      fixed_group=b.get("fixed_group", None)),
         granularity=b.get("granularity", BASELINE_GRANULARITY),
-        num_blocks=b.get("num_blocks", 4),
+        num_blocks=_typed(b, "num_blocks", "selector.baseline", _INT, 4),
     )
 
 
 def _parse_pretrain(raw: dict) -> PretrainSettings:
     _check_keys(raw, {"steps", "batch_size", "learning_rate", "seed"}, "pretrain")
-    return PretrainSettings(**raw)
+    return PretrainSettings(**_checked(raw, {"steps": _INT, "batch_size": _INT,
+                                             "learning_rate": _REAL, "seed": _SEED},
+                                       "pretrain"))
 
 
 def _parse_geometry(raw: dict) -> GeometrySettings:
     _check_keys(raw, {"td_norms", "u_norms", "betas"}, "geometry")
-    return GeometrySettings(
-        td_norms=[float(v) for v in raw.get("td_norms", [])],
-        u_norms=[float(v) for v in raw.get("u_norms", [])],
-        betas=[float(v) for v in raw.get("betas", [])],
-    )
+    return GeometrySettings(**{
+        key: [float(v) for v in _each(raw.get(key, []), f"geometry.{key}", _REAL)]
+        for key in ("td_norms", "u_norms", "betas")
+    })
+
+
+# What each sweep axis accepts.
+_SWEEP_VALUES = {
+    "batch_size": _COUNT,
+    "threshold": _REAL,
+    "window_size": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "granularity": (lambda v: isinstance(v, str), "a string"),
+}
 
 
 def _parse_sweep(raw: dict) -> SweepSettings:
     _check_keys(raw, {"axis", "values"}, "sweep")
-    values = list(_require(raw, "values", "sweep"))
-    axis = _require(raw, "axis", "sweep")
-    if axis == "window_size":
-        values = [math.inf if v is None else v for v in values]
-    return SweepSettings(axis=axis, values=values)
+    values = _require(raw, "values", "sweep")
+    if not isinstance(values, list):
+        raise ConfigurationError(f"sweep.values must be a list, got {values!r}")
+    sweep = SweepSettings(axis=_require(raw, "axis", "sweep"), values=list(values))
+    _each(values, "sweep.values", _SWEEP_VALUES[sweep.axis])
+    if sweep.axis == "window_size":
+        sweep.values = [math.inf if v is None else v for v in values]
+    return sweep
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -214,24 +292,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(model_raw, list) or not model_raw:
         raise ConfigurationError("model must be a nonempty list")
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(
-            isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigurationError("seeds must be a nonempty list of integers")
-    batch_size = raw.get("batch_size", 16)
-    if not (isinstance(batch_size, int) and not isinstance(batch_size, bool) and batch_size >= 1):
-        raise ConfigurationError(f"batch_size must be a positive integer, got {batch_size!r}")
+    if not _each(seeds, "seeds", _SEED):
+        raise ConfigurationError("seeds must be a nonempty list")
+    output_dir = raw.get("output_dir", None)
+    if not (output_dir is None or isinstance(output_dir, str)):
+        raise ConfigurationError(f"output_dir must be a string or null, got {output_dir!r}")
+    task = _parse_task(raw["task"])
+    model = [_parse_layer(l, i) for i, l in enumerate(model_raw)]
+    if model[0].input_dim != task.input_dim:
+        raise ConfigurationError(f"model[0].input_dim {model[0].input_dim} must equal "
+                                 f"task.input_dim {task.input_dim}")
+    if model[-1].output_dim != task.num_classes:
+        raise ConfigurationError(f"model[{len(model) - 1}].output_dim {model[-1].output_dim} "
+                                 f"must equal task.num_classes {task.num_classes}")
     return ExperimentConfig(
-        task=_parse_task(raw["task"]),
+        task=task,
         shifts=[_parse_shift(s, i) for i, s in enumerate(shifts_raw)],
         shift_mode=raw.get("shift_mode", "single"),
-        batch_size=batch_size,
-        model=[_parse_layer(l, i) for i, l in enumerate(model_raw)],
+        batch_size=_typed(raw, "batch_size", "", _COUNT, 16),
+        model=model,
         loss=_parse_loss(raw["loss"]),
         optimizer=_parse_optimizer(raw["optimizer"]),
         selector=_parse_selector(raw["selector"]),
         pretrain=_parse_pretrain(raw.get("pretrain", {})),
         seeds=list(seeds),
-        output_dir=raw.get("output_dir", None),
+        output_dir=output_dir,
         geometry=_parse_geometry(raw.get("geometry", {})),
         sweep=_parse_sweep(raw["sweep"]) if "sweep" in raw else None,
         raw=raw,

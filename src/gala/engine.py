@@ -92,6 +92,10 @@ class ParameterGrouping:
     def num_groups(self) -> int:
         return len(self.names)
 
+    @property
+    def all_layers(self) -> frozenset[int]:
+        return frozenset(range(len(self.layer_sizes)))
+
     def gather(self, layer_vectors: list[np.ndarray]) -> list[np.ndarray]:
         """Each group's layer vectors as one flat vector.
 
@@ -306,6 +310,7 @@ class GalaPolicy:
     def __init__(self, cfg: GalaConfig, grouping: ParameterGrouping, params: ModelParameters):
         self.cfg = cfg
         self.grouping = grouping
+        self.grad_layers = grouping.all_layers
         self.anchor = init_anchor(params, grouping)
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -267,29 +267,47 @@ class Network:
         xhat = (x - rm) * inv_std
         return gamma * xhat + beta, ("norm_frozen", xhat, inv_std, gamma)
 
-    def _forward_cached(self, params: ModelParameters, inputs: np.ndarray, update_stats=False):
-        if inputs.shape[1] != self.input_dim:
+    def _forward_cached(self, params: ModelParameters, x: np.ndarray, update_stats=False,
+                        start: int = 0):
+        """Run layers ``start`` onward on ``x``, the input to layer ``start``.
+
+        Returns the logits, one backward cache per layer run and the input
+        each of those layers saw (``inputs[k]`` belongs to layer start + k).
+        """
+        if x.shape[1] != self.specs[start].input_dim:
             raise ConfigurationError(
-                f"batch input_dim {inputs.shape[1]} does not match model input_dim {self.input_dim}"
+                f"batch input_dim {x.shape[1]} does not match layer {start} "
+                f"input_dim {self.specs[start].input_dim}"
             )
         self._check_params(params)
-        x = inputs
-        caches = []
+        caches, inputs = [], []
         # Overflow is detected by the finiteness check and raised as a
         # NumericsError, so the intermediate warning is noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, vec in enumerate(params.layers):
-                x, cache = self._layer_forward(i, x, vec, update_stats)
+            for i in range(start, len(self.specs)):
+                inputs.append(x)
+                x, cache = self._layer_forward(i, x, params.layers[i], update_stats)
                 if not np.isfinite(x).all():
                     raise NumericsError(
                         f"non-finite activation at layer {i} ({self.layer_names[i]})"
                     )
                 caches.append(cache)
-        return x, caches
+        return x, caches, inputs
 
-    def forward(self, params: ModelParameters, batch: Batch) -> np.ndarray:
-        """Class probabilities, one row per sample, rows summing to one."""
-        logits, _ = self._forward_cached(params, batch.inputs)
+    def forward(self, params: ModelParameters, batch: Batch, start: int = 0,
+                layer_input: np.ndarray | None = None) -> np.ndarray:
+        """Class probabilities, one row per sample, rows summing to one.
+
+        With ``start`` > 0 only layers ``start`` onward run, on
+        ``layer_input``: the input layer ``start`` saw in a pass over the
+        same batch (as ``loss_and_gradients`` returns it). When the layers
+        below ``start`` hold the same parameters as in that pass, the
+        result equals a full forward bit for bit.
+        """
+        if start and layer_input is None:
+            raise ValueError(f"forward from layer {start} needs that layer's input")
+        x = batch.inputs if layer_input is None else layer_input
+        logits, _, _ = self._forward_cached(params, x, start=start)
         return softmax(logits)
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
@@ -329,59 +347,80 @@ class Network:
         return value, d_ent + d_div + d_pl
 
     def loss_and_gradients(
-        self, params: ModelParameters, batch: Batch, loss: LossKind, update_norm_stats: bool = False
-    ) -> tuple[float, list[np.ndarray], np.ndarray]:
-        """Loss value, the per-layer gradient shaped like ``params``, and
-        the class probabilities of the loss pass.
+        self,
+        params: ModelParameters,
+        batch: Batch,
+        loss: LossKind,
+        update_norm_stats: bool = False,
+        layers: Collection[int] | None = None,
+    ) -> tuple[float, list[np.ndarray | None], np.ndarray, list[np.ndarray]]:
+        """Loss value, per-layer gradients, the class probabilities of the
+        loss pass and the input each layer saw in it.
+
+        ``layers`` holds the indices of the layers whose gradients are
+        wanted (None: every layer). The backward pass stops at the lowest
+        of them: it forms a layer's parameter gradient only when the layer
+        is wanted, and its input gradient only when a lower layer is, so
+        an empty set runs no backward at all. Every other entry of the
+        gradient list is None. Wanted gradients equal those of a full
+        backward bit for bit.
 
         The probabilities are the same computation as ``forward`` on the
-        same params and batch, so they match it bit for bit. Unsupervised
-        losses refuse labeled batches so adaptation code cannot
-        accidentally leak labels into the update path.
+        same params and batch, so they match it bit for bit; the layer
+        inputs let ``forward`` restart above layers that did not change.
+        Unsupervised losses refuse labeled batches so adaptation code
+        cannot accidentally leak labels into the update path.
         """
         if loss.supervised and batch.labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and batch.labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        logits, caches = self._forward_cached(params, batch.inputs, update_norm_stats)
+        logits, caches, inputs = self._forward_cached(params, batch.inputs, update_norm_stats)
         probs = softmax(logits)
         value, dx = self._loss_and_dlogits(probs, batch, loss)
         if not np.isfinite(value):
             raise NumericsError("non-finite loss value")
-        grads: list[np.ndarray] = [None] * len(self.specs)
-        for i in range(len(self.specs) - 1, -1, -1):
+        n = len(self.specs)
+        wanted = range(n) if layers is None else layers
+        stop = min(wanted, default=n)
+        grads: list[np.ndarray | None] = [None] * n
+        for i in range(n - 1, stop - 1, -1):
             cache = caches[i]
             spec = self.specs[i]
+            want = i in wanted
+            below = i > stop  # a lower layer still needs dx
             if cache[0] == "dense":
                 _, x, z, a, w = cache
                 dz = dx * _act_grad(spec.activation, z, a)
-                dw = dz.T @ x
-                db = dz.sum(axis=0)
-                grads[i] = np.concatenate([dw.ravel(), db])
-                dx = dz @ w
+                if want:
+                    grads[i] = np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
+                if below:
+                    dx = dz @ w
             elif cache[0] == "activation":
                 _, x, a = cache
-                grads[i] = np.zeros(0)
-                dx = dx * _act_grad(spec.activation, x, a)
+                if want:
+                    grads[i] = np.zeros(0)
+                if below:
+                    dx = dx * _act_grad(spec.activation, x, a)
             elif cache[0] == "norm_batch":
                 _, xhat, inv_std, gamma = cache
-                nb = xhat.shape[0]
-                dgamma = (dx * xhat).sum(axis=0)
-                dbeta = dx.sum(axis=0)
-                dxhat = dx * gamma
-                dx = (
-                    inv_std
-                    / nb
-                    * (nb * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-                )
-                grads[i] = np.concatenate([dgamma, dbeta])
+                if want:
+                    grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
+                if below:
+                    nb = xhat.shape[0]
+                    dxhat = dx * gamma
+                    dx = (
+                        inv_std
+                        / nb
+                        * (nb * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+                    )
             else:  # norm_frozen
                 _, xhat, inv_std, gamma = cache
-                dgamma = (dx * xhat).sum(axis=0)
-                dbeta = dx.sum(axis=0)
-                dx = dx * gamma * inv_std
-                grads[i] = np.concatenate([dgamma, dbeta])
-        return float(value), grads, probs
+                if want:
+                    grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
+                if below:
+                    dx = dx * gamma * inv_std
+        return float(value), grads, probs, inputs
 
 
 def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
@@ -437,7 +476,8 @@ def pretrain_erm(
         if batch.labels is None:
             raise ValueError("pretraining requires labeled batches")
         try:
-            _, grads, _ = network.loss_and_gradients(params, batch, loss, update_norm_stats=True)
+            _, grads, _, _ = network.loss_and_gradients(params, batch, loss,
+                                                        update_norm_stats=True)
         except NumericsError as exc:
             raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
         for vec, g in zip(params.layers, grads):

@@ -1,12 +1,15 @@
 """The online adaptation step and loop, shared by every selector.
 
 A selector is a scale policy over a parameter grouping (``grouping``).
-``select(grads, params, lr)`` gets a step's per-layer gradients and the
-pre-update parameters and returns one scale per group, the step's
-SelectionDecision and its warm-up factor; ``after_update(params)`` gets
-the post-update parameters and reports whether the policy reset. The
-step moves each layer of a group with a nonzero scale s by
-s * (-lr * grad) and leaves every other layer's array as it is.
+``grad_layers``, fixed at construction, holds the indices of the layers
+whose gradients the policy can read or move; the step computes no
+other gradient. ``select(grads, params, lr)`` gets a step's per-layer
+gradients (None outside ``grad_layers``) and the pre-update parameters
+and returns one scale per group, the step's SelectionDecision and its
+warm-up factor; ``after_update(params)`` gets the post-update
+parameters and reports whether the policy reset. The step moves each
+layer of a group with a nonzero scale s by s * (-lr * grad) and leaves
+every other layer's array as it is.
 
 Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
@@ -48,24 +51,30 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
                opt: OptimizerConfig, policy) -> StepResult:
     """One online adaptation step: propose, scale, update, predict.
 
-    Predictions come from the post-update parameters. When no group
-    moves, those are the pre-update parameters, so the step reuses the
-    loss pass's probabilities (the same computation on the same params
-    and batch) and runs no second forward pass.
+    The loss pass backpropagates only down to the lowest layer in
+    ``policy.grad_layers``, the layers whose gradients the policy can
+    read or move; the other gradients are None. Predictions come from
+    the post-update parameters: the step reruns the forward pass from
+    the lowest layer that moved, on the input the loss pass fed that
+    layer, since the layers below hold the same parameters on the same
+    batch. When no group moves, it reports the loss pass's
+    probabilities and runs no second forward pass. Either way the
+    results match a full backward and a full forward bit for bit.
     """
-    loss_value, grads, probs = network.loss_and_gradients(params, batch, loss)
+    loss_value, grads, probs, inputs = network.loss_and_gradients(
+        params, batch, loss, layers=policy.grad_layers)
     scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
     layers = list(params.layers)
-    moved = False
+    start = len(layers)
     for members, s in zip(policy.grouping.members, scales):
         if s:
-            moved = True
             for i in members:
                 layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
+                start = min(start, i)
     new_params = ModelParameters(layers, params.layer_names)
     reset = policy.after_update(new_params)
-    if moved:
-        probs = network.forward(new_params, batch)
+    if start < len(layers):
+        probs = network.forward(new_params, batch, start, inputs[start])
     return StepResult(new_params, decision, probs, loss_value, warmup, reset)
 
 

@@ -101,7 +101,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences(verdict):
         for loss in losses:
             b = (Batch(batch.inputs, rng.integers(k, size=n))
                  if loss.supervised else Batch(batch.inputs))
-            _, analytic, _ = net.loss_and_gradients(params, b, loss)
+            _, analytic, _, _ = net.loss_and_gradients(params, b, loss)
             numeric = finite_difference_grads(net, params, b, loss)
             rel = gradient_relative_error(analytic, numeric)
             worst = max(worst, rel)
@@ -144,7 +144,7 @@ def test_criterion_03_threshold_minus_one_is_plain_sgd(verdict):
         sgd_correct = []
         for batch in stream.adapt_batches:
             inputs = Batch(batch.inputs)
-            _, grads, _ = net.loss_and_gradients(sgd, inputs, loss)
+            _, grads, _, _ = net.loss_and_gradients(sgd, inputs, loss)
             for vec, grad in zip(sgd.layers, grads):
                 vec -= opt.learning_rate * grad
             sgd_correct.append(np.argmax(net.forward(sgd, inputs), axis=1) == batch.labels)

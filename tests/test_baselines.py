@@ -187,7 +187,7 @@ def test_auto_rgn_first_step_delta():
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.3)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
-    _, grads, _ = net.loss_and_gradients(params, batch, loss)
+    _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
     gathered_g = grouping.gather(grads)
     gathered_p = grouping.gather(params.layers)
     ratios = np.array([np.linalg.norm(g) / (np.linalg.norm(p) + 1e-12)
@@ -212,7 +212,7 @@ def test_auto_rgn_ema_tracks_ratio_history():
     batch2 = Batch(stream.adapt_batches[1].inputs)
 
     def ratios_at(p, b):
-        _, grads, _ = net.loss_and_gradients(p, b, loss)
+        _, grads, _, _ = net.loss_and_gradients(p, b, loss)
         return np.array([np.linalg.norm(g) / (np.linalg.norm(q) + 1e-12)
                          for g, q in zip(grouping.gather(grads),
                                          grouping.gather(p.layers))])

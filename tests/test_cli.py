@@ -6,6 +6,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gala.cli
 from gala import ConfigurationError, GalaConfig, load_config, parse_config, parse_summary
@@ -112,6 +114,92 @@ def test_parse_config_batch_size_validation(tmp_path, capsys):
     assert main(["adapt", "--config", str(write_config(tmp_path, batch_size="8"))]) == 2
     assert "batch_size" in capsys.readouterr().err
 
+
+
+def with_leaf(raw, path, value):
+    """A copy of ``raw`` with the leaf at ``path`` (keys and list indices)
+    set to ``value``."""
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+@pytest.mark.parametrize("path,value,field", [
+    (("pretrain", "steps"), "20", "pretrain.steps"),
+    (("pretrain", "steps"), True, "pretrain.steps"),
+    (("pretrain", "learning_rate"), "0.1", "pretrain.learning_rate"),
+    (("task", "num_classes"), "4", "task.num_classes"),
+    (("task", "seed"), 1.5, "task.seed"),
+    (("optimizer", "learning_rate"), "0.3", "optimizer.learning_rate"),
+    (("selector", "gala", "threshold"), "0.5", "selector.gala.threshold"),
+    (("selector", "gala", "warmup_len"), True, "selector.gala.warmup_len"),
+    (("geometry",), {"td_norms": ["x"]}, "geometry.td_norms[0]"),
+])
+def test_numeric_config_fields_type_checked(tmp_path, capsys, path, value, field):
+    """A numeric field of the wrong type exits 2 naming the field, before
+    any work runs."""
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(with_leaf(base_config(), path, value)))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("axis,value", [
+    ("batch_size", True), ("batch_size", 2.7), ("batch_size", "8"), ("batch_size", 0),
+    ("threshold", "abc"), ("threshold", True), ("threshold", None),
+    ("window_size", 2.5), ("window_size", False), ("granularity", 3),
+])
+def test_sweep_values_checked_by_axis(tmp_path, capsys, axis, value):
+    cfg = write_config(tmp_path, sweep={"axis": axis, "values": [0.5, value]
+                                        if axis == "threshold" else [value]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    index = 1 if axis == "threshold" else 0
+    assert f"sweep.values[{index}]" in err and "Traceback" not in err
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path, node
+
+
+_FUZZ_BASE = with_leaf(json.loads(QUICKSTART.read_text()), ("pretrain", "steps"), 5)
+_OTHER_TYPES = {
+    str: st.text(max_size=4),
+    bool: st.booleans(),
+    float: st.floats(),
+    type(None): st.none(),
+    list: st.lists(st.integers(-2, 2) | st.text(max_size=2), max_size=2),
+}
+
+
+@st.composite
+def mutated_quickstart(draw):
+    path, leaf = draw(st.sampled_from(list(_leaves(_FUZZ_BASE))))
+    value = draw(st.one_of(*[s for t, s in _OTHER_TYPES.items() if type(leaf) is not t]))
+    return with_leaf(_FUZZ_BASE, path, value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(raw=mutated_quickstart())
+def test_fuzzed_quickstart_leaf_exits_0_or_2(tmp_path_factory, raw):
+    """Any one leaf of the quickstart config swapped for a value of another
+    JSON type either runs or exits 2; it never raises."""
+    root = tmp_path_factory.mktemp("fuzz")
+    cfg = root / "fuzz.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(root / "out")]) in (0, 2)
 
 def test_parse_config_sweep_axis_whitelist():
     raw = base_config(sweep={"axis": "learning_rate", "values": [0.1]})

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import gala.nn
 import scenarios
 from gala import (
     AnchorState,
@@ -17,7 +18,9 @@ from gala import (
     GalaPolicy,
     ParameterGrouping,
     SelectionDecision,
+    SelectorKind,
     adapt_step,
+    baseline_policy,
     build_grouping,
     build_stream,
     cosine_alignment,
@@ -199,6 +202,7 @@ class FixedScalePolicy:
 
     def __init__(self, grouping, scales):
         self.grouping = grouping
+        self.grad_layers = grouping.all_layers
         self.scales = np.asarray(scales, dtype=float)
 
     def select(self, grads, params, lr):
@@ -218,7 +222,7 @@ def test_apply_masked_update_semantics():
     live = params.layers
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
     batch, loss, opt = Batch(np.array([[0.3, -0.8]])), LossKind("shot_im"), OptimizerConfig(0.7)
-    _, grads, _ = net.loss_and_gradients(params, batch, loss)
+    _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
     u = [-opt.learning_rate * g for g in grads]
     unchanged = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0, 0]))
     for a, b in zip(unchanged.params.layers, live):
@@ -354,7 +358,7 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     for _ in range(12):
         batch = Batch(rng.normal(size=(4, 3)))
         params = adapt_step(net, params, batch, loss, opt, policy).params
-        _, grads, _ = net.loss_and_gradients(sgd, batch, loss)
+        _, grads, _, _ = net.loss_and_gradients(sgd, batch, loss)
         for vec, g in zip(sgd.layers, grads):
             vec -= opt.learning_rate * g
         for a, b in zip(params.layers, sgd.layers):
@@ -427,6 +431,103 @@ def test_skipped_step_reuses_loss_pass_predictions(monkeypatch):
         params = res.params
     assert moved_steps > 0 and skipped_steps > 0
 
+
+
+def _reference_step(net, params, batch, loss, opt, policy):
+    """The step with nothing skipped: a full loss pass and backward, and
+    a full forward after any move."""
+    value, grads, probs, _ = net.loss_and_gradients(params, batch, loss)
+    scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
+    layers = list(params.layers)
+    for members, s in zip(policy.grouping.members, scales):
+        if s:
+            for i in members:
+                layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
+    new_params = ModelParameters(layers, params.layer_names)
+    reset = policy.after_update(new_params)
+    if any(scales):
+        probs = net.forward(new_params, batch)
+    return new_params, decision, probs, value, warmup, reset
+
+
+def _collapse_policies(net, params):
+    sizes = [s.param_count for s in net.specs]
+    single = build_grouping(net.layer_names, sizes, "single_layer")
+    block = build_grouping(net.layer_names, sizes, "block", num_blocks=2)
+    policies = {
+        "gala_single": lambda: GalaPolicy(GalaConfig(), single, params),
+        "gala_block": lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2), block,
+                                         params),
+        "auto_rgn": lambda: baseline_policy(SelectorKind("auto_rgn"), single),
+    }
+    for variant in ("erm", "all_layers", "random_block"):
+        policies[variant] = lambda v=variant: baseline_policy(SelectorKind(v, rng_seed=3), single)
+    for name in single.names:
+        policies[f"oracle_{name}"] = lambda g=name: baseline_policy(
+            SelectorKind("oracle_best", fixed_group=g), single)
+    return policies
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_adapt_step_matches_full_passes_reference(batch_size):
+    """Every field of every step equals a reference loop that runs the full
+    backward and a full forward after any move, for every selector."""
+    net, params, _ = scenarios.collapse_setup()
+    stream = build_stream(scenarios.COLLAPSE_TASK, scenarios.COLLAPSE_SHIFTS,
+                          mode="continual", batch_size=batch_size, seed=2)
+    opt = OptimizerConfig(scenarios.COLLAPSE_LR)
+    for name, make in _collapse_policies(net, params).items():
+        policy, ref_policy = make(), make()
+        live, ref = params, params
+        for step in stream.adapt_batches[:60]:
+            batch = Batch(step.inputs)
+            res = adapt_step(net, live, batch, scenarios.PL, opt, policy)
+            ref, decision, probs, value, warmup, reset = _reference_step(
+                net, ref, batch, scenarios.PL, opt, ref_policy)
+            assert res.probs.tobytes() == probs.tobytes(), name
+            assert (res.loss, res.warmup, res.reset) == (value, warmup, reset), name
+            assert res.decision.cosines.tobytes() == decision.cosines.tobytes(), name
+            assert res.decision.mask.tobytes() == decision.mask.tobytes(), name
+            assert ((res.decision.selected_groups, res.decision.skipped,
+                     res.decision.first_sample)
+                    == (decision.selected_groups, decision.skipped, decision.first_sample))
+            for a, b in zip(res.params.layers, ref.layers):
+                assert a.tobytes() == b.tobytes(), name
+            live = res.params
+
+
+def test_backward_stops_at_lowest_layer_the_policy_moves(monkeypatch):
+    """erm runs no backward at all; an oracle trial backpropagates only
+    down to its group; gala reads every layer."""
+    calls = []
+    act_grad = gala.nn._act_grad
+
+    def counted(*args):
+        calls.append(1)
+        return act_grad(*args)
+
+    monkeypatch.setattr(gala.nn, "_act_grad", counted)
+    net, params, _ = scenarios.collapse_setup()
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              "single_layer")
+    batch = Batch(np.array([[0.5, -1.0], [1.5, 0.2]]))
+    opt = OptimizerConfig(scenarios.COLLAPSE_LR)
+    expected = {"erm": 0, "all_layers": 3, "random_block": 3, "auto_rgn": 3}
+    for variant, dense_layers in expected.items():
+        calls.clear()
+        adapt_step(net, params, batch, scenarios.PL, opt,
+                   baseline_policy(SelectorKind(variant), grouping))
+        assert len(calls) == dense_layers, variant
+    for k, name in enumerate(grouping.names):
+        calls.clear()
+        res = adapt_step(net, params, batch, scenarios.PL, opt,
+                         baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping))
+        assert len(calls) == 3 - k, name
+        assert all(new is old for new, old in zip(res.params.layers[:k], params.layers[:k]))
+    calls.clear()
+    adapt_step(net, params, batch, scenarios.PL, opt,
+               GalaPolicy(GalaConfig(), grouping, params))
+    assert len(calls) == 3
 
 def _unit(rng, dim):
     v = rng.normal(size=dim)

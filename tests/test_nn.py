@@ -78,7 +78,7 @@ def test_normalization_batch_statistics():
     rng = np.random.default_rng(7)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))
     # gamma=1, beta=0 at init, so outputs are just standardized features.
-    out_logits, _ = net._forward_cached(params, x)
+    out_logits, _, _ = net._forward_cached(params, x)
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
 
@@ -88,7 +88,7 @@ def test_normalization_single_sample_uses_frozen_stats():
     params = ModelParameters([np.array([2.0, 0.5, 1.0, -1.0])], list(net.layer_names))
     net.norm_stats[0] = (np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     x = np.array([[3.0, 0.0]])
-    out, _ = net._forward_cached(params, x)
+    out, _, _ = net._forward_cached(params, x)
     expected = np.array([
         2.0 * (3.0 - 1.0) / math.sqrt(4.0 + 1e-5) + 1.0,
         0.5 * (0.0 + 1.0) / math.sqrt(0.25 + 1e-5) - 1.0,
@@ -101,7 +101,7 @@ def test_cross_entropy_exact_onehot_prediction():
     net = Network([LayerSpec("dense", 1, 2)])
     params = dense_params(net, np.array([[400.0], [-400.0]]), np.zeros(2))
     batch = Batch(np.array([[1.0]]), np.array([0]))
-    value, grads, _ = net.loss_and_gradients(params, batch, LossKind("cross_entropy"))
+    value, grads, _, _ = net.loss_and_gradients(params, batch, LossKind("cross_entropy"))
     assert value == 0.0
     assert all(np.all(g == 0.0) for g in grads)
 
@@ -111,9 +111,9 @@ def test_pseudo_label_equals_cross_entropy_on_argmax():
     net = Network([LayerSpec("dense", 5, 8, "tanh"), LayerSpec("dense", 8, 3)])
     params = net.init_params(2)
     x = rng.normal(size=(6, 5))
-    v_pl, g_pl, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
+    v_pl, g_pl, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
     y_hat = net.predict(params, Batch(x))
-    v_ce, g_ce, _ = net.loss_and_gradients(params, Batch(x, y_hat), LossKind("cross_entropy"))
+    v_ce, g_ce, _, _ = net.loss_and_gradients(params, Batch(x, y_hat), LossKind("cross_entropy"))
     assert v_pl == v_ce
     for a, b in zip(g_pl, g_ce):
         assert np.array_equal(a, b)
@@ -127,8 +127,8 @@ def test_pseudo_label_logit_shift_invariance():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(5, 3))
     shifts = rng.normal(size=(5, 1)) * 10.0
-    v1, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
-    v2, _, _ = net.loss_and_gradients(params, Batch(x + shifts), LossKind("pseudo_label"))
+    v1, _, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
+    v2, _, _, _ = net.loss_and_gradients(params, Batch(x + shifts), LossKind("pseudo_label"))
     assert abs(v1 - v2) < 1e-9
 
 
@@ -137,7 +137,7 @@ def test_shot_im_zero_weight_matches_direct_recomputation():
     net = Network([LayerSpec("dense", 4, 6, "tanh"), LayerSpec("dense", 6, 3)])
     params = net.init_params(5)
     x = rng.normal(size=(8, 4))
-    value, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("shot_im", shot_pl_weight=0.0))
+    value, _, _, _ = net.loss_and_gradients(params, Batch(x), LossKind("shot_im", shot_pl_weight=0.0))
     p = net.forward(params, Batch(x))
     ent = -(p * np.log(p)).sum(axis=1).mean()
     pbar = p.mean(axis=0)
@@ -170,10 +170,88 @@ def test_gradients_match_finite_differences(variant):
         loss = LossKind(variant)
         if variant == "cross_entropy":
             batch = Batch(batch.inputs, rng.integers(0, net.num_classes, batch.size))
-        _, grads, _ = net.loss_and_gradients(params, batch, loss)
+        _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
         fd = finite_difference_grads(net, params, batch, loss)
         assert gradient_relative_error(grads, fd) < 1e-4
 
+
+
+def mixed_net_and_params(rng):
+    """Dense, activation and normalization layers, with non-default
+    affine parameters and frozen statistics."""
+    net = Network([
+        LayerSpec("dense", 3, 6, "tanh"),
+        LayerSpec("normalization", 6, 6),
+        LayerSpec("activation", 6, 6, "relu"),
+        LayerSpec("dense", 6, 5, "relu"),
+        LayerSpec("normalization", 5, 5),
+        LayerSpec("dense", 5, 4),
+    ])
+    params = net.init_params(3)
+    for i, spec in enumerate(net.specs):
+        if spec.kind == "normalization":
+            params.layers[i] += rng.normal(scale=0.3, size=params.layers[i].size)
+            net.norm_stats[i] = (rng.normal(size=spec.output_dim),
+                                 rng.uniform(0.5, 2.0, size=spec.output_dim))
+    return net, params
+
+
+def _loss_batch(rng, variant, size):
+    labels = rng.integers(0, 4, size) if variant == "cross_entropy" else None
+    return Batch(rng.normal(size=(size, 3)), labels)
+
+
+@pytest.mark.parametrize("variant", ["cross_entropy", "pseudo_label", "shot_im"])
+@pytest.mark.parametrize("size", [1, 5])
+def test_backward_layer_subset_matches_full_backward(variant, size):
+    """For every subset of layers, the requested gradients are the full
+    backward's bytes and every other entry is None; the loss, the
+    probabilities and the layer inputs do not depend on the subset."""
+    rng = np.random.default_rng(61)
+    net, params = mixed_net_and_params(rng)
+    batch = _loss_batch(rng, variant, size)
+    loss = LossKind(variant)
+    value, full, probs, inputs = net.loss_and_gradients(params, batch, loss)
+    n = len(net.specs)
+    assert inputs[0] is batch.inputs and len(inputs) == n
+    for bits in range(2 ** n):
+        subset = frozenset(i for i in range(n) if bits >> i & 1)
+        v, grads, p, xs = net.loss_and_gradients(params, batch, loss, layers=subset)
+        assert v == value and p.tobytes() == probs.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(xs, inputs))
+        for i in range(n):
+            if i in subset:
+                assert grads[i].tobytes() == full[i].tobytes()
+            else:
+                assert grads[i] is None
+
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_forward_restart_matches_full_forward(size):
+    """Restarting at any layer from the loss pass's input to it gives a
+    full forward's bytes, also when the layers from there up changed."""
+    rng = np.random.default_rng(62)
+    net, params = mixed_net_and_params(rng)
+    batch = _loss_batch(rng, "shot_im", size)
+    _, _, probs, inputs = net.loss_and_gradients(params, batch, LossKind("shot_im"))
+    for start in range(len(net.specs)):
+        assert net.forward(params, batch, start, inputs[start]).tobytes() == probs.tobytes()
+        moved = ModelParameters(
+            [v if i < start else v + rng.normal(scale=0.1, size=v.size)
+             for i, v in enumerate(params.layers)], list(params.layer_names))
+        assert (net.forward(moved, batch, start, inputs[start]).tobytes()
+                == net.forward(moved, batch).tobytes())
+    with pytest.raises(ValueError, match="layer 3"):
+        net.forward(params, batch, 3)
+    with pytest.raises(ConfigurationError, match="layer 3"):
+        net.forward(params, batch, 3, inputs[3][:, :4])
+    with pytest.raises(ConfigurationError, match="layer 5 expects"):
+        net.forward(ModelParameters(params.layers[:5] + [np.zeros(3)], params.layer_names),
+                    batch, 5, inputs[5])
+    bad = [v.copy() for v in params.layers]
+    bad[4][0] = np.inf
+    with pytest.raises(NumericsError, match="layer 4"):
+        net.forward(ModelParameters(bad, params.layer_names), batch, 3, inputs[3])
 
 def separable_blobs(rng, n=400):
     half = n // 2

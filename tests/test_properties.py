@@ -159,7 +159,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
             batch = Batch(rng.normal(size=(n, din)),
                           rng.integers(k, size=n) if loss.supervised else None)
             pre_params = params.copy()
-            _, grads, _ = net.loss_and_gradients(pre_params, batch, loss)
+            _, grads, _, _ = net.loss_and_gradients(pre_params, batch, loss)
             expect_u = grouping.gather([-opt.learning_rate * g for g in grads])
             res = adapt_step(net, params, batch, loss, opt, policy)
             assert res.decision.first_sample == expect_first
