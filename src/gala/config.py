@@ -17,7 +17,7 @@ from .baselines import BASELINE_GRANULARITY, SelectorKind
 from .engine import GalaConfig
 from .errors import ConfigurationError
 from .nn import LayerSpec, LossKind, OptimizerConfig
-from .shiftbench import ShiftSpec, TaskSpec
+from .shiftbench import STREAM_MODES, ShiftSpec, TaskSpec
 
 SWEEP_AXES = ("threshold", "window_size", "granularity", "batch_size")
 
@@ -305,10 +305,17 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if model[-1].output_dim != task.num_classes:
         raise ConfigurationError(f"model[{len(model) - 1}].output_dim {model[-1].output_dim} "
                                  f"must equal task.num_classes {task.num_classes}")
+    shift_mode = raw.get("shift_mode", "single")
+    if not (isinstance(shift_mode, str) and shift_mode in STREAM_MODES):
+        raise ConfigurationError(f"shift_mode must be one of {', '.join(STREAM_MODES)}, "
+                                 f"got {shift_mode!r}")
+    if shift_mode == "single" and len(shifts_raw) != 1:
+        raise ConfigurationError(f"shift_mode single takes exactly one entry in shifts, "
+                                 f"got {len(shifts_raw)}")
     return ExperimentConfig(
         task=task,
         shifts=[_parse_shift(s, i) for i, s in enumerate(shifts_raw)],
-        shift_mode=raw.get("shift_mode", "single"),
+        shift_mode=shift_mode,
         batch_size=_typed(raw, "batch_size", "", _COUNT, 16),
         model=model,
         loss=_parse_loss(raw["loss"]),

@@ -10,7 +10,12 @@ class ConfigurationError(GalaError, ValueError):
 
 
 class NumericsError(GalaError, ArithmeticError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values; ``runs`` lists the runs of
+    a stacked pass that did."""
+
+    def __init__(self, message: str, runs=()):
+        super().__init__(message)
+        self.runs = [int(r) for r in runs]
 
 
 class TrainingError(GalaError, RuntimeError):

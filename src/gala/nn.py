@@ -3,7 +3,8 @@
 Everything is float64 numpy. A network is described by an ordered list of
 :class:`LayerSpec`; trainable state lives in :class:`ModelParameters` as one
 flat vector per layer, so optimizer-side code can treat layers as opaque
-vectors. Three losses are supported: supervised cross-entropy for
+vectors, or as one (R, P_i) array per layer for R models that step in
+lockstep over the same batches. Three losses are supported: supervised cross-entropy for
 pretraining, and two unsupervised adaptation losses (hard pseudo-labeling
 and an information-maximization loss with an optional pseudo-label term).
 """
@@ -11,9 +12,12 @@ and an information-maximization loss with an optional pseudo-label term).
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,10 +133,18 @@ class OptimizerConfig:
 
 @dataclass
 class ModelParameters:
-    """Ordered per-layer flat parameter vectors plus stable layer names."""
+    """Ordered per-layer flat parameter vectors plus stable layer names.
+
+    R models stacked on a run axis hold (R, P_i) arrays instead, one row
+    per run.
+    """
 
     layers: list[np.ndarray]
     layer_names: list[str]
+
+    def run(self, r: int) -> "ModelParameters":
+        """Run r of stacked parameters, as views of its rows."""
+        return ModelParameters([v[r] for v in self.layers], self.layer_names)
 
     def copy(self) -> "ModelParameters":
         return ModelParameters([v.copy() for v in self.layers], list(self.layer_names))
@@ -153,23 +165,78 @@ def _act(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _act_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # a is the already-computed activation output, reused for tanh.
+def _act_grad(name: str, a: np.ndarray) -> np.ndarray | float:
+    # from the activation's output alone (relu's is positive exactly where its
+    # input is), so no backward cache holds the pre-activation
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (a > 0.0).astype(np.float64)
     if name == "tanh":
         return 1.0 - a * a
-    return np.ones_like(z)
+    return 1.0
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Softmax over the last axis: the classes."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(p, _LOG_FLOOR))
+
+
+def _suffix_min(starts) -> list[int]:
+    """starts[r] lowered to the least start of runs r and after: nondecreasing,
+    so the runs that reach any one layer are a prefix of the run axis."""
+    out = list(starts)
+    for r in range(len(out) - 2, -1, -1):
+        if out[r] > out[r + 1]:
+            out[r] = out[r + 1]
+    return out
+
+
+@lru_cache(maxsize=256)
+def _backward_plan(wanted: tuple[frozenset[int], ...], n: int) -> tuple:
+    """The layers a backward pass visits, top down, as (layer, k, spans,
+    below): runs [0, k) reach the layer and dx holds them, each [lo, hi)
+    span of runs that want the layer's gradient forms it, and runs
+    [0, below) carry dx on below it.
+
+    A run carries dx down to the least lowest wanted layer of its own and
+    of every later run, so the runs at any layer are a prefix of the run
+    axis. Policies fix their wanted sets at construction, so each plan is
+    worked out once.
+    """
+    low = _suffix_min([min(w, default=n) for w in wanted])
+    plan = []
+    for i in range(n - 1, low[0] - 1, -1):
+        spans: list[list[int]] = []
+        for r, w in enumerate(wanted):
+            if i not in w:
+                continue
+            if spans and spans[-1][1] == r:
+                spans[-1][1] = r + 1
+            else:
+                spans.append([r, r + 1])
+        plan.append((i, bisect_right(low, i), tuple(map(tuple, spans)), bisect_left(low, i)))
+    return tuple(plan)
+
+
+def _shared(inputs: np.ndarray, runs: int) -> np.ndarray:
+    """The batch as the input of every run, with no copy (broadcast_to costs
+    microseconds, which a single run saves)."""
+    return inputs[None] if runs == 1 else np.broadcast_to(inputs, (runs,) + inputs.shape)
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    # x . x is finite only when every entry is, and one BLAS call is cheaper
+    # than isfinite and all; a sum of squares that overflows is checked in full
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _bad_runs(x: np.ndarray) -> list[int]:
+    return np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1)).tolist()
 
 
 class Network:
@@ -180,6 +247,11 @@ class Network:
     and out as :class:`ModelParameters`, so ``forward`` and
     ``loss_and_gradients`` are pure functions of (params, batch) unless
     statistic updates are explicitly requested by the pretraining loop.
+
+    Both take one model (1-D layer vectors) or R models stacked on a
+    leading run axis ((R, P_i) layer arrays) that see the same batch; the
+    one code path runs on the run axis, and one model is R = 1 with the
+    axis dropped from the results. Activations are (R, B, d) arrays.
     """
 
     def __init__(self, layer_specs: Iterable[LayerSpec], norm_momentum: float = 0.1):
@@ -192,6 +264,8 @@ class Network:
                     f"layer dims do not chain: {prev.output_dim} -> {cur.input_dim}"
                 )
         self.layer_names = [f"L{i}_{s.kind}" for i, s in enumerate(self.specs)]
+        self._param_counts = [s.param_count for s in self.specs]
+        self._every_layer = frozenset(range(len(self.specs)))
         self.norm_momentum = float(norm_momentum)
         # Per normalization layer: running (mean, var), initialized to the
         # standardized defaults and refreshed during pretraining. Used only
@@ -231,120 +305,164 @@ class Network:
             raise ConfigurationError(
                 f"expected {len(self.specs)} parameter vectors, got {len(params.layers)}"
             )
-        for i, (vec, spec) in enumerate(zip(params.layers, self.specs)):
-            if vec.size != spec.param_count:
+        runs = params.layers[0].shape[:-1]
+        for i, (vec, count) in enumerate(zip(params.layers, self._param_counts)):
+            if vec.shape != (*runs, count):
                 raise ConfigurationError(
-                    f"layer {i} expects {spec.param_count} parameters, got {vec.size}"
+                    f"layer {i} expects {count} parameters, got shape {vec.shape}"
                 )
 
+    def _stacked(self, params: ModelParameters) -> tuple[list[np.ndarray], bool]:
+        """The layer arrays on a run axis, and whether ``params`` is one model."""
+        self._check_params(params)
+        one = params.layers[0].ndim == 1
+        return ([v[None] for v in params.layers] if one else params.layers), one
+
     def _layer_forward(self, i: int, x: np.ndarray, vec: np.ndarray, update_stats: bool):
+        """Layer i on x (k, B, d), the input of the first k runs of ``vec``."""
         spec = self.specs[i]
+        k = len(x)
         if spec.kind == "dense":
-            w = vec[: spec.output_dim * spec.input_dim].reshape(spec.output_dim, spec.input_dim)
-            b = vec[spec.output_dim * spec.input_dim :]
-            z = x @ w.T + b
+            n = spec.output_dim * spec.input_dim
+            w = vec[:k, :n].reshape(k, spec.output_dim, spec.input_dim)
+            z = x @ w.swapaxes(-1, -2)
+            z += vec[:k, None, n:]  # in place: one temporary fewer, same bytes
             a = _act(spec.activation, z)
-            return a, ("dense", x, z, a, w)
+            return a, ("dense", (x, a, w))
         if spec.kind == "activation":
             a = _act(spec.activation, x)
-            return a, ("activation", x, a)
-        gamma = vec[: spec.output_dim]
-        beta = vec[spec.output_dim :]
-        if x.shape[0] >= 2:
-            mu = x.mean(axis=0)
-            var = x.var(axis=0)
-            if update_stats:
+            return a, ("activation", (a,))
+        gamma = vec[:k, None, : spec.output_dim]
+        beta = vec[:k, None, spec.output_dim :]
+        if x.shape[1] >= 2:
+            mu = x.mean(axis=1, keepdims=True)
+            var = x.var(axis=1, keepdims=True)
+            if update_stats:  # one model (loss_and_gradients checks)
                 m = self.norm_momentum
                 rm, rv = self.norm_stats[i]
-                self.norm_stats[i] = ((1 - m) * rm + m * mu, (1 - m) * rv + m * var)
+                self.norm_stats[i] = ((1 - m) * rm + m * mu[0, 0], (1 - m) * rv + m * var[0, 0])
             inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
-            xhat = (x - mu) * inv_std
-            return gamma * xhat + beta, ("norm_batch", xhat, inv_std, gamma)
+            xhat = x - mu
+            xhat *= inv_std
+            out = gamma * xhat
+            out += beta
+            return out, ("norm_batch", (xhat, inv_std, gamma))
         # Single-sample batches fall back to frozen statistics: the layer
         # degrades to a fixed affine transform.
         rm, rv = self.norm_stats[i]
         inv_std = 1.0 / np.sqrt(rv + _NORM_EPS)
-        xhat = (x - rm) * inv_std
-        return gamma * xhat + beta, ("norm_frozen", xhat, inv_std, gamma)
+        xhat = x - rm
+        xhat *= inv_std
+        out = gamma * xhat
+        out += beta
+        # every cached array leads with a run axis; the frozen one is shared
+        return out, ("norm_frozen", (xhat, inv_std[None, None], gamma))
 
-    def _forward_cached(self, params: ModelParameters, x: np.ndarray, update_stats=False,
-                        start: int = 0):
-        """Run layers ``start`` onward on ``x``, the input to layer ``start``.
+    def _forward_cached(self, layers: list[np.ndarray], acts: list[np.ndarray],
+                        starts: list[int], update_stats=False):
+        """Forward pass of the stacked models whose parameters are ``layers``.
 
-        Returns the logits, one backward cache per layer run and the input
-        each of those layers saw (``inputs[k]`` belongs to layer start + k).
+        Run r joins the pass at layer ``starts[r]`` (nondecreasing over
+        runs) on its row of ``acts[starts[r]]``; ``acts`` lists the
+        activations of a pass over the batch (``acts[i]`` is the input of
+        layer i, ``acts[-1]`` the logits), and the loss pass starts every
+        run at layer 0 with ``acts == [inputs]``. Returns the logits, one
+        backward cache per layer run and the activations of this pass from
+        layer ``starts[0]`` up, runs on axis 0 throughout.
         """
-        if x.shape[1] != self.specs[start].input_dim:
+        n = len(self.specs)
+        first, last = starts[0], starts[-1]
+        k = bisect_right(starts, first)
+        x = acts[first]
+        if k < len(x):
+            x = x[:k]
+        if first < n and x.shape[-1] != self.specs[first].input_dim:
             raise ConfigurationError(
-                f"batch input_dim {x.shape[1]} does not match layer {start} "
-                f"input_dim {self.specs[start].input_dim}"
+                f"batch input_dim {x.shape[-1]} does not match layer {first} "
+                f"input_dim {self.specs[first].input_dim}"
             )
-        self._check_params(params)
-        caches, inputs = [], []
+        caches, outs = [], [x]
         # Overflow is detected by the finiteness check and raised as a
         # NumericsError, so the intermediate warning is noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(start, len(self.specs)):
-                inputs.append(x)
-                x, cache = self._layer_forward(i, x, params.layers[i], update_stats)
-                if not np.isfinite(x).all():
+            for i in range(first, n):
+                x, cache = self._layer_forward(i, x, layers[i], update_stats)
+                if not _all_finite(x):
                     raise NumericsError(
-                        f"non-finite activation at layer {i} ({self.layer_names[i]})"
-                    )
+                        f"non-finite activation at layer {i} ({self.layer_names[i]})",
+                        _bad_runs(x))
                 caches.append(cache)
-        return x, caches, inputs
+                if i < last:  # runs that start above layer i join here
+                    j = bisect_right(starts, i + 1)
+                    if j > k:
+                        x = np.concatenate([x, acts[i + 1][k:j]])
+                        k = j
+                outs.append(x)
+        return x, caches, outs
 
-    def forward(self, params: ModelParameters, batch: Batch, start: int = 0,
-                layer_input: np.ndarray | None = None) -> np.ndarray:
-        """Class probabilities, one row per sample, rows summing to one.
+    def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
+                acts: list[np.ndarray] | None = None) -> np.ndarray:
+        """Class probabilities, rows summing to one: (B, C) for one model,
+        (R, B, C) for R stacked ones.
 
-        With ``start`` > 0 only layers ``start`` onward run, on
-        ``layer_input``: the input layer ``start`` saw in a pass over the
-        same batch (as ``loss_and_gradients`` returns it). When the layers
-        below ``start`` hold the same parameters as in that pass, the
-        result equals a full forward bit for bit.
+        With ``start`` > 0 only layers ``start`` and up run, on
+        ``acts[start]``: ``acts`` is the activation list that
+        ``loss_and_gradients`` returned for the same batch. Stacked models
+        may give one start per run; a run starting at ``len(specs)`` keeps
+        the logits of ``acts``. Each run restarts at the least start of its
+        own and every later run's, so the runs of any one layer are a
+        prefix of the run axis and no layer is run for more runs than that
+        needs; when the layers below a run's start hold the parameters of
+        the pass behind ``acts``, rerunning them reproduces their bytes,
+        and the result equals a full forward bit for bit.
         """
-        if start and layer_input is None:
-            raise ValueError(f"forward from layer {start} needs that layer's input")
-        x = batch.inputs if layer_input is None else layer_input
-        logits, _, _ = self._forward_cached(params, x, start=start)
-        return softmax(logits)
+        layers, one = self._stacked(params)
+        runs = len(layers[0])
+        starts = ([start] * runs if isinstance(start, (int, np.integer))
+                  else _suffix_min(start))
+        if starts[0] and acts is None:
+            raise ValueError(f"forward from layer {starts[0]} needs that layer's input")
+        if acts is None:
+            acts = [_shared(batch.inputs, runs)]
+        elif one:
+            acts = [a[None] for a in acts]
+        probs = softmax(self._forward_cached(layers, acts, starts)[0])
+        return probs[0] if one else probs
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         return np.argmax(self.forward(params, batch), axis=1)
 
-    def _loss_and_dlogits(self, p: np.ndarray, batch: Batch, loss: LossKind):
-        n = p.shape[0]
-        if loss.variant == "cross_entropy":
-            y = batch.labels
-            ll = _safe_log(p[np.arange(n), y])
-            onehot = np.zeros_like(p)
-            onehot[np.arange(n), y] = 1.0
-            return -ll.mean(), (p - onehot) / n
-        if loss.variant == "pseudo_label":
-            y = np.argmax(p, axis=1)
-            ll = _safe_log(p[np.arange(n), y])
-            onehot = np.zeros_like(p)
-            onehot[np.arange(n), y] = 1.0
-            return -ll.mean(), (p - onehot) / n
+    def _loss_and_dlogits(self, p: np.ndarray, labels: np.ndarray | None, loss: LossKind,
+                          runs: int):
+        """Per-run loss values and d loss / d logits for ``p``, the
+        probability rows of every run's batch one after another."""
+        rows, classes = p.shape
+        n = rows // runs  # batch size
+        idx = np.arange(rows)
+        # the ndarray methods and np.zeros skip wrappers that cost microseconds
+        y = p.argmax(axis=1) if labels is None else np.concatenate([labels] * runs)
+        onehot = np.zeros(p.shape)
+        onehot[idx, y] = 1.0
+        # means over each run's rows are sums over n: the same bytes as mean()
+        nll = -_safe_log(p[idx, y]).reshape(runs, n).sum(axis=1) / n
+        if loss.variant != "shot_im":
+            return nll, (p - onehot) / n
         # shot_im: mean per-sample entropy, minus entropy of the mean
         # prediction, plus a weighted hard pseudo-label term.
         logp = _safe_log(p)
         ent = -(p * logp).sum(axis=1)
-        pbar = p.mean(axis=0)
+        p3 = p.reshape(runs, n, classes)
+        pbar = p3.sum(axis=1) / n
         logpbar = _safe_log(pbar)
-        ent_mean_pred = -(pbar * logpbar).sum()
-        y = np.argmax(p, axis=1)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(n), y] = 1.0
-        pl_loss = -_safe_log(p[np.arange(n), y]).mean()
-        value = ent.mean() - ent_mean_pred + loss.shot_pl_weight * pl_loss
+        ent_mean_pred = -(pbar * logpbar).sum(axis=1)
+        value = ent.reshape(runs, n).sum(axis=1) / n - ent_mean_pred + loss.shot_pl_weight * nll
 
         d_ent = -p * (logp + ent[:, None]) / n
         # d/dlogits of -H(pbar); see the per-sample chain through pbar.
-        d_div = p * (logpbar[None, :] - (p * logpbar[None, :]).sum(axis=1, keepdims=True)) / n
+        logpbar = logpbar[:, None, :]
+        d_div = p3 * (logpbar - (p3 * logpbar).sum(axis=2, keepdims=True)) / n
         d_pl = loss.shot_pl_weight * (p - onehot) / n
-        return value, d_ent + d_div + d_pl
+        return value, d_ent + d_div.reshape(rows, classes) + d_pl
 
     def loss_and_gradients(
         self,
@@ -352,75 +470,99 @@ class Network:
         batch: Batch,
         loss: LossKind,
         update_norm_stats: bool = False,
-        layers: Collection[int] | None = None,
-    ) -> tuple[float, list[np.ndarray | None], np.ndarray, list[np.ndarray]]:
+        layers: Collection[int] | Sequence[Collection[int]] | None = None,
+    ) -> tuple:
         """Loss value, per-layer gradients, the class probabilities of the
-        loss pass and the input each layer saw in it.
+        loss pass and its activations.
+
+        For one model: a float, one gradient per layer, (B, C)
+        probabilities and the activations with B leading. For R stacked
+        models: a list of R floats, one gradient list per run, (R, B, C)
+        probabilities and (R, B, d) activations. ``acts[i]`` is the input
+        layer i saw and ``acts[-1]`` the logits.
 
         ``layers`` holds the indices of the layers whose gradients are
-        wanted (None: every layer). The backward pass stops at the lowest
-        of them: it forms a layer's parameter gradient only when the layer
-        is wanted, and its input gradient only when a lower layer is, so
-        an empty set runs no backward at all. Every other entry of the
-        gradient list is None. Wanted gradients equal those of a full
-        backward bit for bit.
+        wanted (None: every layer), one collection per run when stacked.
+        The backward pass stops at the lowest of them: it forms a layer's
+        parameter gradient only for the runs that want it, and carries a
+        run's input gradient down only while a lower layer is wanted, by
+        it or by a later run (order runs by lowest wanted layer, and none
+        carries more than it needs). An empty set runs no backward at
+        all. Every other entry of a gradient list is None. Wanted
+        gradients equal those of a full backward bit for bit.
 
         The probabilities are the same computation as ``forward`` on the
-        same params and batch, so they match it bit for bit; the layer
-        inputs let ``forward`` restart above layers that did not change.
-        Unsupervised losses refuse labeled batches so adaptation code
-        cannot accidentally leak labels into the update path.
+        same params and batch, so they match it bit for bit; the
+        activations let ``forward`` restart above layers that did not
+        change. Unsupervised losses refuse labeled batches so adaptation
+        code cannot accidentally leak labels into the update path.
         """
         if loss.supervised and batch.labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and batch.labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        logits, caches, inputs = self._forward_cached(params, batch.inputs, update_norm_stats)
+        stacked, one = self._stacked(params)
+        runs, n = len(stacked[0]), len(self.specs)
+        if update_norm_stats and runs > 1:
+            raise ValueError("running statistics are updated from one model only")
+        wanted = ((self._every_layer,) * runs if layers is None
+                  else (frozenset(layers),) if one else tuple(map(frozenset, layers)))
+        if len(wanted) != runs:
+            raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
+        logits, caches, acts = self._forward_cached(
+            stacked, [_shared(batch.inputs, runs)], [0] * runs, update_norm_stats)
         probs = softmax(logits)
-        value, dx = self._loss_and_dlogits(probs, batch, loss)
-        if not np.isfinite(value):
-            raise NumericsError("non-finite loss value")
-        n = len(self.specs)
-        wanted = range(n) if layers is None else layers
-        stop = min(wanted, default=n)
-        grads: list[np.ndarray | None] = [None] * n
-        for i in range(n - 1, stop - 1, -1):
-            cache = caches[i]
-            spec = self.specs[i]
-            want = i in wanted
-            below = i > stop  # a lower layer still needs dx
-            if cache[0] == "dense":
-                _, x, z, a, w = cache
-                dz = dx * _act_grad(spec.activation, z, a)
-                if want:
-                    grads[i] = np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
-                if below:
-                    dx = dz @ w
-            elif cache[0] == "activation":
-                _, x, a = cache
-                if want:
-                    grads[i] = np.zeros(0)
-                if below:
-                    dx = dx * _act_grad(spec.activation, x, a)
-            elif cache[0] == "norm_batch":
-                _, xhat, inv_std, gamma = cache
-                if want:
-                    grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
-                if below:
-                    nb = xhat.shape[0]
-                    dxhat = dx * gamma
-                    dx = (
-                        inv_std
-                        / nb
-                        * (nb * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
-                    )
+        shape = probs.shape
+        values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), batch.labels, loss,
+                                            runs)
+        values = values.tolist()
+        if not all(map(math.isfinite, values)):
+            raise NumericsError("non-finite loss value",
+                                [r for r, v in enumerate(values) if not math.isfinite(v)])
+        dx = dx.reshape(shape)
+        grads: list[list[np.ndarray | None]] = [[None] * n for _ in range(runs)]
+        for i, k, spans, below in _backward_plan(wanted, n):
+            kind, arrays = caches[i]
+            caches[i] = None  # free each cache once consumed
+            if k < runs:  # the later runs stopped above this layer
+                arrays = [v[:k] for v in arrays]
+            act = self.specs[i].activation
+            if kind == "dense":  # arrays: input, output, weights
+                dx = dx * _act_grad(act, arrays[1])  # dz
+            for lo, hi in spans:
+                # src is the dense layer's input or normalization's xhat
+                d, src = (dx, arrays[0]) if hi - lo == k else (dx[lo:hi], arrays[0][lo:hi])
+                if kind == "dense":  # weights, then bias
+                    parts = d.swapaxes(-1, -2) @ src, d.sum(axis=1)
+                elif kind != "activation":  # scale, then offset
+                    parts = (d * src).sum(axis=1), d.sum(axis=1)
+                for r in range(lo, hi):
+                    grads[r][i] = (np.zeros(0) if kind == "activation" else
+                                   np.concatenate([parts[0][r - lo].ravel(), parts[1][r - lo]]))
+            if not below:
+                continue
+            if below < k:
+                dx, arrays = dx[:below], [v[:below] for v in arrays]
+            if kind == "dense":
+                dx = dx @ arrays[2]
+            elif kind == "activation":
+                dx = dx * _act_grad(act, arrays[0])
+            elif kind == "norm_batch":
+                xhat, inv_std, gamma = arrays
+                nb = xhat.shape[1]
+                dxhat = dx * gamma
+                dx = (
+                    inv_std
+                    / nb
+                    * (nb * dxhat - dxhat.sum(axis=1, keepdims=True)
+                       - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+                )
             else:  # norm_frozen
-                _, xhat, inv_std, gamma = cache
-                if want:
-                    grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
-                if below:
-                    dx = dx * gamma * inv_std
-        return float(value), grads, probs, inputs
+                xhat, inv_std, gamma = arrays
+                dx = dx * gamma * inv_std
+        if one:
+            return values[0], grads[0], probs[0], [a[0] for a in acts]
+        return values, grads, probs, acts
 
 
 def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
@@ -470,14 +612,17 @@ def pretrain_erm(
     """
     network = Network(layer_specs)
     params = network.init_params(seed)
+    # the model as the one run of a run axis: rows are views, so each update
+    # lands in params, and no step adds and drops the axis
+    run = ModelParameters([v[None] for v in params.layers], params.layer_names)
     loss = LossKind("cross_entropy")
     step = 0
     for batch in train_stream:
         if batch.labels is None:
             raise ValueError("pretraining requires labeled batches")
         try:
-            _, grads, _, _ = network.loss_and_gradients(params, batch, loss,
-                                                        update_norm_stats=True)
+            _, (grads,), _, _ = network.loss_and_gradients(run, batch, loss,
+                                                           update_norm_stats=True)
         except NumericsError as exc:
             raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
         for vec, g in zip(params.layers, grads):

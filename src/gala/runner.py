@@ -11,6 +11,11 @@ parameters and reports whether the policy reset. The step moves each
 layer of a group with a nonzero scale s by s * (-lr * grad) and leaves
 every other layer's array as it is.
 
+The step and the loop advance R runs in lockstep over the same batches,
+one policy per run. Each run's parameters are one row of the (R, P_i)
+layer arrays, and a policy sees only its own run's gradients and
+parameters. A single run is R = 1.
+
 Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
 label information (the losses additionally refuse labeled batches).
@@ -31,7 +36,7 @@ from .engine import (
     SelectionDecision,
     build_grouping,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericsError
 from .metrics import RunRecord, config_fingerprint, tta_accuracy
 from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
 from .shiftbench import ShiftStream
@@ -39,60 +44,86 @@ from .shiftbench import ShiftStream
 
 @dataclass
 class StepResult:
-    params: ModelParameters
-    decision: SelectionDecision
+    """One step of R runs in lockstep: (R, B, C) probabilities and one
+    entry per run in every list."""
+
+    decisions: list[SelectionDecision]
     probs: np.ndarray
-    loss: float
-    warmup: float
-    reset: bool
+    losses: list[float]
+    warmups: list[float]
+    resets: list[bool]
 
 
 def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: LossKind,
-               opt: OptimizerConfig, policy) -> StepResult:
-    """One online adaptation step: propose, scale, update, predict.
+               opt: OptimizerConfig, policies) -> StepResult:
+    """One online adaptation step of R runs: propose, scale, update, predict.
 
-    The loss pass backpropagates only down to the lowest layer in
-    ``policy.grad_layers``, the layers whose gradients the policy can
-    read or move; the other gradients are None. Predictions come from
-    the post-update parameters: the step reruns the forward pass from
-    the lowest layer that moved, on the input the loss pass fed that
-    layer, since the layers below hold the same parameters on the same
-    batch. When no group moves, it reports the loss pass's
-    probabilities and runs no second forward pass. Either way the
-    results match a full backward and a full forward bit for bit.
+    ``params`` stacks the runs' parameters on a run axis ((R, P_i) per
+    layer) and ``policies`` holds one policy per run, which sees its own
+    run's rows as ``params.run(r)``; every run sees the same batch.
+
+    The loss pass backpropagates each run only down to the lowest layer
+    in its ``policy.grad_layers``, the layers whose gradients the policy
+    can read or move; the other gradients are None. The updates are made
+    once the whole backward pass is done, and no array is written: in
+    ``params``, each layer that any run moves is replaced by an updated
+    copy, and every other layer keeps its array. So no gradient sees a
+    moved weight, and views taken before the step keep their values.
+    Predictions come from the post-update parameters: the step reruns the
+    forward pass of each run from the lowest layer it moved, on the input
+    the loss pass fed that layer, since the layers below hold the same
+    parameters on the same batch. When no run moves, it reports the loss
+    pass's probabilities and runs no second forward pass. Either way each
+    run's results match a full backward and a full forward of that run
+    alone bit for bit.
     """
-    loss_value, grads, probs, inputs = network.loss_and_gradients(
-        params, batch, loss, layers=policy.grad_layers)
-    scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
-    layers = list(params.layers)
-    start = len(layers)
-    for members, s in zip(policy.grouping.members, scales):
-        if s:
-            for i in members:
-                layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
-                start = min(start, i)
-    new_params = ModelParameters(layers, params.layer_names)
-    reset = policy.after_update(new_params)
-    if start < len(layers):
-        probs = network.forward(new_params, batch, start, inputs[start])
-    return StepResult(new_params, decision, probs, loss_value, warmup, reset)
+    lr = opt.learning_rate
+    losses, grads, probs, acts = network.loss_and_gradients(
+        params, batch, loss, layers=[policy.grad_layers for policy in policies])
+    n = len(params.layers)
+    copied: set[int] = set()
+    starts, decisions, warmups, resets = [], [], [], []
+    for r, policy in enumerate(policies):
+        g, view = grads[r], params.run(r)
+        scales, decision, warmup = policy.select(g, view, lr)
+        start = n
+        for members, s in zip(policy.grouping.members, scales):
+            if s:
+                for i in members:
+                    if i not in copied:
+                        params.layers[i] = params.layers[i].copy()
+                        copied.add(i)
+                    row = view.layers[i] = params.layers[i][r]  # the view follows the move
+                    row += s * (-lr * g[i])
+                    start = min(start, i)
+        starts.append(start)
+        decisions.append(decision)
+        warmups.append(warmup)
+        resets.append(policy.after_update(view))
+    if copied:
+        probs = network.forward(params, batch, starts, acts)
+    return StepResult(decisions, probs, losses, warmups, resets)
 
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
-          opt: OptimizerConfig, policy, fingerprint: str, seed: int) -> RunRecord:
-    """Adapt a copy of ``pretrained`` over one stream, one step per batch."""
-    params = pretrained.copy()
-    correct, decisions, losses, warmups, resets = [], [], [], [], []
+          opt: OptimizerConfig, policies, fingerprint: str, seed: int) -> list[RunRecord]:
+    """Adapt one copy of ``pretrained`` per policy over one stream, all in
+    lockstep, one step per batch; one record per run.
+
+    Runs ordered by the lowest layer of their ``grad_layers`` share each
+    layer's backward work without anyone doing more than it would alone.
+    """
+    params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
+                              for v in pretrained.layers], list(pretrained.layer_names))
+    steps = []  # per step: hits, decisions, losses, warm-ups, resets; each by run
     for batch in stream.adapt_batches:
-        res = adapt_step(network, params, Batch(batch.inputs), loss, opt, policy)
-        params = res.params
-        correct.append(np.argmax(res.probs, axis=1) == batch.labels)
-        decisions.append(res.decision)
-        losses.append(res.loss)
-        warmups.append(res.warmup)
-        resets.append(res.reset)
-    return RunRecord(list(policy.grouping.names), correct, decisions, losses, warmups, resets,
-                     params, fingerprint, seed)
+        res = adapt_step(network, params, Batch(batch.inputs), loss, opt, policies)
+        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses,
+                      res.warmups, res.resets))
+    return [RunRecord(list(policy.grouping.names),
+                      *([step[field][r] for step in steps] for field in range(5)),
+                      params.run(r), fingerprint, seed)
+            for r, policy in enumerate(policies)]
 
 
 @dataclass
@@ -113,18 +144,24 @@ def oracle_sweep(
 ) -> OracleSweepResult:
     """Brute-force single-group adaptation quality.
 
-    Restarts from the pretrained parameters once per group, adapts only
-    that group on every stream sample, and scores online accuracy.
-    Labels are read for scoring only; the loss path never sees them.
+    One trial per group adapts only that group from the pretrained
+    parameters on every stream sample and is scored by its online
+    accuracy; the trials run in lockstep, one pass over the stream.
+    Labels are read for scoring only; the loss path never sees them. A
+    trial that goes non-finite stops the pass with a NumericsError naming
+    its group.
     """
     if grouping.num_groups < 2:
         raise ConfigurationError("oracle sweep needs at least 2 groups")
-    accuracies = []
-    for name in grouping.names:
-        policy = baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
+    policies = [baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
+                for name in grouping.names]
+    try:
         # a trial is scored, not reported, so its record carries no fingerprint
-        accuracies.append(tta_accuracy(adapt(network, pretrained, stream, loss, opt, policy,
-                                             "", 0)))
+        records = adapt(network, pretrained, stream, loss, opt, policies, "", 0)
+    except NumericsError as e:
+        groups = ", ".join(grouping.names[r] for r in e.runs)
+        raise NumericsError(f"oracle trial on {groups} diverged: {e}", e.runs) from e
+    accuracies = [tta_accuracy(record) for record in records]
     best = int(np.argmax(accuracies))
     worst = int(np.argmin(accuracies))
     return OracleSweepResult(list(grouping.names), accuracies,
@@ -178,7 +215,7 @@ def run_selector(
         "num_blocks": num_blocks,
         **settings,
     })
-    return adapt(network, pretrained, stream, loss, opt, policy, fingerprint, seed)
+    return adapt(network, pretrained, stream, loss, opt, [policy], fingerprint, seed)[0]
 
 
 def run_gala(

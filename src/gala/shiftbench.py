@@ -16,6 +16,7 @@ from .errors import ConfigurationError
 from .nn import Batch
 
 GEOMETRIES = ("gaussian_blobs", "moons", "rings")
+STREAM_MODES = ("single", "continual")
 SHIFT_KINDS = (
     "rotation",
     "translation",
@@ -235,7 +236,7 @@ def build_stream(
     and pooled target holdout. ``single`` mode takes exactly one shift;
     ``continual`` concatenates the segments in order.
     """
-    if mode not in ("single", "continual"):
+    if mode not in STREAM_MODES:
         raise ConfigurationError(f"unknown stream mode {mode!r}")
     if not shifts:
         raise ConfigurationError("at least one shift is required")

@@ -1,8 +1,21 @@
-"""Shared test utilities: independent loss recomputation and finite differences."""
+"""Shared test utilities: independent loss recomputation, finite
+differences and a one-run adaptation step."""
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from gala import Batch, LayerSpec, Network
+from gala import Batch, LayerSpec, ModelParameters, Network, adapt_step
+
+
+def single_step(network, params, batch, loss, opt, policy):
+    """``adapt_step`` for one model and one policy: the run axis is added
+    to ``params`` as views and dropped from every result."""
+    stacked = ModelParameters([v[None] for v in params.layers], params.layer_names)
+    res = adapt_step(network, stacked, batch, loss, opt, [policy])
+    return SimpleNamespace(params=stacked.run(0), decision=res.decisions[0],
+                           probs=res.probs[0], loss=res.losses[0], warmup=res.warmups[0],
+                           reset=res.resets[0])
 
 
 def reference_loss(network, params, inputs, variant, labels=None, pl_labels=None, pl_weight=0.3):
@@ -132,3 +145,16 @@ def _min_relu_margin(net, params, batch):
             beta = vec[spec.output_dim :]
             x = gamma * (x - mu) / np.sqrt(var + 1e-5) + beta
     return margin
+
+
+def diverging_relu_net():
+    """A relu net on which plain SGD with learning rate 1e305 overflows the
+    second layer only: the first layer's outputs are scaled up by 1e3, so
+    the second layer's weight gradient is large, and its weights scaled
+    down by 1e-3, so the gradient reaching the first layer is small."""
+    net = Network([LayerSpec("dense", 2, 4, "relu"), LayerSpec("dense", 4, 4, "relu"),
+                   LayerSpec("dense", 4, 3)])
+    params = net.init_params(3)
+    params.layers[0] *= 1e3
+    params.layers[1] *= 1e-3
+    return net, params

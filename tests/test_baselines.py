@@ -14,12 +14,12 @@ from gala import (
     LossKind,
     ModelParameters,
     Network,
+    NumericsError,
     OptimizerConfig,
     ParameterGrouping,
     SelectorKind,
     ShiftSpec,
     TaskSpec,
-    adapt_step,
     baseline_policy,
     build_grouping,
     build_stream,
@@ -31,6 +31,8 @@ from gala import (
     run_gala,
     tta_accuracy,
 )
+from gala.runner import adapt
+from helpers import diverging_relu_net, single_step
 
 
 def small_setup(seed=5):
@@ -134,7 +136,7 @@ def test_all_layers_first_step_flags_fresh_anchor():
                               "multi_layer")
     policy = baseline_policy(SelectorKind("all_layers"), grouping)
     for batch in stream.adapt_batches:
-        res = adapt_step(net, params, Batch(batch.inputs), loss, opt, policy)
+        res = single_step(net, params, Batch(batch.inputs), loss, opt, policy)
         d = res.decision
         assert d.mask.all() and not d.skipped and not d.first_sample
         assert d.selected_groups == grouping.names
@@ -156,7 +158,7 @@ def test_random_block_long_run_frequencies():
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(1e-6)
     counts = np.zeros(4)
     for _ in range(10000):
-        res = adapt_step(net, params, batch, loss, opt, policy)
+        res = single_step(net, params, batch, loss, opt, policy)
         counts[np.argmax(res.decision.mask)] += 1
         assert res.decision.mask.sum() == 1
     freqs = counts / 10000
@@ -193,8 +195,8 @@ def test_auto_rgn_first_step_delta():
     ratios = np.array([np.linalg.norm(g) / (np.linalg.norm(p) + 1e-12)
                        for g, p in zip(gathered_g, gathered_p)])
     scales = ratios / ratios.max()
-    res = adapt_step(net, params, batch, loss, opt,
-                     baseline_policy(SelectorKind("auto_rgn"), grouping))
+    res = single_step(net, params, batch, loss, opt,
+                      baseline_policy(SelectorKind("auto_rgn"), grouping))
     got_groups = grouping.gather(res.params.layers)
     for got, before, s, g in zip(got_groups, gathered_p, scales, gathered_g):
         np.testing.assert_allclose(got, before - opt.learning_rate * s * g,
@@ -218,10 +220,10 @@ def test_auto_rgn_ema_tracks_ratio_history():
                                          grouping.gather(p.layers))])
 
     r1 = ratios_at(params, batch1)
-    res1 = adapt_step(net, params, batch1, loss, opt, policy)
+    res1 = single_step(net, params, batch1, loss, opt, policy)
     np.testing.assert_allclose(policy.ema, r1, rtol=0, atol=1e-15)
     r2 = ratios_at(res1.params, batch2)
-    adapt_step(net, res1.params, batch2, loss, opt, policy)
+    single_step(net, res1.params, batch2, loss, opt, policy)
     np.testing.assert_allclose(policy.ema, 0.9 * r1 + 0.1 * r2, rtol=0, atol=1e-15)
 
 
@@ -291,6 +293,30 @@ def test_oracle_sweep_deterministic():
                           grouping)
     assert first.accuracies == second.accuracies
     assert first.best_group == second.best_group
+
+
+def test_oracle_sweep_divergence_names_the_group():
+    """When one trial of the lockstep sweep goes non-finite, the pass
+    raises a NumericsError naming that trial's group; run alone, every
+    other trial stays finite."""
+    net, params = diverging_relu_net()
+    task = TaskSpec(num_classes=3, input_dim=2, samples_per_domain=40, seed=4)
+    stream = build_stream(task, [ShiftSpec("rotation", 2)], "single", 4, seed=0)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              "single_layer")
+    loss, opt = LossKind("pseudo_label"), OptimizerConfig(1e305)
+    with pytest.raises(NumericsError, match="oracle trial on L1_dense diverged: "
+                                           "non-finite activation at layer 1") as info:
+        oracle_sweep(net, params, stream, loss, opt, grouping)
+    assert info.value.runs == [1]
+    for k, name in enumerate(grouping.names):
+        policy = baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
+        if k == 1:
+            with pytest.raises(NumericsError, match="layer 1"):
+                adapt(net, params, stream, loss, opt, [policy], "", 0)
+        else:
+            (record,) = adapt(net, params, stream, loss, opt, [policy], "", 0)
+            assert record.final_params.allfinite()
 
 
 def test_head_only_shift_analytically_fixable():

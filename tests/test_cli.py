@@ -1,6 +1,8 @@
 """Configuration loading and the command-line experiment cycle."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -10,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gala.cli
-from gala import ConfigurationError, GalaConfig, load_config, parse_config, parse_summary
+from gala import (ConfigurationError, GalaConfig, load_config, parse_config, parse_summary,
+                  save_checkpoint)
 from gala.cli import main
+from helpers import diverging_relu_net
 
 QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "configs" / "quickstart.json"
 
@@ -149,6 +153,22 @@ def test_numeric_config_fields_type_checked(tmp_path, capsys, path, value, field
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode,num_shifts", [
+    (5, 1), ("sequential", 1), (None, 1), (["continual"], 1), (True, 1), ("single", 2),
+])
+def test_shift_mode_checked_at_parse(tmp_path, capsys, mode, num_shifts):
+    """shift_mode names a stream mode, and single mode takes one shift;
+    anything else exits 2 naming the field, before any work runs."""
+    raw = base_config(shift_mode=mode)
+    raw["shifts"] = raw["shifts"] * num_shifts
+    cfg = tmp_path / "mode.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "shift_mode" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("axis,value", [
     ("batch_size", True), ("batch_size", 2.7), ("batch_size", "8"), ("batch_size", 0),
     ("threshold", "abc"), ("threshold", True), ("threshold", None),
@@ -174,7 +194,8 @@ def _leaves(node, path=()):
         yield path, node
 
 
-_FUZZ_BASE = with_leaf(json.loads(QUICKSTART.read_text()), ("pretrain", "steps"), 5)
+_FUZZ_BASE = with_leaf(with_leaf(json.loads(QUICKSTART.read_text()), ("pretrain", "steps"), 5),
+                       ("task", "samples_per_domain"), 40)
 _OTHER_TYPES = {
     str: st.text(max_size=4),
     bool: st.booleans(),
@@ -191,15 +212,33 @@ def mutated_quickstart(draw):
     return with_leaf(_FUZZ_BASE, path, value)
 
 
+@pytest.fixture(scope="module")
+def fuzz_checkpoint_root(tmp_path_factory):
+    """An output root holding the fuzz base config's checkpoint, pretrained
+    once for every example's adapt and oracle runs."""
+    root = tmp_path_factory.mktemp("fuzz_base")
+    cfg = root / "base.json"
+    cfg.write_text(json.dumps(_FUZZ_BASE))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(root / "out")]) == 0
+    return root / "out"
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(raw=mutated_quickstart())
-def test_fuzzed_quickstart_leaf_exits_0_or_2(tmp_path_factory, raw):
+def test_fuzzed_quickstart_leaf_exits_0_or_2(tmp_path_factory, fuzz_checkpoint_root, raw):
     """Any one leaf of the quickstart config swapped for a value of another
-    JSON type either runs or exits 2; it never raises."""
+    JSON type: pretrain runs or exits 2, and adapt and oracle on the base
+    checkpoint exit 0, 1 or 2. No command raises or prints a traceback."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = root / "fuzz.json"
     cfg.write_text(json.dumps(raw))
     assert main(["pretrain", "--config", str(cfg), "--out", str(root / "out")]) in (0, 2)
+    for command in ("adapt", "oracle"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(fuzz_checkpoint_root)])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), command
+
 
 def test_parse_config_sweep_axis_whitelist():
     raw = base_config(sweep={"axis": "learning_rate", "values": [0.1]})
@@ -407,7 +446,8 @@ def test_quickstart_erm_adapts_with_default_grouping(tmp_path):
 
 def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
     """An unpinned oracle selector replays the group of the sweep the
-    command already ran: one pass per group, plus the replay."""
+    command already ran: one lockstep pass for every group, plus the
+    replay."""
     passes = []
 
     class CountedBatches(list):
@@ -428,8 +468,25 @@ def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
                         output_dir=str(tmp_path / "oracle"))
     assert main(["pretrain", "--config", str(path)]) == 0
     assert main(["oracle", "--config", str(path)]) == 0
-    num_groups = len(base_config()["model"])
-    assert passes == [num_groups + 1, num_groups + 1]
+    assert passes == [2, 2]
+
+
+def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
+    """A sweep whose trial on one group goes non-finite exits 1 with an
+    error naming that group, and no traceback."""
+    net, params = diverging_relu_net()
+    out = tmp_path / "out"
+    (out / "pretrain").mkdir(parents=True)
+    save_checkpoint(out / "pretrain" / "checkpoint.json", net, params, seed=0)
+    model = [{"kind": s.kind, "input_dim": s.input_dim, "output_dim": s.output_dim,
+              "activation": s.activation} for s in net.specs]
+    path = write_config(tmp_path, model=model, batch_size=4, seeds=[0],
+                        task={"num_classes": 3, "input_dim": 2, "samples_per_domain": 40,
+                              "seed": 4},
+                        optimizer={"learning_rate": 1e305})
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "oracle trial on L1_dense diverged" in err and "Traceback" not in err
 
 
 def test_geometry_runs_without_config(tmp_path):

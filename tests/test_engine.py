@@ -19,7 +19,6 @@ from gala import (
     ParameterGrouping,
     SelectionDecision,
     SelectorKind,
-    adapt_step,
     baseline_policy,
     build_grouping,
     build_stream,
@@ -30,6 +29,7 @@ from gala import (
     vector_angle,
     warmup_scale,
 )
+from helpers import single_step
 
 EPS = 1e-12
 
@@ -224,14 +224,14 @@ def test_apply_masked_update_semantics():
     batch, loss, opt = Batch(np.array([[0.3, -0.8]])), LossKind("shot_im"), OptimizerConfig(0.7)
     _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
     u = [-opt.learning_rate * g for g in grads]
-    unchanged = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0, 0]))
+    unchanged = single_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0, 0]))
     for a, b in zip(unchanged.params.layers, live):
         assert np.array_equal(a, b)
-    out = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [1, 0])).params
+    out = single_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [1, 0])).params
     assert np.array_equal(out.layers[0], live[0] + u[0])
     assert np.array_equal(out.layers[1], live[1])
-    assert out.layers[1] is live[1]
-    halved = adapt_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0.5, 0]))
+    assert np.shares_memory(out.layers[1], live[1])
+    halved = single_step(net, params, batch, loss, opt, FixedScalePolicy(grouping, [0.5, 0]))
     assert np.array_equal(halved.params.layers[0], live[0] + 0.5 * u[0])
 
 
@@ -334,10 +334,10 @@ def test_gala_step_zero_gradient_skips_after_first_sample():
     policy = GalaPolicy(GalaConfig(warmup_mode="none"), grouping, params)
     opt = OptimizerConfig(0.5)
     batch = Batch(np.array([[1.0]]))
-    r1 = adapt_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
+    r1 = single_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
     assert r1.decision.first_sample and not r1.decision.skipped
     assert np.array_equal(r1.params.layers[0], params.layers[0])
-    r2 = adapt_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
+    r2 = single_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
     assert math.isnan(r2.decision.cosines[0])
     assert r2.decision.skipped
     assert np.array_equal(r2.params.layers[0], params.layers[0])
@@ -357,7 +357,7 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     policy = GalaPolicy(cfg, grouping, params)
     for _ in range(12):
         batch = Batch(rng.normal(size=(4, 3)))
-        params = adapt_step(net, params, batch, loss, opt, policy).params
+        params = single_step(net, params, batch, loss, opt, policy).params
         _, grads, _, _ = net.loss_and_gradients(sgd, batch, loss)
         for vec, g in zip(sgd.layers, grads):
             vec -= opt.learning_rate * g
@@ -373,9 +373,9 @@ def test_gala_step_parallel_updates_give_cosine_one():
     opt = OptimizerConfig(0.1)
     batch = Batch(np.array([[1.0, 2.0]]))
     policy = GalaPolicy(cfg, grouping, params)
-    r1 = adapt_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
+    r1 = single_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
     assert r1.decision.first_sample
-    r2 = adapt_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
+    r2 = single_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
     assert abs(r2.decision.cosines[0] - 1.0) < 1e-9
     assert np.array_equal(r2.decision.mask, [1])
 
@@ -385,8 +385,8 @@ def test_gala_step_predictions_use_post_update_parameters():
     cfg = GalaConfig(warmup_mode="none")
     opt = OptimizerConfig(1.0)
     batch = Batch(np.array([[0.7, -0.4], [0.1, 0.9]]))
-    res = adapt_step(net, params, batch, LossKind("pseudo_label"), opt,
-                     GalaPolicy(cfg, grouping, params))
+    res = single_step(net, params, batch, LossKind("pseudo_label"), opt,
+                      GalaPolicy(cfg, grouping, params))
     assert np.array_equal(res.probs, net.forward(res.params, batch))
     assert not np.array_equal(res.probs, net.forward(params, batch))
 
@@ -419,8 +419,9 @@ def test_skipped_step_reuses_loss_pass_predictions(monkeypatch):
     for step in stream.adapt_batches:
         batch = Batch(step.inputs)
         calls_before = len(forward_calls)
-        res = adapt_step(net, params, batch, scenarios.PL, opt, policy)
-        moved = any(new is not old for new, old in zip(res.params.layers, params.layers))
+        res = single_step(net, params, batch, scenarios.PL, opt, policy)
+        moved = any(not np.shares_memory(new, old)
+                    for new, old in zip(res.params.layers, params.layers))
         assert len(forward_calls) - calls_before == int(moved)
         if moved:
             moved_steps += 1
@@ -481,7 +482,7 @@ def test_adapt_step_matches_full_passes_reference(batch_size):
         live, ref = params, params
         for step in stream.adapt_batches[:60]:
             batch = Batch(step.inputs)
-            res = adapt_step(net, live, batch, scenarios.PL, opt, policy)
+            res = single_step(net, live, batch, scenarios.PL, opt, policy)
             ref, decision, probs, value, warmup, reset = _reference_step(
                 net, ref, batch, scenarios.PL, opt, ref_policy)
             assert res.probs.tobytes() == probs.tobytes(), name
@@ -515,18 +516,19 @@ def test_backward_stops_at_lowest_layer_the_policy_moves(monkeypatch):
     expected = {"erm": 0, "all_layers": 3, "random_block": 3, "auto_rgn": 3}
     for variant, dense_layers in expected.items():
         calls.clear()
-        adapt_step(net, params, batch, scenarios.PL, opt,
-                   baseline_policy(SelectorKind(variant), grouping))
+        single_step(net, params, batch, scenarios.PL, opt,
+                    baseline_policy(SelectorKind(variant), grouping))
         assert len(calls) == dense_layers, variant
     for k, name in enumerate(grouping.names):
         calls.clear()
-        res = adapt_step(net, params, batch, scenarios.PL, opt,
-                         baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping))
+        res = single_step(net, params, batch, scenarios.PL, opt,
+                          baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping))
         assert len(calls) == 3 - k, name
-        assert all(new is old for new, old in zip(res.params.layers[:k], params.layers[:k]))
+        assert all(np.shares_memory(new, old)
+                   for new, old in zip(res.params.layers[:k], params.layers[:k]))
     calls.clear()
-    adapt_step(net, params, batch, scenarios.PL, opt,
-               GalaPolicy(GalaConfig(), grouping, params))
+    single_step(net, params, batch, scenarios.PL, opt,
+                GalaPolicy(GalaConfig(), grouping, params))
     assert len(calls) == 3
 
 def _unit(rng, dim):
@@ -607,7 +609,7 @@ def test_anchor_consistency_and_reset_within_run():
     applied = [np.zeros_like(g) for g in policy.anchor.anchor_params]
     for step in range(1, 16):
         batch = Batch(rng.normal(size=(3, 2)))
-        res = adapt_step(net, params, batch, LossKind("shot_im"), opt, policy)
+        res = single_step(net, params, batch, LossKind("shot_im"), opt, policy)
         new_groups = grouping.gather(res.params.layers)
         old_groups = grouping.gather(params.layers)
         for acc, new, old in zip(applied, new_groups, old_groups):
@@ -636,7 +638,7 @@ def test_trajectory_determinism():
         out = []
         for _ in range(10):
             batch = Batch(rng.normal(size=(2, 3)))
-            params = adapt_step(net, params, batch, LossKind("shot_im"), opt, policy).params
+            params = single_step(net, params, batch, LossKind("shot_im"), opt, policy).params
             out.append(np.concatenate([v for v in params.layers]))
         return np.concatenate(out)
 

@@ -1,0 +1,278 @@
+"""Runs in lockstep: R runs on a run axis equal R runs alone, and the
+oracle sweep equals an independent per-trial loop written here in plain
+2-D numpy."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import gala.nn
+from gala import (
+    Batch,
+    GalaConfig,
+    GalaPolicy,
+    LayerSpec,
+    LossKind,
+    ModelParameters,
+    Network,
+    OptimizerConfig,
+    SelectorKind,
+    adapt_step,
+    baseline_policy,
+    build_grouping,
+    oracle_sweep,
+    tta_accuracy,
+)
+from gala.runner import adapt
+
+NORM_EPS = 1e-5
+LOG_FLOOR = 1e-300
+SHOT_PL_WEIGHT = 0.3
+
+
+def mixed_net():
+    """Dense, normalization and activation layers, with non-default norm
+    affines and frozen statistics (used by single-sample batches)."""
+    rng = np.random.default_rng(71)
+    net = Network([LayerSpec("dense", 3, 6, "tanh"), LayerSpec("normalization", 6, 6),
+                   LayerSpec("activation", 6, 6, "relu"), LayerSpec("dense", 6, 4, "tanh"),
+                   LayerSpec("dense", 4, 3)])
+    params = net.init_params(8)
+    params.layers[1] += rng.normal(scale=0.3, size=12)
+    net.norm_stats[1] = (rng.normal(size=6), rng.uniform(0.5, 2.0, size=6))
+    return net, params
+
+
+def stream_of(batch_size, steps=12, seed=72):
+    rng = np.random.default_rng(seed)
+    return SimpleNamespace(adapt_batches=[
+        Batch(rng.normal(size=(batch_size, 3)) * 1.5, rng.integers(0, 3, batch_size))
+        for _ in range(steps)])
+
+
+def oracle_policies(grouping):
+    return [baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
+            for name in grouping.names]
+
+
+# --- the reference: one trial at a time, plain 2-D numpy -------------------
+
+def ref_act(name, z):
+    return np.tanh(z) if name == "tanh" else np.maximum(z, 0.0) if name == "relu" else z
+
+
+def ref_act_grad(name, z, a):
+    if name == "tanh":
+        return 1.0 - a * a
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    return 1.0
+
+
+def ref_forward(net, layers, x):
+    """Logits and one cache per layer."""
+    caches = []
+    for i, (spec, vec) in enumerate(zip(net.specs, layers)):
+        if spec.kind == "dense":
+            m = spec.output_dim * spec.input_dim
+            w = vec[:m].reshape(spec.output_dim, spec.input_dim)
+            z = x @ w.T + vec[m:]
+            caches.append((x, z, w))
+            x = ref_act(spec.activation, z)
+            caches[-1] += (x,)
+        elif spec.kind == "activation":
+            caches.append((x,))
+            x = ref_act(spec.activation, x)
+            caches[-1] += (x,)
+        else:
+            gamma, beta = vec[: spec.output_dim], vec[spec.output_dim:]
+            if len(x) >= 2:
+                inv = 1.0 / np.sqrt(x.var(axis=0) + NORM_EPS)
+                xhat = (x - x.mean(axis=0)) * inv
+            else:
+                mean, var = net.norm_stats[i]
+                inv = 1.0 / np.sqrt(var + NORM_EPS)
+                xhat = (x - mean) * inv
+            caches.append((xhat, inv, gamma))
+            x = gamma * xhat + beta
+    return x, caches
+
+
+def ref_softmax(logits):
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def ref_dlogits(p, variant):
+    n = len(p)
+    onehot = np.zeros(p.shape)
+    onehot[np.arange(n), p.argmax(axis=1)] = 1.0
+    if variant == "pseudo_label":
+        return (p - onehot) / n
+    logp = np.log(np.maximum(p, LOG_FLOOR))
+    ent = -(p * logp).sum(axis=1)
+    logpbar = np.log(np.maximum(p.mean(axis=0), LOG_FLOOR))
+    d_ent = -p * (logp + ent[:, None]) / n
+    d_div = p * (logpbar[None, :] - (p * logpbar[None, :]).sum(axis=1, keepdims=True)) / n
+    return d_ent + d_div + SHOT_PL_WEIGHT * (p - onehot) / n
+
+
+def ref_backward(net, caches, dx):
+    """Every layer's parameter gradient, by a full backward pass."""
+    grads = [None] * len(caches)
+    for i in reversed(range(len(caches))):
+        spec = net.specs[i]
+        if spec.kind == "dense":
+            x, z, w, a = caches[i]
+            dz = dx * ref_act_grad(spec.activation, z, a)
+            grads[i] = np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
+            dx = dz @ w
+        elif spec.kind == "activation":
+            x, a = caches[i]
+            grads[i] = np.zeros(0)
+            dx = dx * ref_act_grad(spec.activation, x, a)
+        else:
+            xhat, inv, gamma = caches[i]
+            grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
+            if len(xhat) >= 2:
+                nb = len(xhat)
+                dxhat = dx * gamma
+                dx = inv / nb * (nb * dxhat - dxhat.sum(axis=0)
+                                 - xhat * (dxhat * xhat).sum(axis=0))
+            else:
+                dx = dx * gamma * inv
+    return grads
+
+
+def reference_trial(net, params, stream, variant, lr, members):
+    """SGD on the layers in ``members`` only, one batch at a time; returns
+    the post-update correctness of every batch and the final layers."""
+    layers = [v.copy() for v in params.layers]
+    correct = []
+    for batch in stream.adapt_batches:
+        logits, caches = ref_forward(net, layers, batch.inputs)
+        grads = ref_backward(net, caches, ref_dlogits(ref_softmax(logits), variant))
+        for i in members:
+            layers[i] = layers[i] + (-lr * grads[i])
+        logits, _ = ref_forward(net, layers, batch.inputs)
+        correct.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
+    return correct, layers
+
+
+@pytest.mark.parametrize("granularity", ["single_layer", "block"])
+@pytest.mark.parametrize("variant", ["pseudo_label", "shot_im"])
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_sweep_equals_independent_per_trial_loop(granularity, variant, batch_size):
+    """Each trial of the lockstep sweep has the online accuracy and the
+    final parameter bytes of SGD on its group alone, computed by a plain
+    2-D loop; block granularity has multi-layer groups, batch 1 frozen
+    normalization statistics and batch 5 batch statistics."""
+    net, params = mixed_net()
+    stream = stream_of(batch_size)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              granularity, num_blocks=2)
+    loss, opt = LossKind(variant, SHOT_PL_WEIGHT), OptimizerConfig(0.5)
+    sweep = oracle_sweep(net, params, stream, loss, opt, grouping)
+    records = adapt(net, params, stream, loss, opt, oracle_policies(grouping), "", 0)
+    for k, members in enumerate(grouping.members):
+        correct, layers = reference_trial(net, params, stream, variant, opt.learning_rate,
+                                          members)
+        expected = float(np.concatenate(correct).mean() * 100.0)
+        assert sweep.accuracies[k] == tta_accuracy(records[k]) == expected, k
+        for got, want in zip(records[k].final_params.layers, layers):
+            assert got.tobytes() == want.tobytes(), k
+
+
+def mixed_policy_makers(net, params):
+    """One maker per run, in an order not sorted by lowest gradient layer:
+    the run axis then also carries runs a later one pulls down."""
+    sizes = [s.param_count for s in net.specs]
+    single = build_grouping(net.layer_names, sizes, "single_layer")
+    block = build_grouping(net.layer_names, sizes, "block", num_blocks=2)
+    return [
+        lambda: baseline_policy(SelectorKind("oracle_best", fixed_group=single.names[-1]),
+                                single),
+        lambda: GalaPolicy(GalaConfig(), single, params),
+        lambda: baseline_policy(SelectorKind("erm"), single),
+        lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2, window_size=5),
+                           block, params),
+        lambda: baseline_policy(SelectorKind("all_layers"), single),
+        lambda: baseline_policy(SelectorKind("random_block", rng_seed=3), single),
+        lambda: baseline_policy(SelectorKind("auto_rgn"), single),
+        lambda: baseline_policy(SelectorKind("oracle_best", fixed_group=single.names[1]),
+                                single),
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_lockstep_runs_equal_single_runs(batch_size):
+    """adapt_step with R mixed policies gives, run by run and step by step,
+    the bytes of R separate one-run steps: probabilities, loss, cosines,
+    mask, selected groups, flags, warm-up, reset and parameters; adapt's
+    records match those of R separate adapt calls."""
+    net, params = mixed_net()
+    stream = stream_of(batch_size, steps=30)
+    loss, opt = LossKind("shot_im"), OptimizerConfig(0.4)
+    makers = mixed_policy_makers(net, params)
+    runs = len(makers)
+    lockstep = [make() for make in makers]
+    alone = [make() for make in makers]
+    stacked = ModelParameters([np.repeat(v[None], runs, axis=0) for v in params.layers],
+                              params.layer_names)
+    singles = [ModelParameters([v[None].copy() for v in params.layers], params.layer_names)
+               for _ in makers]
+    for batch in stream.adapt_batches:
+        batch = Batch(batch.inputs)
+        res = adapt_step(net, stacked, batch, loss, opt, lockstep)
+        for r in range(runs):
+            one = adapt_step(net, singles[r], batch, loss, opt, [alone[r]])
+            assert res.probs[r].tobytes() == one.probs[0].tobytes(), r
+            assert (res.losses[r], res.warmups[r], res.resets[r]) == (
+                one.losses[0], one.warmups[0], one.resets[0]), r
+            got, want = res.decisions[r], one.decisions[0]
+            assert got.cosines.tobytes() == want.cosines.tobytes(), r
+            assert got.mask.tobytes() == want.mask.tobytes(), r
+            assert ((got.selected_groups, got.skipped, got.first_sample)
+                    == (want.selected_groups, want.skipped, want.first_sample)), r
+            for a, b in zip(stacked.run(r).layers, singles[r].layers):
+                assert a.tobytes() == b.tobytes(), r
+    records = adapt(net, params, stream, loss, opt, [make() for make in makers], "fp", 3)
+    for make, record in zip(makers, records):
+        (single,) = adapt(net, params, stream, loss, opt, [make()], "fp", 3)
+        assert [c.tobytes() for c in record.correct] == [c.tobytes() for c in single.correct]
+        assert record.losses == single.losses and record.resets == single.resets
+        for a, b in zip(record.final_params.layers, single.final_params.layers):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
+    """Per layer, the lockstep sweep runs the forward and the backward for
+    exactly as many (run, sample) rows as the trials do one at a time: a
+    trial's backward stops at its group and its post-update forward
+    restarts there."""
+    rows = {"forward": 0, "backward": 0}
+    layer_forward, act_grad = Network._layer_forward, gala.nn._act_grad
+
+    def counted_forward(self, i, x, vec, update_stats):
+        rows["forward"] += x.shape[0] * x.shape[1]
+        return layer_forward(self, i, x, vec, update_stats)
+
+    def counted_act_grad(name, a):
+        rows["backward"] += a.shape[0] * a.shape[1]
+        return act_grad(name, a)
+
+    monkeypatch.setattr(Network, "_layer_forward", counted_forward)
+    monkeypatch.setattr(gala.nn, "_act_grad", counted_act_grad)
+    net, params = mixed_net()
+    stream = stream_of(5, steps=4)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              "single_layer")
+    loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.5)
+    adapt(net, params, stream, loss, opt, oracle_policies(grouping), "", 0)
+    lockstep = dict(rows)
+    rows.update(forward=0, backward=0)
+    for policy in oracle_policies(grouping):
+        adapt(net, params, stream, loss, opt, [policy], "", 0)
+    assert lockstep == rows
+    assert rows["backward"] > 0

@@ -78,7 +78,7 @@ def test_normalization_batch_statistics():
     rng = np.random.default_rng(7)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))
     # gamma=1, beta=0 at init, so outputs are just standardized features.
-    out_logits, _, _ = net._forward_cached(params, x)
+    (out_logits,), _, _ = net._forward_cached([v[None] for v in params.layers], [x[None]], [0])
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
 
@@ -88,7 +88,7 @@ def test_normalization_single_sample_uses_frozen_stats():
     params = ModelParameters([np.array([2.0, 0.5, 1.0, -1.0])], list(net.layer_names))
     net.norm_stats[0] = (np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     x = np.array([[3.0, 0.0]])
-    out, _, _ = net._forward_cached(params, x)
+    (out,), _, _ = net._forward_cached([v[None] for v in params.layers], [x[None]], [0])
     expected = np.array([
         2.0 * (3.0 - 1.0) / math.sqrt(4.0 + 1e-5) + 1.0,
         0.5 * (0.0 + 1.0) / math.sqrt(0.25 + 1e-5) - 1.0,
@@ -213,7 +213,8 @@ def test_backward_layer_subset_matches_full_backward(variant, size):
     loss = LossKind(variant)
     value, full, probs, inputs = net.loss_and_gradients(params, batch, loss)
     n = len(net.specs)
-    assert inputs[0] is batch.inputs and len(inputs) == n
+    assert np.shares_memory(inputs[0], batch.inputs) and len(inputs) == n + 1
+    assert inputs[0].tobytes() == batch.inputs.tobytes()
     for bits in range(2 ** n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
         v, grads, p, xs = net.loss_and_gradients(params, batch, loss, layers=subset)
@@ -234,24 +235,24 @@ def test_forward_restart_matches_full_forward(size):
     net, params = mixed_net_and_params(rng)
     batch = _loss_batch(rng, "shot_im", size)
     _, _, probs, inputs = net.loss_and_gradients(params, batch, LossKind("shot_im"))
-    for start in range(len(net.specs)):
-        assert net.forward(params, batch, start, inputs[start]).tobytes() == probs.tobytes()
+    for start in range(len(net.specs) + 1):
+        assert net.forward(params, batch, start, inputs).tobytes() == probs.tobytes()
         moved = ModelParameters(
             [v if i < start else v + rng.normal(scale=0.1, size=v.size)
              for i, v in enumerate(params.layers)], list(params.layer_names))
-        assert (net.forward(moved, batch, start, inputs[start]).tobytes()
+        assert (net.forward(moved, batch, start, inputs).tobytes()
                 == net.forward(moved, batch).tobytes())
     with pytest.raises(ValueError, match="layer 3"):
         net.forward(params, batch, 3)
     with pytest.raises(ConfigurationError, match="layer 3"):
-        net.forward(params, batch, 3, inputs[3][:, :4])
+        net.forward(params, batch, 3, inputs[:3] + [inputs[3][:, :4]] + inputs[4:])
     with pytest.raises(ConfigurationError, match="layer 5 expects"):
         net.forward(ModelParameters(params.layers[:5] + [np.zeros(3)], params.layer_names),
-                    batch, 5, inputs[5])
+                    batch, 5, inputs)
     bad = [v.copy() for v in params.layers]
     bad[4][0] = np.inf
     with pytest.raises(NumericsError, match="layer 4"):
-        net.forward(ModelParameters(bad, params.layer_names), batch, 3, inputs[3])
+        net.forward(ModelParameters(bad, params.layer_names), batch, 3, inputs)
 
 def separable_blobs(rng, n=400):
     half = n // 2

@@ -18,12 +18,12 @@ from gala import (
     LossKind,
     Network,
     OptimizerConfig,
-    adapt_step,
     build_grouping,
     cosine_alignment,
     decide,
     total_displacement,
 )
+from helpers import single_step
 
 EPS = 1e-12
 
@@ -161,7 +161,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
             pre_params = params.copy()
             _, grads, _, _ = net.loss_and_gradients(pre_params, batch, loss)
             expect_u = grouping.gather([-opt.learning_rate * g for g in grads])
-            res = adapt_step(net, params, batch, loss, opt, policy)
+            res = single_step(net, params, batch, loss, opt, policy)
             assert res.decision.first_sample == expect_first
             live = grouping.gather(pre_params.layers)
             tds = total_displacement(live, AnchorState([s.copy() for s in snapshot]))
@@ -214,7 +214,7 @@ def test_trajectory_determinism_thousand_steps():
             params, policy = init.copy(), GalaPolicy(cfg, grouping, init)
             out = []
             for b in batches:
-                res = adapt_step(net, params, b, loss, opt, policy)
+                res = single_step(net, params, b, loss, opt, policy)
                 params = res.params
                 out.append(res)
             return out
