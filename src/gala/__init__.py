@@ -10,7 +10,6 @@ from .engine import (
     cosine_alignment,
     cosine_via_decomposition,
     decide,
-    init_anchor,
     total_displacement,
     vector_angle,
     warmup_scale,
@@ -20,18 +19,11 @@ from .baselines import (
     baseline_policy,
 )
 from .config import (
-    SWEEP_AXES,
-    ExperimentConfig,
-    GeometrySettings,
-    PretrainSettings,
-    SelectorChoice,
-    SweepSettings,
     load_config,
     parse_config,
 )
 from .errors import ConfigurationError, GalaError, NumericsError, TrainingError
 from .metrics import (
-    TRACE_COLUMNS,
     MetricsSummary,
     RunRecord,
     TraceStep,
@@ -51,7 +43,6 @@ from .metrics import (
     write_trace,
 )
 from .runner import (
-    OracleSweepResult,
     adapt_step,
     oracle_sweep,
     run_baseline,
@@ -59,8 +50,6 @@ from .runner import (
 )
 from .shiftbench import (
     ShiftSpec,
-    ShiftStream,
-    TaskData,
     TaskSpec,
     apply_shift,
     build_stream,
@@ -73,7 +62,6 @@ from .nn import (
     ModelParameters,
     Network,
     OptimizerConfig,
-    PretrainResult,
     accuracy,
     load_checkpoint,
     minibatches,

@@ -273,20 +273,27 @@ def cmd_geometry(cfg: ExperimentConfig | None, args) -> int:
     return 0
 
 
+def _run_seed(rundir: Path) -> int:
+    """The seed of an adapt run directory, named seed<N> by ``cmd_adapt``."""
+    try:
+        return int(rundir.name[4:])
+    except ValueError:
+        raise ConfigurationError(f"{rundir} is not a seed<N> run directory") from None
+
+
 def cmd_report(cfg: ExperimentConfig, args) -> int:
     root = _output_root(cfg, args.out)
     outdir = root / "adapt"
-    summaries = sorted(outdir.glob("seed*/summary.json"),
-                       key=lambda p: int(p.parent.name[4:]))
-    if not summaries:
+    runs = sorted((_run_seed(p.parent), p) for p in outdir.glob("seed*/summary.json"))
+    if not runs:
         raise ConfigurationError(
             f"no run summaries under {outdir}; run the adapt command first")
     from .metrics import parse_summary
 
     rows = []
-    for path in summaries:
-        summary, payload = parse_summary(path)
-        rows.append({"seed": payload["seed"], "tta_acc": summary.tta_acc,
+    for seed, path in runs:
+        summary, _ = parse_summary(path)
+        rows.append({"seed": seed, "tta_acc": summary.tta_acc,
                      "generalization": summary.generalization,
                      "forgetting": summary.forgetting})
     write_aggregate_csv(outdir / "aggregate.csv", rows)

@@ -133,7 +133,7 @@ def build_grouping(
         return ParameterGrouping(list(layer_names), [[i] for i in range(n)], list(layer_sizes))
     if granularity != "block":
         raise ConfigurationError(f"unknown granularity {granularity!r}")
-    if num_blocks > n:
+    if not 1 <= num_blocks <= n:
         raise ConfigurationError(f"cannot split {n} layers into {num_blocks} blocks")
     pieces = np.array_split(np.arange(n), num_blocks)
     return ParameterGrouping(

@@ -275,21 +275,34 @@ def write_summary(path: str | Path, summary: MetricsSummary, *, fingerprint: str
 
 
 def parse_summary(path: str | Path) -> tuple[MetricsSummary, dict]:
+    """Read a summary written by ``write_summary``.
+
+    A missing, undecodable or malformed file raises a
+    ConfigurationError naming the path.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"summary not found at expected path: {p}")
-    payload = json.loads(p.read_text(encoding="utf-8"))
-    if payload.get("format") != SUMMARY_FORMAT:
+    try:
+        payload = json.loads(p.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigurationError(f"summary {p} is not valid JSON: {e}") from e
+    if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ConfigurationError(f"{p} is not a run summary")
-    m = payload["metrics"]
-    rank = m["rank_correlation"]
-    summary = MetricsSummary(
-        tta_acc=m["tta_acc"],
-        generalization=m["generalization"],
-        forgetting=m["forgetting"],
-        rank_correlation=(math.nan if rank is None else rank),
-        selection_frequency=dict(m["selection_frequency"]),
-    )
+    try:
+        m = payload["metrics"]
+        rank = m["rank_correlation"]
+        summary = MetricsSummary(
+            tta_acc=m["tta_acc"],
+            generalization=m["generalization"],
+            forgetting=m["forgetting"],
+            rank_correlation=(math.nan if rank is None else rank),
+            selection_frequency=dict(m["selection_frequency"]),
+        )
+    except KeyError as e:
+        raise ConfigurationError(f"summary {p} lacks field {e}") from e
+    except (TypeError, ValueError) as e:  # ValueError covers ConfigurationError
+        raise ConfigurationError(f"summary {p} is malformed: {e}") from e
     return summary, payload
 
 

@@ -89,9 +89,6 @@ class Batch:
     def size(self) -> int:
         return self.inputs.shape[0]
 
-    def without_labels(self) -> "Batch":
-        return Batch(self.inputs, None)
-
 
 @dataclass(frozen=True)
 class LossKind:
@@ -657,17 +654,12 @@ def save_checkpoint(
         "params": [v.tolist() for v in params.layers],
         "norm_stats": {
             str(i): {"mean": m.tolist(), "var": v.tolist()}
-            for i, (m, v) in enumerate_norm_stats(network)
+            for i, (m, v) in sorted(network.norm_stats.items())
         },
         "seed": int(seed),
         "metadata": metadata or {},
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def enumerate_norm_stats(network: Network):
-    for i in sorted(network.norm_stats):
-        yield i, network.norm_stats[i]
 
 
 def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, dict]:

@@ -2,9 +2,11 @@
 
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import shutil
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gala.cli
-from gala import (ConfigurationError, GalaConfig, load_config, parse_config, parse_summary,
-                  save_checkpoint)
+from gala import (ConfigurationError, GalaConfig, LayerSpec, LossKind, OptimizerConfig,
+                  SelectorKind, ShiftSpec, TaskSpec, config, load_config, parse_config,
+                  parse_summary, save_checkpoint)
 from gala.cli import main
+from gala.shiftbench import _ALLOWED_PARAMS
 from helpers import diverging_relu_net
 
 QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "configs" / "quickstart.json"
@@ -183,6 +187,46 @@ def test_sweep_values_checked_by_axis(tmp_path, capsys, axis, value):
     assert f"sweep.values[{index}]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("selector,field", [
+    ({"baseline": {"variant": "random_block", "granularity": "block", "num_blocks": 0}},
+     "selector.baseline.num_blocks"),
+    ({"baseline": {"variant": "erm", "granularity": "blok"}}, "selector.baseline.granularity"),
+    ({"baseline": {"variant": "all_layers", "granularity": "block", "num_blocks": 3}},
+     "selector.baseline.num_blocks"),
+    ({"gala": {"granularity": "block", "num_blocks": 3}}, "selector.gala.num_blocks"),
+], ids=["baseline_zero_blocks", "baseline_unknown_granularity", "baseline_too_many_blocks",
+        "gala_too_many_blocks"])
+def test_grouping_fields_checked_at_parse(tmp_path, capsys, selector, field):
+    """A granularity that is not a mode, or a block count below 1 or above
+    the two layers of the model, exits 2 naming the field before any work
+    runs; adapt does the same instead of failing mid-run."""
+    cfg = write_config(tmp_path, selector=selector)
+    for command in ("pretrain", "adapt"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err, command
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_tables_match_dataclass_fields():
+    """Each section's field table names exactly the fields of the dataclass
+    it builds, so no dataclass field is unreachable from a config file; the
+    one exception is a baseline's rng_seed, which comes from the run seed."""
+    names = lambda cls: {f.name for f in dataclasses.fields(cls)}
+    for table, cls in ((config._TASK, TaskSpec), (config._SHIFT, ShiftSpec),
+                       (config._LAYER, LayerSpec), (config._LOSS, LossKind),
+                       (config._OPTIMIZER, OptimizerConfig), (config._GALA, GalaConfig),
+                       (config._PRETRAIN, config.PretrainSettings),
+                       (config._GEOMETRY, config.GeometrySettings),
+                       (config._SWEEP, config.SweepSettings)):
+        assert set(table) == names(cls), cls.__name__
+    assert set(config._TOP) == names(config.ExperimentConfig) - {"raw"}
+    assert set(config._SELECTOR) == {"gala", "baseline"}
+    assert set(config._BASELINE) == ((names(SelectorKind) - {"rng_seed"})
+                                     | (names(config.SelectorChoice) - {"kind"}))
+    assert set(config._SHIFT_PARAMS) == set().union(*_ALLOWED_PARAMS.values())
+
+
 def _leaves(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -237,6 +281,66 @@ def test_fuzzed_quickstart_leaf_exits_0_or_2(tmp_path_factory, fuzz_checkpoint_r
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(cfg), "--out", str(fuzz_checkpoint_root)])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), command
+
+
+def without_key(raw, path):
+    """A copy of ``raw`` with the key at ``path`` removed."""
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return raw
+
+
+def _objects(node, path=()):
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _objects(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _objects(value, path + (i,))
+
+
+def _key_and_range_mutations(name, raw):
+    """Every config one edit away from ``raw``, with a test id: one key
+    dropped, an unknown key added to one object, or one integer leaf set to
+    0 or -1."""
+    show = lambda path: ".".join(map(str, (name,) + path))
+    for path, obj in _objects(raw):
+        for key in obj:
+            yield pytest.param(without_key(raw, path + (key,)), id=f"drop:{show(path + (key,))}")
+        yield pytest.param(with_leaf(raw, path + ("unknown_field",), 1), id=f"add:{show(path)}")
+    for path, leaf in _leaves(raw):
+        if type(leaf) is int:
+            for value in (0, -1):
+                yield pytest.param(with_leaf(raw, path, value), id=f"{show(path)}={value}")
+
+
+_BLOCK_BASE = with_leaf(_FUZZ_BASE, ("selector",), {"baseline": {
+    "variant": "random_block", "granularity": "block", "num_blocks": 2}})
+
+
+@pytest.mark.parametrize("raw", [
+    *_key_and_range_mutations("quickstart", _FUZZ_BASE),
+    *(p for p in _key_and_range_mutations("block", _BLOCK_BASE) if ".selector" in p.id)])
+def test_quickstart_key_and_range_edits_exit_0_or_2(tmp_path, fuzz_checkpoint_root, raw):
+    """The quickstart config, and its selector swapped for a block-grouped
+    baseline, with one key dropped or added or one integer set to 0 or -1
+    (the variant's edits are those of its selector): pretrain
+    runs or exits 2, and adapt, oracle and sweep on the base checkpoint exit
+    0, 1 or 2 (on one seed, to keep the test fast). No command raises or
+    prints a traceback."""
+    cfg = tmp_path / "edited.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2)
+    for command in ("adapt", "oracle", "sweep"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(fuzz_checkpoint_root),
+                         "--seed", "0"])
         assert code in (0, 1, 2) and "Traceback" not in err.getvalue(), command
 
 
@@ -537,6 +641,40 @@ def test_report_without_runs_errors(tmp_path, capsys):
     cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "none"))
     assert main(["report", "--config", str(cfg_path)]) == 2
     assert "adapt" in capsys.readouterr().err
+
+
+def _truncated(rundir):
+    summary = rundir / "summary.json"
+    summary.write_text(summary.read_text()[:40])
+    return summary
+
+
+def _metrics_missing(rundir):
+    summary = rundir / "summary.json"
+    summary.write_text(json.dumps({"format": "gala-run-summary"}))
+    return summary
+
+
+def _stray_run_dir(rundir):
+    stray = rundir.parent / "seedX"
+    stray.mkdir()
+    (stray / "summary.json").write_text((rundir / "summary.json").read_text())
+    return stray
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _metrics_missing, _stray_run_dir],
+                         ids=["truncated", "metrics_missing", "stray_run_dir"])
+def test_report_malformed_runs_name_path(workspace, tmp_path, capsys, corrupt):
+    """A summary that is not valid JSON or lacks its metrics, or a seed*
+    directory whose suffix is not an integer, exits 2 naming that path."""
+    root, _ = workspace
+    out = tmp_path / "out"
+    shutil.copytree(root / "out" / "adapt", out / "adapt")
+    bad = corrupt(out / "adapt" / "seed0")
+    cfg_path = write_config(tmp_path, output_dir=str(out))
+    assert main(["report", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
 
 
 def test_config_required_for_non_geometry(capsys):

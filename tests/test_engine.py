@@ -298,6 +298,12 @@ def test_build_grouping_modes():
         build_grouping(names[:3], sizes[:3], "block", num_blocks=4)
 
 
+@pytest.mark.parametrize("num_blocks", [0, -1])
+def test_build_grouping_rejects_nonpositive_block_counts(num_blocks):
+    with pytest.raises(ConfigurationError, match="blocks"):
+        build_grouping(["L0_dense", "L1_dense"], [3, 3], "block", num_blocks=num_blocks)
+
+
 def test_grouping_partition_validation():
     with pytest.raises(ConfigurationError):
         ParameterGrouping(["a", "b"], [[0], [0]], [2, 2])
