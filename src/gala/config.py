@@ -217,11 +217,16 @@ def _selector(raw, num_layers: int) -> SelectorChoice:
     return choice
 
 
-def _sweep(raw) -> SweepSettings:
+def _sweep(raw, selector: SelectorChoice, num_layers: int) -> SweepSettings:
     sweep = SweepSettings(**_fields(raw, "sweep", _SWEEP, ("axis", "values")))
     # a value must pass the check of the field it sets
     kind = _TOP["batch_size"] if sweep.axis == "batch_size" else _GALA[sweep.axis]
     _check(sweep.values, "sweep.values", [kind])
+    if (sweep.axis == "granularity" and "block" in sweep.values
+            and isinstance(selector.kind, GalaConfig) and selector.num_blocks > num_layers):
+        raise ConfigurationError(
+            f"sweep.values[{sweep.values.index('block')}] block needs selector.gala.num_blocks "
+            f"{selector.num_blocks} to be at most the {num_layers} layers in model")
     if sweep.axis == "window_size":
         sweep.values = [_no_limit(v) for v in sweep.values]
     return sweep
@@ -246,7 +251,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         top["geometry"] = GeometrySettings(**{key: [float(v) for v in values]
                                               for key, values in axes.items()})
     if "sweep" in top:
-        top["sweep"] = _sweep(top["sweep"])
+        top["sweep"] = _sweep(top["sweep"], top["selector"], len(top["model"]))
     return ExperimentConfig(**top, raw=raw)
 
 

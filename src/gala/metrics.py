@@ -226,7 +226,8 @@ class TraceStep:
 
 def parse_trace(path: str | Path) -> list[TraceStep]:
     """Read a trace back; first_sample is derived (step 1 or a step right
-    after a reset)."""
+    after a reset). A missing file, a foreign header or a malformed row
+    raises a ConfigurationError naming the path (and the row's line)."""
     p = Path(path)
     if not p.exists():
         raise ConfigurationError(f"trace not found at expected path: {p}")
@@ -238,18 +239,21 @@ def parse_trace(path: str | Path) -> list[TraceStep]:
     mask_cols = [(i, h[5:]) for i, h in enumerate(header) if h.startswith("mask:")]
     steps = []
     prev_reset = False
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
-        step = int(cells[0])
-        steps.append(TraceStep(
-            step=step,
-            skipped=bool(int(cells[1])),
-            warmup_scale=float(cells[2]),
-            reset=bool(int(cells[3])),
-            first_sample=(step == 1 or prev_reset),
-            cosines={g: float(cells[i]) for i, g in cos_cols},
-            mask={g: int(cells[i]) for i, g in mask_cols},
-        ))
+        try:
+            step = int(cells[0])
+            steps.append(TraceStep(
+                step=step,
+                skipped=bool(int(cells[1])),
+                warmup_scale=float(cells[2]),
+                reset=bool(int(cells[3])),
+                first_sample=(step == 1 or prev_reset),
+                cosines={g: float(cells[i]) for i, g in cos_cols},
+                mask={g: int(cells[i]) for i, g in mask_cols},
+            ))
+        except (ValueError, IndexError) as e:
+            raise ConfigurationError(f"trace {p} line {number} is malformed: {e}") from e
         prev_reset = steps[-1].reset
     return steps
 

@@ -4,7 +4,8 @@ Everything is float64 numpy. A network is described by an ordered list of
 :class:`LayerSpec`; trainable state lives in :class:`ModelParameters` as one
 flat vector per layer, so optimizer-side code can treat layers as opaque
 vectors, or as one (R, P_i) array per layer for R models that step in
-lockstep over the same batches. Three losses are supported: supervised cross-entropy for
+lockstep over the same batches; a batch may also hold one batch per run.
+Three losses are supported: supervised cross-entropy for
 pretraining, and two unsupervised adaptation losses (hard pseudo-labeling
 and an information-maximization loss with an optional pseudo-label term).
 """
@@ -69,25 +70,31 @@ class LayerSpec:
 
 @dataclass
 class Batch:
-    """A batch of inputs with optional integer class labels."""
+    """A batch of inputs with optional integer class labels.
+
+    (B, d) inputs with (B,) labels are one batch, shared by every run of a
+    pass; (R, B, d) inputs with (R, B) labels are one batch per run.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim != 2:
-            raise ConfigurationError("batch inputs must be 2-D (batch_size x input_dim)")
-        if self.inputs.shape[0] < 1:
+        if self.inputs.ndim not in (2, 3):
+            raise ConfigurationError("batch inputs must be 2-D (batch_size x input_dim) "
+                                     "or 3-D (runs x batch_size x input_dim)")
+        if 0 in self.inputs.shape[:-1]:
             raise ConfigurationError("batch needs at least one sample")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.inputs.shape[0],):
-                raise ConfigurationError("labels must be 1-D and match batch size")
+            if self.labels.shape != self.inputs.shape[:-1]:
+                raise ConfigurationError("labels must match the batch's leading axes")
 
     @property
     def size(self) -> int:
-        return self.inputs.shape[0]
+        """Samples per run."""
+        return self.inputs.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -220,9 +227,12 @@ def _backward_plan(wanted: tuple[frozenset[int], ...], n: int) -> tuple:
     return tuple(plan)
 
 
-def _shared(inputs: np.ndarray, runs: int) -> np.ndarray:
-    """The batch as the input of every run, with no copy (broadcast_to costs
-    microseconds, which a single run saves)."""
+def _run_inputs(inputs: np.ndarray, runs: int) -> np.ndarray:
+    """The batch's inputs on the run axis: per-run batches as they are, and
+    a shared batch as the input of every run, with no copy (broadcast_to
+    costs microseconds, which a single run saves)."""
+    if inputs.ndim == 3:
+        return inputs
     return inputs[None] if runs == 1 else np.broadcast_to(inputs, (runs,) + inputs.shape)
 
 
@@ -249,6 +259,9 @@ class Network:
     leading run axis ((R, P_i) layer arrays) that see the same batch; the
     one code path runs on the run axis, and one model is R = 1 with the
     axis dropped from the results. Activations are (R, B, d) arrays.
+    Given a per-run batch ((R, B, d) inputs), run r sees batch r: R
+    stacked models, or one model that every run shares, broadcast on the
+    run axis rather than copied. The results then keep the run axis.
     """
 
     def __init__(self, layer_specs: Iterable[LayerSpec], norm_momentum: float = 0.1):
@@ -309,19 +322,30 @@ class Network:
                     f"layer {i} expects {count} parameters, got shape {vec.shape}"
                 )
 
-    def _stacked(self, params: ModelParameters) -> tuple[list[np.ndarray], bool]:
-        """The layer arrays on a run axis, and whether ``params`` is one model."""
+    def _stacked(self, params: ModelParameters,
+                 batch: Batch) -> tuple[list[np.ndarray], int, bool]:
+        """The layer arrays on a run axis, the number of runs, and whether
+        the results drop the run axis: one model on a shared batch. One
+        model with a per-run batch keeps its single row, which the layers
+        broadcast over the runs."""
         self._check_params(params)
         one = params.layers[0].ndim == 1
-        return ([v[None] for v in params.layers] if one else params.layers), one
+        layers = [v[None] for v in params.layers] if one else params.layers
+        if batch.inputs.ndim == 2:
+            return layers, len(layers[0]), one
+        runs = len(batch.inputs)
+        if not one and len(layers[0]) != runs:
+            raise ConfigurationError(f"{runs} batches for {len(layers[0])} runs")
+        return layers, runs, False
 
     def _layer_forward(self, i: int, x: np.ndarray, vec: np.ndarray, update_stats: bool):
-        """Layer i on x (k, B, d), the input of the first k runs of ``vec``."""
+        """Layer i on x (k, B, d), the input of the first k runs of ``vec``,
+        or of every run when ``vec`` is one row that they share."""
         spec = self.specs[i]
         k = len(x)
         if spec.kind == "dense":
             n = spec.output_dim * spec.input_dim
-            w = vec[:k, :n].reshape(k, spec.output_dim, spec.input_dim)
+            w = vec[:k, :n].reshape(-1, spec.output_dim, spec.input_dim)
             z = x @ w.swapaxes(-1, -2)
             z += vec[:k, None, n:]  # in place: one temporary fewer, same bytes
             a = _act(spec.activation, z)
@@ -400,7 +424,7 @@ class Network:
     def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
                 acts: list[np.ndarray] | None = None) -> np.ndarray:
         """Class probabilities, rows summing to one: (B, C) for one model,
-        (R, B, C) for R stacked ones.
+        (R, B, C) for R stacked ones or R per-run batches.
 
         With ``start`` > 0 only layers ``start`` and up run, on
         ``acts[start]``: ``acts`` is the activation list that
@@ -413,14 +437,13 @@ class Network:
         the pass behind ``acts``, rerunning them reproduces their bytes,
         and the result equals a full forward bit for bit.
         """
-        layers, one = self._stacked(params)
-        runs = len(layers[0])
+        layers, runs, one = self._stacked(params, batch)
         starts = ([start] * runs if isinstance(start, (int, np.integer))
                   else _suffix_min(start))
         if starts[0] and acts is None:
             raise ValueError(f"forward from layer {starts[0]} needs that layer's input")
         if acts is None:
-            acts = [_shared(batch.inputs, runs)]
+            acts = [_run_inputs(batch.inputs, runs)]
         elif one:
             acts = [a[None] for a in acts]
         probs = softmax(self._forward_cached(layers, acts, starts)[0])
@@ -437,7 +460,8 @@ class Network:
         n = rows // runs  # batch size
         idx = np.arange(rows)
         # the ndarray methods and np.zeros skip wrappers that cost microseconds
-        y = p.argmax(axis=1) if labels is None else np.concatenate([labels] * runs)
+        y = (p.argmax(axis=1) if labels is None else labels.reshape(-1) if labels.ndim == 2
+             else np.concatenate([labels] * runs))
         onehot = np.zeros(p.shape)
         onehot[idx, y] = 1.0
         # means over each run's rows are sums over n: the same bytes as mean()
@@ -474,12 +498,13 @@ class Network:
 
         For one model: a float, one gradient per layer, (B, C)
         probabilities and the activations with B leading. For R stacked
-        models: a list of R floats, one gradient list per run, (R, B, C)
-        probabilities and (R, B, d) activations. ``acts[i]`` is the input
+        models or R per-run batches: a list of R floats, one gradient list
+        per run, (R, B, C) probabilities and (R, B, d) activations. ``acts[i]`` is the input
         layer i saw and ``acts[-1]`` the logits.
 
         ``layers`` holds the indices of the layers whose gradients are
-        wanted (None: every layer), one collection per run when stacked.
+        wanted (None: every layer), one collection per run when the
+        results keep the run axis.
         The backward pass stops at the lowest of them: it forms a layer's
         parameter gradient only for the runs that want it, and carries a
         run's input gradient down only while a lower layer is wanted, by
@@ -498,8 +523,8 @@ class Network:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and batch.labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        stacked, one = self._stacked(params)
-        runs, n = len(stacked[0]), len(self.specs)
+        stacked, runs, one = self._stacked(params, batch)
+        n = len(self.specs)
         if update_norm_stats and runs > 1:
             raise ValueError("running statistics are updated from one model only")
         wanted = ((self._every_layer,) * runs if layers is None
@@ -507,7 +532,7 @@ class Network:
         if len(wanted) != runs:
             raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
         logits, caches, acts = self._forward_cached(
-            stacked, [_shared(batch.inputs, runs)], [0] * runs, update_norm_stats)
+            stacked, [_run_inputs(batch.inputs, runs)], [0] * runs, update_norm_stats)
         probs = softmax(logits)
         shape = probs.shape
         values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), batch.labels, loss,

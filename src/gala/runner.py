@@ -14,7 +14,9 @@ every other layer's array as it is.
 The step and the loop advance R runs in lockstep over the same batches,
 one policy per run. Each run's parameters are one row of the (R, P_i)
 layer arrays, and a policy sees only its own run's gradients and
-parameters. A single run is R = 1.
+parameters. A single run is R = 1. A run whose policy has no
+``grad_layers`` never moves, so the loop evaluates its stream in chunks
+instead, with the steps of a chunk on the run axis of one loss pass.
 
 Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 import numpy as np
 
@@ -40,6 +43,10 @@ from .errors import ConfigurationError, NumericsError
 from .metrics import RunRecord, config_fingerprint, tta_accuracy
 from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
 from .shiftbench import ShiftStream
+
+# The most rows (steps x batch size) a frozen run's loss pass holds: the
+# 4 x 64 rows of a four-trial oracle sweep at batch 64.
+FROZEN_CHUNK_ROWS = 256
 
 
 @dataclass
@@ -107,12 +114,38 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
           opt: OptimizerConfig, policies, fingerprint: str, seed: int) -> list[RunRecord]:
-    """Adapt one copy of ``pretrained`` per policy over one stream, all in
-    lockstep, one step per batch; one record per run.
+    """Adapt one copy of ``pretrained`` per policy over one stream, one step
+    per batch; one record per run, in policy order.
 
-    Runs ordered by the lowest layer of their ``grad_layers`` share each
-    layer's backward work without anyone doing more than it would alone.
+    The runs that can move step in lockstep. Runs ordered by the lowest
+    layer of their ``grad_layers`` share each layer's backward work
+    without anyone doing more than it would alone. A run with no
+    ``grad_layers`` never moves, so no batch depends on the one before:
+    it is evaluated first, in chunks (see ``_frozen_record``), and its
+    record equals that of stepping it. A NumericsError names the runs by
+    their index in ``policies``.
     """
+    moving = [r for r, policy in enumerate(policies) if policy.grad_layers]
+    records = [None if policy.grad_layers else
+               _frozen_record(network, pretrained, stream, loss, opt, policy, r, fingerprint,
+                              seed)
+               for r, policy in enumerate(policies)]
+    if moving:
+        try:
+            stepped = _lockstep(network, pretrained, stream, loss, opt,
+                                [policies[r] for r in moving], fingerprint, seed)
+        except NumericsError as e:
+            e.runs = [moving[i] for i in e.runs]
+            raise
+        for r, record in zip(moving, stepped):
+            records[r] = record
+    return records
+
+
+def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream,
+              loss: LossKind, opt: OptimizerConfig, policies, fingerprint: str,
+              seed: int) -> list[RunRecord]:
+    """``adapt`` for runs that step: one ``adapt_step`` per batch."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
     steps = []  # per step: hits, decisions, losses, warm-ups, resets; each by run
@@ -124,6 +157,51 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
                       *([step[field][r] for step in steps] for field in range(5)),
                       params.run(r), fingerprint, seed)
             for r, policy in enumerate(policies)]
+
+
+def _chunks(batches):
+    """Consecutive batches of one size, at most FROZEN_CHUNK_ROWS rows and
+    at least one batch per chunk."""
+    for size, group in groupby(batches, key=lambda batch: batch.size):
+        group = list(group)
+        steps = max(1, FROZEN_CHUNK_ROWS // size)
+        for i in range(0, len(group), steps):
+            yield group[i:i + steps]
+
+
+def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftStream,
+                   loss: LossKind, opt: OptimizerConfig, policy, r: int, fingerprint: str,
+                   seed: int) -> RunRecord:
+    """The record of run r, whose policy has no ``grad_layers``.
+
+    Each chunk of the stream is one loss pass of the pretrained model over
+    a per-run batch, one run per step, with no backward; the pass's
+    probabilities are the post-update ones, since nothing moves. The
+    policy's ``select`` and ``after_update`` are called once per step, in
+    step order, with no gradients; a nonzero scale raises a ValueError.
+    """
+    params = pretrained.copy()
+    no_grads = [None] * len(params.layers)
+    hits, decisions, losses, warmups, resets = [], [], [], [], []
+    for chunk in _chunks(stream.adapt_batches):
+        try:
+            values, _, probs, _ = network.loss_and_gradients(
+                params, Batch(np.stack([b.inputs for b in chunk])), loss,
+                layers=[frozenset()] * len(chunk))
+        except NumericsError as e:
+            e.runs = [r]
+            raise
+        hits.extend(probs.argmax(axis=2) == np.stack([b.labels for b in chunk]))
+        losses.extend(values)
+        for _ in chunk:
+            scales, decision, warmup = policy.select(no_grads, params, opt.learning_rate)
+            if np.count_nonzero(scales):
+                raise ValueError(f"run {r} has no gradient layers but scales {list(scales)}")
+            decisions.append(decision)
+            warmups.append(warmup)
+            resets.append(policy.after_update(params))
+    return RunRecord(list(policy.grouping.names), hits, decisions, losses, warmups, resets,
+                     params, fingerprint, seed)
 
 
 @dataclass

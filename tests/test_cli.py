@@ -238,8 +238,11 @@ def _leaves(node, path=()):
         yield path, node
 
 
-_FUZZ_BASE = with_leaf(with_leaf(json.loads(QUICKSTART.read_text()), ("pretrain", "steps"), 5),
-                       ("task", "samples_per_domain"), 40)
+# a small geometry grid keeps each geometry run to milliseconds
+_FUZZ_BASE = with_leaf(with_leaf(with_leaf(
+    json.loads(QUICKSTART.read_text()), ("pretrain", "steps"), 5),
+    ("task", "samples_per_domain"), 40),
+    ("geometry",), {"td_norms": [0.5, 2.0], "u_norms": [1.0], "betas": [0.0, 1.5]})
 _OTHER_TYPES = {
     str: st.text(max_size=4),
     bool: st.booleans(),
@@ -271,13 +274,14 @@ def fuzz_checkpoint_root(tmp_path_factory):
 @given(raw=mutated_quickstart())
 def test_fuzzed_quickstart_leaf_exits_0_or_2(tmp_path_factory, fuzz_checkpoint_root, raw):
     """Any one leaf of the quickstart config swapped for a value of another
-    JSON type: pretrain runs or exits 2, and adapt and oracle on the base
-    checkpoint exit 0, 1 or 2. No command raises or prints a traceback."""
+    JSON type: pretrain runs or exits 2, and adapt, oracle, geometry and
+    report on the base checkpoint exit 0, 1 or 2. No command raises or
+    prints a traceback."""
     root = tmp_path_factory.mktemp("fuzz")
     cfg = root / "fuzz.json"
     cfg.write_text(json.dumps(raw))
     assert main(["pretrain", "--config", str(cfg), "--out", str(root / "out")]) in (0, 2)
-    for command in ("adapt", "oracle"):
+    for command in ("adapt", "oracle", "geometry", "report"):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(cfg), "--out", str(fuzz_checkpoint_root)])
@@ -330,13 +334,13 @@ def test_quickstart_key_and_range_edits_exit_0_or_2(tmp_path, fuzz_checkpoint_ro
     """The quickstart config, and its selector swapped for a block-grouped
     baseline, with one key dropped or added or one integer set to 0 or -1
     (the variant's edits are those of its selector): pretrain
-    runs or exits 2, and adapt, oracle and sweep on the base checkpoint exit
-    0, 1 or 2 (on one seed, to keep the test fast). No command raises or
-    prints a traceback."""
+    runs or exits 2, and adapt, oracle, sweep, geometry and report on the
+    base checkpoint exit 0, 1 or 2 (on one seed, to keep the test fast). No
+    command raises or prints a traceback."""
     cfg = tmp_path / "edited.json"
     cfg.write_text(json.dumps(raw))
     assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) in (0, 2)
-    for command in ("adapt", "oracle", "sweep"):
+    for command in ("adapt", "oracle", "sweep", "geometry", "report"):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main([command, "--config", str(cfg), "--out", str(fuzz_checkpoint_root),
@@ -591,6 +595,45 @@ def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "oracle trial on L1_dense diverged" in err and "Traceback" not in err
+
+
+def test_erm_divergence_exits_1(tmp_path, capsys):
+    """erm on a checkpoint whose activations overflow exits 1 naming the
+    non-finite layer, with no traceback."""
+    net, params = diverging_relu_net()
+    for v in params.layers:
+        v *= 1e120
+    out = tmp_path / "out"
+    (out / "pretrain").mkdir(parents=True)
+    save_checkpoint(out / "pretrain" / "checkpoint.json", net, params, seed=0)
+    model = [{"kind": s.kind, "input_dim": s.input_dim, "output_dim": s.output_dim,
+              "activation": s.activation} for s in net.specs]
+    path = write_config(tmp_path, model=model, batch_size=4, seeds=[0],
+                        task={"num_classes": 3, "input_dim": 2, "samples_per_domain": 40,
+                              "seed": 4},
+                        selector={"baseline": {"variant": "erm"}})
+    assert main(["adapt", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "non-finite activation" in err and "Traceback" not in err
+
+
+def test_sweep_block_value_checked_against_the_model(tmp_path, capsys):
+    """A granularity sweep's block value needs selector.gala.num_blocks to
+    fit the model's layers: parse time rejects it naming the value, so
+    pretrain exits 2 before any run; a count that fits parses."""
+    raw = json.loads(QUICKSTART.read_text())
+    raw["selector"]["gala"]["num_blocks"] = 3
+    raw["sweep"] = {"axis": "granularity", "values": ["single_layer", "block"]}
+    with pytest.raises(ConfigurationError, match=r"sweep.values\[1\] block needs "
+                                                 r"selector.gala.num_blocks 3"):
+        parse_config(raw)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sweep.values[1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    raw["selector"]["gala"]["num_blocks"] = 2
+    assert parse_config(raw).sweep.values == ["single_layer", "block"]
 
 
 def test_geometry_runs_without_config(tmp_path):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,6 +339,35 @@ def test_parse_trace_rejects_other_files(tmp_path):
         parse_trace(p)
     with pytest.raises(ConfigurationError, match="missing.tsv"):
         parse_trace(tmp_path / "missing.tsv")
+
+
+_TRACE_HEADER = "step\tskipped\twarmup_scale\treset\tcos:L0\tmask:L0"
+_TRACE_ROW = ["1", "0", "1.0", "0", "0.5", "1"]
+
+
+@pytest.mark.parametrize("column,cell", [
+    (0, "x"),  # step: an integer
+    (1, "no"),  # skipped: an integer flag
+    (2, "1,5"),  # warmup_scale: a float
+    (3, "0.5"),  # reset: an integer flag
+    (4, "cos"),  # a group's cosine: a float
+    (5, ""),  # a group's mask: an integer
+    (6, None),  # a row short of the header's columns
+], ids=["step", "skipped", "warmup_scale", "reset", "cosine", "mask", "short_row"])
+def test_parse_trace_malformed_row_names_path_and_line(tmp_path, column, cell):
+    """A bad cell of any kind raises a ConfigurationError naming the trace
+    and the line of the row, not a raw ValueError."""
+    bad = list(_TRACE_ROW)
+    if cell is None:
+        bad.pop()
+    else:
+        bad[column] = cell
+    path = tmp_path / "trace.tsv"
+    path.write_text("\n".join([_TRACE_HEADER, "\t".join(_TRACE_ROW), "\t".join(bad)]) + "\n")
+    with pytest.raises(ConfigurationError, match=re.escape(f"trace {path} line 3 is malformed")):
+        parse_trace(path)
+    path.write_text("\n".join([_TRACE_HEADER, "\t".join(_TRACE_ROW)]) + "\n")
+    assert parse_trace(path)[0].mask == {"L0": 1}
 
 
 def test_summary_round_trip(tmp_path):

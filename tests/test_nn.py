@@ -384,3 +384,40 @@ def test_minibatches_deterministic_and_sized():
     assert all(x.shape == (16, 2) for x in a)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("variant", ["cross_entropy", "shot_im"])
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_per_run_batches_equal_runs_alone(variant, batch_size):
+    """With (R, B, d) inputs, run r sees batch r: for R stacked models and
+    for one model shared by every run, the probabilities, loss values and
+    gradients of each run equal its own batch through its own model alone,
+    byte for byte."""
+    rng = np.random.default_rng(31)
+    net = Network([LayerSpec("dense", 3, 5, "tanh"), LayerSpec("normalization", 5, 5),
+                   LayerSpec("dense", 5, 4)])
+    net.norm_stats[1] = (rng.normal(size=5), rng.uniform(0.5, 2.0, size=5))
+    runs = 3
+    one = net.init_params(2)
+    stacked = ModelParameters([np.stack([v + rng.normal(scale=0.1, size=v.shape)
+                                         for _ in range(runs)]) for v in one.layers],
+                              one.layer_names)
+    x = rng.normal(size=(runs, batch_size, 3))
+    labels = rng.integers(0, 4, size=(runs, batch_size)) if variant == "cross_entropy" else None
+    loss = LossKind(variant)
+    for params in (one, stacked):
+        batch = Batch(x, labels)
+        values, grads, probs, _ = net.loss_and_gradients(params, batch, loss)
+        forward = net.forward(params, batch)
+        for r in range(runs):
+            alone = params if params is one else params.run(r)
+            batch_r = Batch(x[r], None if labels is None else labels[r])
+            value, grad, p, _ = net.loss_and_gradients(alone, batch_r, loss)
+            assert values[r] == value
+            assert probs[r].tobytes() == p.tobytes() == forward[r].tobytes()
+            for got, want in zip(grads[r], grad):
+                assert got.tobytes() == want.tobytes()
+    with pytest.raises(ConfigurationError, match="2 batches for 3 runs"):
+        net.forward(stacked, Batch(x[:2]))
+    with pytest.raises(ConfigurationError, match="leading axes"):
+        Batch(x, np.zeros(runs * batch_size, dtype=int))
