@@ -1,7 +1,6 @@
 """Gradient-aligned layer selection for online test-time adaptation."""
 
 from .engine import (
-    AnchorState,
     GalaConfig,
     GalaPolicy,
     ParameterGrouping,
@@ -10,7 +9,6 @@ from .engine import (
     cosine_alignment,
     cosine_via_decomposition,
     decide,
-    total_displacement,
     vector_angle,
     warmup_scale,
 )

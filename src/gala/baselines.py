@@ -23,25 +23,26 @@ from .nn import ModelParameters
 SELECTOR_VARIANTS = ("erm", "all_layers", "random_block", "oracle_best", "oracle_worst",
                      "auto_rgn")
 ORACLE_VARIANTS = ("oracle_best", "oracle_worst")
-# The grouping a baseline adapts over unless told otherwise; it works on
-# every network, however few layers it has.
-BASELINE_GRANULARITY = "single_layer"
 _RGN_EPS = 1e-12
 _RGN_DECAY = 0.9
 
 
 @dataclass(frozen=True)
 class SelectorKind:
-    """Which baseline to run.
+    """Which baseline to run, over which grouping.
 
     ``rng_seed`` feeds random_block's draws; ``fixed_group`` pins the
     group an oracle selector replays (filled in from a sweep when left
-    unset).
+    unset). ``granularity`` and ``num_blocks`` build the grouping the
+    baseline scales, as gala's do; the default one works on every
+    network, however few layers it has.
     """
 
     variant: str
     rng_seed: int = 0
     fixed_group: str | None = None
+    granularity: str = "single_layer"
+    num_blocks: int = 4
 
     def __post_init__(self):
         if self.variant not in SELECTOR_VARIANTS:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import SelectorKind
-from .config import ExperimentConfig, SelectorChoice, load_config
+from .config import ExperimentConfig, load_config
 from .engine import GalaConfig, build_grouping
 from .errors import ConfigurationError, GalaError
 from .metrics import (
@@ -100,17 +100,10 @@ def _adapt_record(network, params, stream, cfg: ExperimentConfig, seed: int, swe
     """One run of the configured selector; ``sweep``, a sweep already run on
     this stream, pins an unpinned oracle. random_block draws from the run
     seed, so each seed gets its own draws."""
-    sel = cfg.selector
-    kind = sel.kind
-    if isinstance(kind, SelectorKind):
-        kind = replace(kind, rng_seed=seed)
-    return run_selector(network, params, stream, cfg.loss, cfg.optimizer, kind,
-                        sel.granularity, sel.num_blocks, seed, sweep)
-
-
-def _grouping_for(network, cfg: ExperimentConfig):
-    return build_grouping(network.layer_names, [s.param_count for s in network.specs],
-                          cfg.selector.granularity, cfg.selector.num_blocks)
+    selector = cfg.selector
+    if isinstance(selector, SelectorKind):
+        selector = replace(selector, rng_seed=seed)
+    return run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector, seed, sweep)
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
@@ -166,7 +159,8 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
 def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     root = _output_root(cfg, args.out)
     network, params, _, _ = _load_pretrained(root)
-    grouping = _grouping_for(network, cfg)
+    grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
+                              cfg.selector.granularity, cfg.selector.num_blocks)
     outdir = root / "oracle"
     outdir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -209,16 +203,11 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value):
     value passed its axis's check in ``parse_config``."""
     if axis == "batch_size":
         return replace(cfg, batch_size=value)
-    gala = cfg.selector.kind
-    if not isinstance(gala, GalaConfig):
+    if not isinstance(cfg.selector, GalaConfig):
         raise ConfigurationError(f"sweep axis {axis} needs a gala selector")
     if axis == "threshold":
-        gala = replace(gala, threshold=float(value))
-    elif axis == "window_size":
-        gala = replace(gala, window_size=value)
-    else:
-        gala = replace(gala, granularity=value)
-    return replace(cfg, selector=SelectorChoice(gala, gala.granularity, gala.num_blocks))
+        value = float(value)
+    return replace(cfg, selector=replace(cfg.selector, **{axis: value}))
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
@@ -354,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except GalaError as e:
+    except (GalaError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

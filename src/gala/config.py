@@ -12,14 +12,13 @@ default of the dataclass the section builds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import BASELINE_GRANULARITY, SelectorKind
+from .baselines import SelectorKind
 from .engine import GRANULARITIES, GalaConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_input
 from .nn import LayerSpec, LossKind, OptimizerConfig
 from .shiftbench import STREAM_MODES, ShiftSpec, TaskSpec
 
@@ -55,26 +54,13 @@ class SweepSettings:
 
 
 @dataclass
-class SelectorChoice:
-    """The configured selector and the grouping it scales.
-
-    ``kind`` holds gala's hyperparameters or a baseline kind; a gala
-    selector's grouping is its own granularity and block count.
-    """
-
-    kind: GalaConfig | SelectorKind
-    granularity: str = BASELINE_GRANULARITY
-    num_blocks: int = 4
-
-
-@dataclass
 class ExperimentConfig:
     task: TaskSpec
     shifts: list[ShiftSpec]
     model: list[LayerSpec]
     loss: LossKind
     optimizer: OptimizerConfig
-    selector: SelectorChoice
+    selector: GalaConfig | SelectorKind
     raw: dict
     shift_mode: str = "single"
     batch_size: int = 16
@@ -195,7 +181,7 @@ def _shift(raw, path: str) -> ShiftSpec:
     return ShiftSpec(**kwargs)
 
 
-def _selector(raw, num_layers: int) -> SelectorChoice:
+def _selector(raw, num_layers: int) -> GalaConfig | SelectorKind:
     sections = _fields(raw, "selector", _SELECTOR)
     if len(sections) != 1:
         raise ConfigurationError("selector needs exactly one of 'gala' or 'baseline'")
@@ -204,26 +190,23 @@ def _selector(raw, num_layers: int) -> SelectorChoice:
         kwargs = _fields(sections["gala"], path, _GALA)
         if "window_size" in kwargs:
             kwargs["window_size"] = _no_limit(kwargs["window_size"])
-        gala = GalaConfig(**kwargs)
-        choice = SelectorChoice(gala, gala.granularity, gala.num_blocks)
+        selector = GalaConfig(**kwargs)
     else:
         path = "selector.baseline"
-        kwargs = _fields(sections["baseline"], path, _BASELINE, ("variant",))
-        grouping = {key: kwargs.pop(key) for key in _GROUPING if key in kwargs}
-        choice = SelectorChoice(SelectorKind(**kwargs), **grouping)
-    if choice.granularity == "block" and choice.num_blocks > num_layers:
-        raise ConfigurationError(f"{path}.num_blocks {choice.num_blocks} exceeds the "
+        selector = SelectorKind(**_fields(sections["baseline"], path, _BASELINE, ("variant",)))
+    if selector.granularity == "block" and selector.num_blocks > num_layers:
+        raise ConfigurationError(f"{path}.num_blocks {selector.num_blocks} exceeds the "
                                  f"{num_layers} layers in model")
-    return choice
+    return selector
 
 
-def _sweep(raw, selector: SelectorChoice, num_layers: int) -> SweepSettings:
+def _sweep(raw, selector: GalaConfig | SelectorKind, num_layers: int) -> SweepSettings:
     sweep = SweepSettings(**_fields(raw, "sweep", _SWEEP, ("axis", "values")))
     # a value must pass the check of the field it sets
     kind = _TOP["batch_size"] if sweep.axis == "batch_size" else _GALA[sweep.axis]
     _check(sweep.values, "sweep.values", [kind])
     if (sweep.axis == "granularity" and "block" in sweep.values
-            and isinstance(selector.kind, GalaConfig) and selector.num_blocks > num_layers):
+            and isinstance(selector, GalaConfig) and selector.num_blocks > num_layers):
         raise ConfigurationError(
             f"sweep.values[{sweep.values.index('block')}] block needs selector.gala.num_blocks "
             f"{selector.num_blocks} to be at most the {num_layers} layers in model")
@@ -256,11 +239,4 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"config not found at expected path: {p}")
-    try:
-        raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"config {p} is not valid JSON: {e}") from e
-    return parse_config(raw)
+    return parse_config(read_input(path, "config"))

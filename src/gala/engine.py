@@ -144,28 +144,6 @@ def build_grouping(
 
 
 @dataclass
-class AnchorState:
-    """Reference parameters from the last reset, plus step bookkeeping.
-
-    ``step_counter`` is the number of adaptation steps taken so far;
-    ``last_reset_step`` is the step index at which the anchor was set
-    (0 for the initial parameters).
-    """
-
-    anchor_params: list[np.ndarray]
-    last_reset_step: int = 0
-    step_counter: int = 0
-
-    def __post_init__(self):
-        if self.last_reset_step > self.step_counter:
-            raise ConfigurationError("last_reset_step cannot exceed step_counter")
-
-
-def init_anchor(params: ModelParameters, grouping: ParameterGrouping) -> AnchorState:
-    return AnchorState([g.copy() for g in grouping.gather(params.layers)], 0, 0)
-
-
-@dataclass
 class SelectionDecision:
     """Outcome of one selection: per-group cosines, the binary mask, and
     whether the sample was skipped outright. Undefined cosines are nan."""
@@ -175,18 +153,6 @@ class SelectionDecision:
     selected_groups: list[str]
     skipped: bool
     first_sample: bool
-
-
-def total_displacement(live: list[np.ndarray], anchor: AnchorState) -> list[np.ndarray]:
-    """Per-group displacement of the live parameters from the anchor."""
-    if len(live) != len(anchor.anchor_params):
-        raise ConfigurationError("group count mismatch in total_displacement")
-    out = []
-    for g, a in zip(live, anchor.anchor_params):
-        if g.shape != a.shape:
-            raise ConfigurationError("group shape mismatch in total_displacement")
-        out.append(g - a)
-    return out
 
 
 def cosine_alignment(u: np.ndarray, td: np.ndarray, eps: float) -> float:
@@ -229,30 +195,31 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
 def decide(
     u: list[np.ndarray],
     live: list[np.ndarray],
-    anchor: AnchorState,
+    anchor: list[np.ndarray],
+    first: bool,
     cfg: GalaConfig,
-    names: list[str] | None = None,
+    names: list[str],
 ) -> SelectionDecision:
     """Choose which groups the current sample may update.
 
-    ``u`` holds the per-group proposed updates (-lr * gradient) and
-    ``live`` the pre-update group parameters; anchor.step_counter still
-    holds the previous step index. The first sample after a reset
-    selects every group regardless of threshold or granularity; after
-    that, single_layer and block modes select the argmax-cosine group if
-    it clears the threshold (ties to the lowest group index), while
-    multi_layer selects every group that clears it. A sample whose every
-    group fails is skipped.
+    ``u`` holds the per-group proposed updates (-lr * gradient), ``live``
+    the pre-update group parameters and ``anchor`` the group parameters
+    at the last reset; ``first`` marks the first sample after a reset,
+    which selects every group regardless of threshold or granularity.
+    After that, single_layer and block modes select the argmax-cosine
+    group if it clears the threshold (ties to the lowest group index),
+    while multi_layer selects every group that clears it. A sample whose
+    every group fails is skipped.
 
     The cosines are ``cosine_alignment(u_k, live_k - anchor_k, eps)``,
     computed with the same operations in the same order (norms as
     sqrt(x . x)), so they match it bit for bit.
     """
-    if not len(u) == len(live) == len(anchor.anchor_params):
+    if not len(u) == len(live) == len(anchor) == len(names):
         raise ConfigurationError("group count mismatch in decide")
     eps = cfg.epsilon
     cosines = []
-    for uk, g, a in zip(u, live, anchor.anchor_params):
+    for uk, g, a in zip(u, live, anchor):
         if not uk.shape == g.shape == a.shape:
             raise ConfigurationError("group shape mismatch in decide")
         r = g - a
@@ -265,7 +232,6 @@ def decide(
             c = float(uk.dot(r) / (nu * nr))
             cosines.append(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
     n = len(cosines)
-    first = anchor.step_counter == anchor.last_reset_step
     if first:
         picked = list(range(n))
     else:
@@ -275,8 +241,6 @@ def decide(
             picked = [max(picked, key=cosines.__getitem__)]
     mask = np.zeros(n, dtype=np.int64)
     mask[picked] = 1
-    if names is None:
-        names = [f"g{i}" for i in range(n)]
     return SelectionDecision(np.array(cosines, dtype=np.float64), mask,
                              [names[k] for k in picked], not picked, first)
 
@@ -301,32 +265,35 @@ class GalaPolicy:
     """Gala as a scale policy: per group, the selection mask times the
     warm-up factor. One instance per adaptation pass; it owns the anchor.
 
-    ``select`` sees the pre-update parameters; ``after_update`` advances
-    the step counter and moves the anchor to the post-update parameters
-    whenever the step index completes a window (an infinite window never
-    resets).
+    ``anchor`` holds each group's parameters at the last reset (the
+    initial ones at first), ``steps`` the number of steps taken and
+    ``last_reset`` the step at which the anchor was set. ``select`` sees
+    the pre-update parameters; ``after_update`` counts the step and moves
+    the anchor to the post-update parameters whenever the step count
+    completes a window (an infinite window never resets).
     """
 
     def __init__(self, cfg: GalaConfig, grouping: ParameterGrouping, params: ModelParameters):
         self.cfg = cfg
         self.grouping = grouping
         self.grad_layers = grouping.all_layers
-        self.anchor = init_anchor(params, grouping)
+        # copies: a one-layer group gathers the live array itself
+        self.anchor = [g.copy() for g in grouping.gather(params.layers)]
+        self.steps = self.last_reset = 0
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
                lr: float) -> tuple[np.ndarray, SelectionDecision, float]:
-        anchor = self.anchor
         u = self.grouping.gather([-lr * g for g in grads])
         live = self.grouping.gather(params.layers)
-        decision = decide(u, live, anchor, self.cfg, self.grouping.names)
-        warmup = warmup_scale(self.cfg, anchor.step_counter + 1, anchor.last_reset_step)
+        decision = decide(u, live, self.anchor, self.steps == self.last_reset, self.cfg,
+                          self.grouping.names)
+        warmup = warmup_scale(self.cfg, self.steps + 1, self.last_reset)
         return decision.mask * warmup, decision, warmup
 
     def after_update(self, params: ModelParameters) -> bool:
-        self.anchor.step_counter += 1
-        i = self.anchor.step_counter
-        if self.cfg.window_size != math.inf and i % int(self.cfg.window_size) == 0:
-            self.anchor = AnchorState([g.copy() for g in self.grouping.gather(params.layers)],
-                                      i, i)
+        self.steps += 1
+        if self.cfg.window_size != math.inf and self.steps % int(self.cfg.window_size) == 0:
+            self.anchor = [g.copy() for g in self.grouping.gather(params.layers)]
+            self.last_reset = self.steps
             return True
         return False

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import SelectionDecision, cosine_via_decomposition
-from .errors import ConfigurationError
+from .errors import ConfigurationError, read_input
 from .nn import Batch, ModelParameters, Network, accuracy
 
 SUMMARY_FORMAT = "gala-run-summary"
@@ -157,13 +157,13 @@ def summarize(
     record: RunRecord,
     target_holdout: Batch,
     source_holdout: Batch,
-    rank_correlation: float = math.nan,
 ) -> MetricsSummary:
+    """The run's metrics; no oracle is run here, so its rank correlation is nan."""
     return MetricsSummary(
         tta_acc=tta_accuracy(record),
         generalization=generalization(network, record.final_params, target_holdout),
         forgetting=forgetting(network, pretrained, record.final_params, source_holdout),
-        rank_correlation=rank_correlation,
+        rank_correlation=math.nan,
         selection_frequency=selection_frequency(record),
     )
 
@@ -229,9 +229,7 @@ def parse_trace(path: str | Path) -> list[TraceStep]:
     after a reset). A missing file, a foreign header or a malformed row
     raises a ConfigurationError naming the path (and the row's line)."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"trace not found at expected path: {p}")
-    lines = p.read_text(encoding="utf-8").strip().split("\n")
+    lines = read_input(p, "trace", as_json=False).strip().split("\n")
     header = lines[0].split("\t")
     if header[: len(TRACE_COLUMNS)] != list(TRACE_COLUMNS):
         raise ConfigurationError(f"{p} is not a decision trace")
@@ -285,12 +283,7 @@ def parse_summary(path: str | Path) -> tuple[MetricsSummary, dict]:
     ConfigurationError naming the path.
     """
     p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"summary not found at expected path: {p}")
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"summary {p} is not valid JSON: {e}") from e
+    payload = read_input(p, "summary")
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ConfigurationError(f"{p} is not a run summary")
     try:

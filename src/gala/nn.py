@@ -22,13 +22,14 @@ from typing import Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericsError, TrainingError
+from .errors import ConfigurationError, NumericsError, TrainingError, read_input
 
 LAYER_KINDS = ("dense", "activation", "normalization")
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSS_VARIANTS = ("cross_entropy", "pseudo_label", "shot_im")
 
 _NORM_EPS = 1e-5
+_NORM_MOMENTUM = 0.1  # weight of a batch in the running normalization statistics
 _LOG_FLOOR = 1e-300
 CHECKPOINT_FORMAT = "gala-checkpoint"
 CHECKPOINT_VERSION = 1
@@ -264,7 +265,7 @@ class Network:
     run axis rather than copied. The results then keep the run axis.
     """
 
-    def __init__(self, layer_specs: Iterable[LayerSpec], norm_momentum: float = 0.1):
+    def __init__(self, layer_specs: Iterable[LayerSpec]):
         self.specs = list(layer_specs)
         if not self.specs:
             raise ConfigurationError("network needs at least one layer")
@@ -276,7 +277,6 @@ class Network:
         self.layer_names = [f"L{i}_{s.kind}" for i, s in enumerate(self.specs)]
         self._param_counts = [s.param_count for s in self.specs]
         self._every_layer = frozenset(range(len(self.specs)))
-        self.norm_momentum = float(norm_momentum)
         # Per normalization layer: running (mean, var), initialized to the
         # standardized defaults and refreshed during pretraining. Used only
         # for single-sample batches where batch statistics are undefined.
@@ -359,7 +359,7 @@ class Network:
             mu = x.mean(axis=1, keepdims=True)
             var = x.var(axis=1, keepdims=True)
             if update_stats:  # one model (loss_and_gradients checks)
-                m = self.norm_momentum
+                m = _NORM_MOMENTUM
                 rm, rv = self.norm_stats[i]
                 self.norm_stats[i] = ((1 - m) * rm + m * mu[0, 0], (1 - m) * rv + m * var[0, 0])
             inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
@@ -694,12 +694,7 @@ def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, di
     ConfigurationError naming the path.
     """
     p = Path(path)
-    if not p.exists():
-        raise ConfigurationError(f"checkpoint not found at expected path: {p}")
-    try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ConfigurationError(f"checkpoint {p} is not valid JSON: {e}") from e
+    payload = read_input(p, "checkpoint")
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ConfigurationError(f"{p} is not a model checkpoint")
     if payload.get("format_version") != CHECKPOINT_VERSION:

@@ -31,7 +31,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .baselines import BASELINE_GRANULARITY, ORACLE_VARIANTS, SelectorKind, baseline_policy
+from .baselines import ORACLE_VARIANTS, SelectorKind, baseline_policy
 from .engine import (
     GalaConfig,
     GalaPolicy,
@@ -253,20 +253,18 @@ def run_selector(
     loss: LossKind,
     opt: OptimizerConfig,
     selector: GalaConfig | SelectorKind,
-    granularity: str,
-    num_blocks: int,
     seed: int,
     sweep: OracleSweepResult | None,
 ) -> RunRecord:
     """Adapt with gala or a baseline over one stream.
 
-    ``granularity`` and ``num_blocks`` build the grouping the selector
-    scales. An oracle kind without a pinned group replays the best or
+    The selector's ``granularity`` and ``num_blocks`` build the grouping
+    it scales. An oracle kind without a pinned group replays the best or
     worst group of ``sweep``, a sweep of the same stream and grouping;
     when that is None the sweep runs here.
     """
     grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
-                              granularity, num_blocks)
+                              selector.granularity, selector.num_blocks)
     if isinstance(selector, GalaConfig):
         policy = GalaPolicy(selector, grouping, pretrained)
         method, settings = "gala", {
@@ -289,8 +287,8 @@ def run_selector(
         "loss": {"variant": loss.variant, "shot_pl_weight": loss.shot_pl_weight},
         "opt": {"learning_rate": opt.learning_rate, "kind": opt.kind},
         "seed": seed,
-        "granularity": granularity,
-        "num_blocks": num_blocks,
+        "granularity": selector.granularity,
+        "num_blocks": selector.num_blocks,
         **settings,
     })
     return adapt(network, pretrained, stream, loss, opt, [policy], fingerprint, seed)[0]
@@ -306,8 +304,7 @@ def run_gala(
     seed: int = 0,
 ) -> RunRecord:
     """Adapt with aligned layer selection over one stream."""
-    return run_selector(network, pretrained, stream, loss, opt, cfg, cfg.granularity,
-                        cfg.num_blocks, seed, None)
+    return run_selector(network, pretrained, stream, loss, opt, cfg, seed, None)
 
 
 def run_baseline(
@@ -317,14 +314,16 @@ def run_baseline(
     kind: SelectorKind,
     loss: LossKind,
     opt: OptimizerConfig,
-    granularity: str = BASELINE_GRANULARITY,
-    num_blocks: int = 4,
+    granularity: str | None = None,
+    num_blocks: int | None = None,
     seed: int = 0,
 ) -> RunRecord:
     """Adapt with a comparison selector over one stream.
 
+    ``granularity`` and ``num_blocks``, when given, replace the kind's.
     Oracle variants without a pinned group first run the brute-force
     sweep on the same stream to find it.
     """
-    return run_selector(network, pretrained, stream, loss, opt, kind, granularity, num_blocks,
-                        seed, None)
+    kind = replace(kind, granularity=granularity or kind.granularity,
+                   num_blocks=num_blocks or kind.num_blocks)
+    return run_selector(network, pretrained, stream, loss, opt, kind, seed, None)

@@ -59,8 +59,8 @@ def test_parse_config_builds_typed_experiment():
     assert cfg.shifts[0].kind == "rotation"
     assert [l.output_dim for l in cfg.model] == [8, 3]
     assert cfg.loss.variant == "pseudo_label"
-    assert isinstance(cfg.selector.kind, GalaConfig)
-    assert cfg.selector.kind.threshold == 0.75
+    assert isinstance(cfg.selector, GalaConfig)
+    assert cfg.selector.threshold == 0.75
     assert cfg.seeds == [0, 1]
 
 
@@ -106,7 +106,7 @@ def test_parse_config_null_window_means_no_resets():
     raw = base_config()
     raw["selector"]["gala"]["window_size"] = None
     cfg = parse_config(raw)
-    assert cfg.selector.kind.window_size == math.inf
+    assert cfg.selector.window_size == math.inf
 
 
 def test_parse_config_seed_list_validation():
@@ -222,8 +222,7 @@ def test_config_tables_match_dataclass_fields():
         assert set(table) == names(cls), cls.__name__
     assert set(config._TOP) == names(config.ExperimentConfig) - {"raw"}
     assert set(config._SELECTOR) == {"gala", "baseline"}
-    assert set(config._BASELINE) == ((names(SelectorKind) - {"rng_seed"})
-                                     | (names(config.SelectorChoice) - {"kind"}))
+    assert set(config._BASELINE) == names(SelectorKind) - {"rng_seed"}
     assert set(config._SHIFT_PARAMS) == set().union(*_ALLOWED_PARAMS.values())
 
 
@@ -723,3 +722,69 @@ def test_report_malformed_runs_name_path(workspace, tmp_path, capsys, corrupt):
 def test_config_required_for_non_geometry(capsys):
     assert main(["adapt"]) == 2
     assert "--config" in capsys.readouterr().err
+
+
+def _config_is_a_directory(tmp_path):
+    return ["adapt", "--config", str(tmp_path)], 2, tmp_path
+
+
+def _config_not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(base_config(output_dir="caf\xe9"),
+                                ensure_ascii=False).encode("latin-1"))
+    return ["adapt", "--config", str(path)], 2, path
+
+
+def _checkpoint_is_a_directory(tmp_path):
+    ckpt = tmp_path / "out" / "pretrain" / "checkpoint.json"
+    ckpt.mkdir(parents=True)
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    return ["adapt", "--config", str(cfg)], 2, ckpt
+
+
+def _summary_is_a_directory(tmp_path):
+    summary = tmp_path / "out" / "adapt" / "seed0" / "summary.json"
+    summary.mkdir(parents=True)
+    cfg = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    return ["report", "--config", str(cfg)], 2, summary
+
+
+def _out_is_a_file(tmp_path):
+    out = tmp_path / "taken"
+    out.write_text("")
+    return ["pretrain", "--config", str(write_config(tmp_path)), "--out", str(out)], 1, out
+
+
+@pytest.mark.parametrize("case", [_config_is_a_directory, _config_not_utf8,
+                                  _checkpoint_is_a_directory, _summary_is_a_directory,
+                                  _out_is_a_file],
+                         ids=["config_dir", "config_not_utf8", "checkpoint_dir", "summary_dir",
+                              "out_is_file"])
+def test_unreadable_input_or_unwritable_output_names_path(tmp_path, capsys, case):
+    """An input that cannot be read or decoded exits 2 and an output that
+    cannot be written exits 1, each naming the path, with no traceback."""
+    argv, code, path = case(tmp_path)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_adapt_pins_run_fingerprints(tmp_path):
+    """summary.json's fingerprints for the quickstart config and its
+    random_block block-2 variant, seeds 0 and 1."""
+    raw = json.loads(QUICKSTART.read_text())
+    raw["output_dir"] = str(tmp_path / "out")
+    random_block = dict(raw, selector={"baseline": {"variant": "random_block",
+                                                    "granularity": "block", "num_blocks": 2}})
+    expected = [(raw, ["a9c2e7783272642b", "0fdd07dc597e6f1f"]),
+                (random_block, ["1649cfae80870571", "81d2053a0d1e9d92"])]
+    for i, (cfg, fingerprints) in enumerate(expected):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        if i == 0:
+            assert main(["pretrain", "--config", str(path)]) == 0
+        assert main(["adapt", "--config", str(path), "--no-trace"]) == 0
+        for seed, fingerprint in enumerate(fingerprints):
+            _, payload = parse_summary(tmp_path / "out" / "adapt" / f"seed{seed}" /
+                                       "summary.json")
+            assert payload["config_fingerprint"] == fingerprint

@@ -6,7 +6,6 @@ import pytest
 import gala.nn
 import scenarios
 from gala import (
-    AnchorState,
     Batch,
     ConfigurationError,
     GalaConfig,
@@ -25,7 +24,6 @@ from gala import (
     cosine_alignment,
     cosine_via_decomposition,
     decide,
-    total_displacement,
     vector_angle,
     warmup_scale,
 )
@@ -34,46 +32,11 @@ from helpers import single_step
 EPS = 1e-12
 
 
-def anchor_of(groups, last_reset=0, step=0):
-    return AnchorState([np.asarray(g, dtype=float) for g in groups], last_reset, step)
-
-
 def forced_cosine_group(c):
     """Return (u, td) in the plane with cosine_alignment(u, td) == c."""
     u = np.array([1.0, 0.0])
     td = np.array([c - 1.0, math.sqrt(max(0.0, 1.0 - c * c))])
     return u, td
-
-
-def test_total_displacement_zero_and_delta():
-    anchor = anchor_of([[1.0, 2.0], [3.0]])
-    same = [np.array([1.0, 2.0]), np.array([3.0])]
-    for td in total_displacement(same, anchor):
-        assert np.array_equal(td, np.zeros_like(td))
-    delta = [np.array([0.5, -0.5]), np.array([0.25])]
-    moved = [s + d for s, d in zip(same, delta)]
-    for td, d in zip(total_displacement(moved, anchor), delta):
-        assert np.array_equal(td, d)
-
-
-def test_total_displacement_accumulates_two_updates():
-    rng = np.random.default_rng(5)
-    start = [rng.normal(size=7), rng.normal(size=3)]
-    u1 = [rng.normal(size=7), rng.normal(size=3)]
-    u2 = [rng.normal(size=7), rng.normal(size=3)]
-    anchor = anchor_of([g.copy() for g in start])
-    after1 = [g + 1.0 * u for g, u in zip(start, u1)]
-    after2 = [g + 1.0 * u for g, u in zip(after1, u2)]
-    for td, a, b in zip(total_displacement(after2, anchor), u1, u2):
-        assert np.all(np.abs(td - (a + b)) < 1e-9)
-
-
-def test_total_displacement_shape_mismatch():
-    anchor = anchor_of([[1.0, 2.0]])
-    with pytest.raises(ConfigurationError):
-        total_displacement([np.zeros(3)], anchor)
-    with pytest.raises(ConfigurationError):
-        total_displacement([np.zeros(2), np.zeros(1)], anchor)
 
 
 def test_cosine_alignment_exact_values():
@@ -123,12 +86,15 @@ def test_cosine_scale_invariance_spot():
         assert abs(cosine_alignment(s * u, s * td, EPS) - base) < 1e-12
 
 
+def names_for(groups):
+    return [f"g{i}" for i in range(len(groups))]
+
+
 def decision_for(cosines, cfg, first=False):
     groups = [forced_cosine_group(c) for c in cosines]
     proposal = [u for u, _ in groups]
     live = [td for _, td in groups]
-    anchor = anchor_of([np.zeros(2) for _ in cosines], last_reset=0, step=0 if first else 5)
-    return decide(proposal, live, anchor, cfg)
+    return decide(proposal, live, [np.zeros(2) for _ in cosines], first, cfg, names_for(groups))
 
 
 def test_decide_single_layer_argmax():
@@ -167,11 +133,11 @@ def test_decide_undefined_cosines_never_selected():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer")
     proposal = [np.zeros(2), np.array([1.0, 0.0])]
     live = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
-    d = decide(proposal, live, anchor_of([np.zeros(2), np.zeros(2)], 0, 5), cfg)
+    d = decide(proposal, live, [np.zeros(2), np.zeros(2)], False, cfg, ["g0", "g1"])
     assert math.isnan(d.cosines[0]) and not math.isnan(d.cosines[1])
     assert np.array_equal(d.mask, [0, 1])
     all_zero = [np.zeros(2), np.zeros(2)]
-    d = decide(all_zero, live, anchor_of([np.zeros(2), np.zeros(2)], 0, 5), cfg)
+    d = decide(all_zero, live, [np.zeros(2), np.zeros(2)], False, cfg, ["g0", "g1"])
     assert d.skipped
 
 
@@ -242,23 +208,23 @@ def test_maybe_reset_window_boundary():
 
     def after_update_at(step, cfg):
         policy = GalaPolicy(cfg, grouping, live)
-        policy.anchor = anchor_of([[0.0, 0.0]], 0, step - 1)
+        policy.anchor, policy.steps = [np.zeros(2)], step - 1
         reset = policy.after_update(live)
-        assert reset == (policy.anchor.last_reset_step == step)
-        return policy.anchor
+        assert reset == (policy.last_reset == step)
+        return policy
 
     cfg = GalaConfig(window_size=20)
     at20 = after_update_at(20, cfg)
-    assert at20.last_reset_step == 20
-    assert np.array_equal(at20.anchor_params[0], live.layers[0])
+    assert at20.last_reset == 20
+    assert np.array_equal(at20.anchor[0], live.layers[0])
     at7 = after_update_at(7, cfg)
-    assert at7.last_reset_step == 0
-    assert np.array_equal(at7.anchor_params[0], np.zeros(2))
+    assert at7.last_reset == 0
+    assert np.array_equal(at7.anchor[0], np.zeros(2))
     inf_cfg = GalaConfig(window_size=math.inf)
     for i in (1, 20, 400):
         a = after_update_at(i, inf_cfg)
-        assert a.last_reset_step == 0
-        assert np.array_equal(a.anchor_params[0], np.zeros(2))
+        assert a.last_reset == 0
+        assert np.array_equal(a.anchor[0], np.zeros(2))
 
 
 def test_config_validation():
@@ -281,8 +247,6 @@ def test_config_validation():
         GalaConfig(epsilon=0.0)
     with pytest.raises(ConfigurationError):
         GalaConfig(num_blocks=0)
-    with pytest.raises(ConfigurationError):
-        AnchorState([np.zeros(1)], last_reset_step=3, step_counter=2)
 
 
 def test_build_grouping_modes():
@@ -572,7 +536,7 @@ def test_decide_cosines_equal_reference_thousand_cases():
             live.append(g)
             anchors.append(a)
             cases += 1
-        d = decide(u, live, anchor_of(anchors, 0, 3), cfg)
+        d = decide(u, live, anchors, False, cfg, names_for(anchors))
         want = [cosine_alignment(ug, g - a, eps) for ug, g, a in zip(u, live, anchors)]
         for got, ref in zip(d.cosines, want):
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
@@ -590,16 +554,16 @@ def test_anchor_owns_its_data():
         live = params.copy()
         policy = GalaPolicy(GalaConfig(window_size=1, granularity=gran, num_blocks=1),
                             grouping, live)
-        before = [a.copy() for a in policy.anchor.anchor_params]
+        before = [a.copy() for a in policy.anchor]
         for vec in live.layers:
             vec += 1.0
-        for a, b in zip(policy.anchor.anchor_params, before):
+        for a, b in zip(policy.anchor, before):
             assert np.array_equal(a, b)
         assert policy.after_update(live)
-        before = [a.copy() for a in policy.anchor.anchor_params]
+        before = [a.copy() for a in policy.anchor]
         for vec in live.layers:
             vec *= 2.0
-        for a, b in zip(policy.anchor.anchor_params, before):
+        for a, b in zip(policy.anchor, before):
             assert np.array_equal(a, b)
 
 
@@ -612,7 +576,7 @@ def test_anchor_consistency_and_reset_within_run():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", window_size=7)
     opt = OptimizerConfig(0.1)
     policy = GalaPolicy(cfg, grouping, params)
-    applied = [np.zeros_like(g) for g in policy.anchor.anchor_params]
+    applied = [np.zeros_like(g) for g in policy.anchor]
     for step in range(1, 16):
         batch = Batch(rng.normal(size=(3, 2)))
         res = single_step(net, params, batch, LossKind("shot_im"), opt, policy)
@@ -620,16 +584,16 @@ def test_anchor_consistency_and_reset_within_run():
         old_groups = grouping.gather(params.layers)
         for acc, new, old in zip(applied, new_groups, old_groups):
             acc += new - old
-        params, anchor = res.params, policy.anchor
+        params = res.params
         if res.reset:
             assert step % 7 == 0
-            assert anchor.last_reset_step == step
-            for a, g in zip(anchor.anchor_params, new_groups):
+            assert policy.last_reset == step
+            for a, g in zip(policy.anchor, new_groups):
                 assert np.array_equal(a, g)
             applied = [np.zeros_like(g) for g in applied]
         else:
-            for td, acc in zip(total_displacement(new_groups, anchor), applied):
-                assert np.all(np.abs(td - acc) < 1e-9)
+            for g, a, acc in zip(new_groups, policy.anchor, applied):
+                assert np.all(np.abs(g - a - acc) < 1e-9)
 
 
 def test_trajectory_determinism():

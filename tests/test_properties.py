@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 from gala import (
-    AnchorState,
     Batch,
     GalaConfig,
     GalaPolicy,
@@ -21,7 +20,6 @@ from gala import (
     build_grouping,
     cosine_alignment,
     decide,
-    total_displacement,
 )
 from helpers import single_step
 
@@ -64,9 +62,7 @@ def _random_geometry(rng):
         else:
             us.append(rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2))
     live = [a + t for a, t in zip(anchor_groups, tds)]
-    anchor = AnchorState([a.copy() for a in anchor_groups],
-                         last_reset_step=0, step_counter=5)
-    return names, us, live, anchor
+    return names, us, live, anchor_groups
 
 
 def test_mask_exclusivity_thousand_cases():
@@ -81,7 +77,7 @@ def test_mask_exclusivity_thousand_cases():
                        "block" if pick < 0.7 else "multi_layer")
         cfg = GalaConfig(threshold=lam, granularity=granularity,
                          warmup_mode="none", warmup_len=0)
-        d = decide(proposal, live, anchor, cfg, names=names)
+        d = decide(proposal, live, anchor, False, cfg, names)
         assert not d.first_sample
         defined = ~np.isnan(d.cosines)
         assert not d.mask[~defined].any()
@@ -107,10 +103,8 @@ def test_selection_monotone_in_threshold_thousand_cases():
         lo, hi = sorted(rng.uniform(-1, 1, size=2))
         granularity = "multi_layer" if rng.random() < 0.5 else "single_layer"
         base = dict(granularity=granularity, warmup_mode="none", warmup_len=0)
-        d_lo = decide(proposal, live, anchor, GalaConfig(threshold=lo, **base),
-                      names=names)
-        d_hi = decide(proposal, live, anchor, GalaConfig(threshold=hi, **base),
-                      names=names)
+        d_lo = decide(proposal, live, anchor, False, GalaConfig(threshold=lo, **base), names)
+        d_hi = decide(proposal, live, anchor, False, GalaConfig(threshold=hi, **base), names)
         assert set(d_hi.selected_groups) <= set(d_lo.selected_groups)
         assert np.all(d_lo.mask >= d_hi.mask)
         if d_lo.skipped:
@@ -164,9 +158,8 @@ def test_anchor_and_displacement_consistency_thousand_steps():
             res = single_step(net, params, batch, loss, opt, policy)
             assert res.decision.first_sample == expect_first
             live = grouping.gather(pre_params.layers)
-            tds = total_displacement(live, AnchorState([s.copy() for s in snapshot]))
+            tds = [g - s for g, s in zip(live, snapshot)]
             for gi in range(grouping.num_groups):
-                assert np.array_equal(tds[gi], live[gi] - snapshot[gi])
                 if not res.decision.first_sample:
                     want = cosine_alignment(expect_u[gi], tds[gi], cfg.epsilon)
                     got = res.decision.cosines[gi]
@@ -177,7 +170,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                 checked += 1
             if res.reset:
                 snapshot = [g.copy() for g in grouping.gather(res.params.layers)]
-            for a, s in zip(policy.anchor.anchor_params, snapshot):
+            for a, s in zip(policy.anchor, snapshot):
                 assert np.array_equal(a, s)
             params = res.params
             expect_first = res.reset
