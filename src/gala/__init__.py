@@ -24,7 +24,6 @@ from .errors import ConfigurationError, GalaError, NumericsError, TrainingError
 from .metrics import (
     MetricsSummary,
     RunRecord,
-    TraceStep,
     config_fingerprint,
     export_geometry_grid,
     forgetting,

@@ -49,10 +49,8 @@ class SelectorKind:
             raise ConfigurationError(f"unknown selector variant {self.variant!r}")
 
 
-def _decision(grouping: ParameterGrouping, mask: np.ndarray) -> SelectionDecision:
-    selected = [name for name, m in zip(grouping.names, mask) if m]
-    return SelectionDecision(np.full(mask.size, math.nan), mask, selected,
-                             not mask.any(), False)
+def _decision(mask: np.ndarray) -> SelectionDecision:
+    return SelectionDecision(np.full(mask.size, math.nan), mask, False)
 
 
 class FixedScales:
@@ -64,13 +62,10 @@ class FixedScales:
         self.grad_layers = frozenset(i for group, m in zip(grouping.members, mask) if m
                                      for i in group)
         self.scales = mask.astype(float)
-        self.decision = _decision(grouping, mask)
+        self.decision = _decision(mask)
 
     def select(self, grads, params, lr):
-        return self.scales, self.decision, 1.0
-
-    def after_update(self, params) -> bool:
-        return False
+        return self.scales, self.decision
 
 
 class RandomBlock:
@@ -88,9 +83,6 @@ class RandomBlock:
         return self.picks[int(self.rng.integers(self.grouping.num_groups))].select(
             grads, params, lr)
 
-    def after_update(self, params) -> bool:
-        return False
-
 
 class AutoRGN:
     """Every group, scaled by its EMA gradient-to-weight norm ratio over
@@ -99,7 +91,7 @@ class AutoRGN:
     def __init__(self, grouping: ParameterGrouping):
         self.grouping = grouping
         self.grad_layers = grouping.all_layers
-        self.decision = _decision(grouping, np.ones(grouping.num_groups, dtype=np.int64))
+        self.decision = _decision(np.ones(grouping.num_groups, dtype=np.int64))
         self.ema: np.ndarray | None = None
 
     def select(self, grads, params: ModelParameters, lr):
@@ -112,10 +104,7 @@ class AutoRGN:
         )
         top = self.ema.max()
         scales = self.ema / top if top > 0 else np.zeros(self.grouping.num_groups)
-        return scales, self.decision, 1.0
-
-    def after_update(self, params) -> bool:
-        return False
+        return scales, self.decision
 
 
 def baseline_policy(kind: SelectorKind, grouping: ParameterGrouping):

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .baselines import SelectorKind
 from .config import ExperimentConfig, load_config
-from .engine import GalaConfig, build_grouping
+from .engine import build_grouping
 from .errors import ConfigurationError, GalaError
 from .metrics import (
     selection_frequency,
@@ -142,7 +142,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         record = _adapt_record(network, params, stream, cfg, seed, None)
         summary = summarize(network, params, record, stream.target_holdout,
                             stream.source_holdout)
-        if args.trace:
+        if not args.no_trace:
             write_trace(rundir / "trace.tsv", record)
         write_summary(rundir / "summary.json", summary,
                       fingerprint=record.config_fingerprint, seed=seed)
@@ -200,11 +200,10 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
 
 def _apply_axis(cfg: ExperimentConfig, axis: str, value):
     """One sweep point: a copy of the experiment with the axis pinned; the
-    value passed its axis's check in ``parse_config``."""
+    value passed its axis's check in ``parse_config``, which also requires
+    a gala selector for every axis but batch_size."""
     if axis == "batch_size":
         return replace(cfg, batch_size=value)
-    if not isinstance(cfg.selector, GalaConfig):
-        raise ConfigurationError(f"sweep axis {axis} needs a gala selector")
     if axis == "threshold":
         value = float(value)
     return replace(cfg, selector=replace(cfg.selector, **{axis: value}))
@@ -322,10 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only this seed, overriding the config list")
         p.add_argument("--out", default=None,
                        help="output root (overrides config and environment)")
-        trace = p.add_mutually_exclusive_group()
-        trace.add_argument("--trace", dest="trace", action="store_true",
-                           default=True, help="write per-step decision traces")
-        trace.add_argument("--no-trace", dest="trace", action="store_false")
+        if name == "adapt":
+            p.add_argument("--no-trace", action="store_true",
+                           help="skip the per-step decision trace (trace.tsv)")
     return parser
 
 

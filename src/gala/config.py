@@ -202,11 +202,13 @@ def _selector(raw, num_layers: int) -> GalaConfig | SelectorKind:
 
 def _sweep(raw, selector: GalaConfig | SelectorKind, num_layers: int) -> SweepSettings:
     sweep = SweepSettings(**_fields(raw, "sweep", _SWEEP, ("axis", "values")))
+    if sweep.axis != "batch_size" and not isinstance(selector, GalaConfig):
+        raise ConfigurationError(f"sweep.axis {sweep.axis} needs a gala selector")
     # a value must pass the check of the field it sets
     kind = _TOP["batch_size"] if sweep.axis == "batch_size" else _GALA[sweep.axis]
     _check(sweep.values, "sweep.values", [kind])
     if (sweep.axis == "granularity" and "block" in sweep.values
-            and isinstance(selector, GalaConfig) and selector.num_blocks > num_layers):
+            and selector.num_blocks > num_layers):
         raise ConfigurationError(
             f"sweep.values[{sweep.values.index('block')}] block needs selector.gala.num_blocks "
             f"{selector.num_blocks} to be at most the {num_layers} layers in model")

@@ -16,7 +16,9 @@ unconditionally (there is no displacement to align with yet).
 
 ``GalaPolicy`` packages the criterion as a scale policy for the
 adaptation step in ``runner``: per group, the binary mask times the
-warm-up factor.
+warm-up factor. It counts its steps and takes the anchor itself, from
+the parameters it is shown on the first step of each window: a step's
+pre-update parameters are the previous step's post-update ones.
 """
 
 from __future__ import annotations
@@ -145,14 +147,21 @@ def build_grouping(
 
 @dataclass
 class SelectionDecision:
-    """Outcome of one selection: per-group cosines, the binary mask, and
-    whether the sample was skipped outright. Undefined cosines are nan."""
+    """Outcome of one step's selection: per-group cosines (nan where
+    undefined), the binary mask, whether this is a window's first sample,
+    the warm-up factor the mask was scaled by, and whether the step ends
+    its window (the anchor is retaken on the next)."""
 
     cosines: np.ndarray
     mask: np.ndarray
-    selected_groups: list[str]
-    skipped: bool
     first_sample: bool
+    warmup: float = 1.0
+    reset: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        """No group updated."""
+        return not self.mask.any()
 
 
 def cosine_alignment(u: np.ndarray, td: np.ndarray, eps: float) -> float:
@@ -198,7 +207,6 @@ def decide(
     anchor: list[np.ndarray],
     first: bool,
     cfg: GalaConfig,
-    names: list[str],
 ) -> SelectionDecision:
     """Choose which groups the current sample may update.
 
@@ -215,7 +223,7 @@ def decide(
     computed with the same operations in the same order (norms as
     sqrt(x . x)), so they match it bit for bit.
     """
-    if not len(u) == len(live) == len(anchor) == len(names):
+    if not len(u) == len(live) == len(anchor):
         raise ConfigurationError("group count mismatch in decide")
     eps = cfg.epsilon
     cosines = []
@@ -241,21 +249,19 @@ def decide(
             picked = [max(picked, key=cosines.__getitem__)]
     mask = np.zeros(n, dtype=np.int64)
     mask[picked] = 1
-    return SelectionDecision(np.array(cosines, dtype=np.float64), mask,
-                             [names[k] for k in picked], not picked, first)
+    return SelectionDecision(np.array(cosines, dtype=np.float64), mask, first)
 
 
-def warmup_scale(cfg: GalaConfig, step: int, last_reset_step: int) -> float:
-    """Ramp factor for the j-th sample after a reset (j = step - reset).
+def warmup_scale(cfg: GalaConfig, j: int) -> float:
+    """Ramp factor for the j-th sample of a window (j >= 1).
 
     linear_ramp scales the first ``warmup_len`` samples of each window
     by j / warmup_len; everything else gets 1.
     """
     if cfg.warmup_mode == "none" or cfg.warmup_len == 0:
         return 1.0
-    j = step - last_reset_step
     if j < 1:
-        raise ConfigurationError("warmup_scale needs step > last_reset_step")
+        raise ConfigurationError("warmup_scale needs j >= 1")
     if j <= cfg.warmup_len:
         return j / cfg.warmup_len
     return 1.0
@@ -263,37 +269,33 @@ def warmup_scale(cfg: GalaConfig, step: int, last_reset_step: int) -> float:
 
 class GalaPolicy:
     """Gala as a scale policy: per group, the selection mask times the
-    warm-up factor. One instance per adaptation pass; it owns the anchor.
+    warm-up factor. One instance per adaptation pass.
 
-    ``anchor`` holds each group's parameters at the last reset (the
-    initial ones at first), ``steps`` the number of steps taken and
-    ``last_reset`` the step at which the anchor was set. ``select`` sees
-    the pre-update parameters; ``after_update`` counts the step and moves
-    the anchor to the post-update parameters whenever the step count
-    completes a window (an infinite window never resets).
+    ``steps`` counts the steps taken. On the first step of each window
+    (every ``window_size`` steps; an infinite window has only the first)
+    ``select`` sets ``anchor`` to a copy of the groups' parameters it is
+    shown, the pre-update ones, so a window's anchor is the parameters
+    after the previous window's last step. The decision marks that last
+    step as ``reset``.
     """
 
-    def __init__(self, cfg: GalaConfig, grouping: ParameterGrouping, params: ModelParameters):
+    def __init__(self, cfg: GalaConfig, grouping: ParameterGrouping):
         self.cfg = cfg
         self.grouping = grouping
         self.grad_layers = grouping.all_layers
-        # copies: a one-layer group gathers the live array itself
-        self.anchor = [g.copy() for g in grouping.gather(params.layers)]
-        self.steps = self.last_reset = 0
+        self.anchor: list[np.ndarray] = []
+        self.steps = 0
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
-               lr: float) -> tuple[np.ndarray, SelectionDecision, float]:
+               lr: float) -> tuple[np.ndarray, SelectionDecision]:
         u = self.grouping.gather([-lr * g for g in grads])
         live = self.grouping.gather(params.layers)
-        decision = decide(u, live, self.anchor, self.steps == self.last_reset, self.cfg,
-                          self.grouping.names)
-        warmup = warmup_scale(self.cfg, self.steps + 1, self.last_reset)
-        return decision.mask * warmup, decision, warmup
-
-    def after_update(self, params: ModelParameters) -> bool:
+        j = self.steps % self.cfg.window_size  # x % inf is x: one endless window
+        if j == 0:
+            # copies: a one-layer group gathers the live array itself
+            self.anchor = [g.copy() for g in live]
+        decision = decide(u, live, self.anchor, j == 0, self.cfg)
+        decision.warmup = warmup_scale(self.cfg, j + 1)
+        decision.reset = j + 1 == self.cfg.window_size
         self.steps += 1
-        if self.cfg.window_size != math.inf and self.steps % int(self.cfg.window_size) == 0:
-            self.anchor = [g.copy() for g in self.grouping.gather(params.layers)]
-            self.last_reset = self.steps
-            return True
-        return False
+        return decision.mask * decision.warmup, decision

@@ -34,16 +34,13 @@ class RunRecord:
     correct: list[np.ndarray]
     decisions: list[SelectionDecision]
     losses: list[float]
-    warmups: list[float]
-    resets: list[bool]
     final_params: ModelParameters
     config_fingerprint: str
     seed: int
 
     def __post_init__(self):
         n = len(self.correct)
-        for name, seq in (("decisions", self.decisions), ("losses", self.losses),
-                          ("warmups", self.warmups), ("resets", self.resets)):
+        for name, seq in (("decisions", self.decisions), ("losses", self.losses)):
             if len(seq) != n:
                 raise ConfigurationError(f"{name} length {len(seq)} != {n} steps")
 
@@ -205,55 +202,49 @@ def write_trace(path: str | Path, record: RunRecord) -> None:
     header = list(TRACE_COLUMNS) + [f"cos:{g}" for g in groups] + [f"mask:{g}" for g in groups]
     lines = ["\t".join(header)]
     for i, d in enumerate(record.decisions):
-        row = [str(i + 1), str(int(d.skipped)), repr(float(record.warmups[i])),
-               str(int(record.resets[i]))]
+        row = [str(i + 1), str(int(d.skipped)), repr(float(d.warmup)), str(int(d.reset))]
         row += [repr(float(c)) for c in d.cosines]
         row += [str(int(m)) for m in d.mask]
         lines.append("\t".join(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass
-class TraceStep:
-    step: int
-    skipped: bool
-    warmup_scale: float
-    reset: bool
-    first_sample: bool
-    cosines: dict[str, float]
-    mask: dict[str, int]
+def parse_trace(path: str | Path) -> tuple[list[str], list[SelectionDecision]]:
+    """Read a trace back as its group names and one decision per step.
 
-
-def parse_trace(path: str | Path) -> list[TraceStep]:
-    """Read a trace back; first_sample is derived (step 1 or a step right
-    after a reset). A missing file, a foreign header or a malformed row
-    raises a ConfigurationError naming the path (and the row's line)."""
+    first_sample is derived (step 1 or a step right after a reset), and
+    the skipped column must agree with the mask. A missing file, a
+    foreign header or a malformed row raises a ConfigurationError naming
+    the path (and the row's line).
+    """
     p = Path(path)
     lines = read_input(p, "trace", as_json=False).strip().split("\n")
     header = lines[0].split("\t")
-    if header[: len(TRACE_COLUMNS)] != list(TRACE_COLUMNS):
+    groups = [h[4:] for h in header if h.startswith("cos:")]
+    n = len(groups)
+    if header != [*TRACE_COLUMNS, *(f"cos:{g}" for g in groups), *(f"mask:{g}" for g in groups)]:
         raise ConfigurationError(f"{p} is not a decision trace")
-    cos_cols = [(i, h[4:]) for i, h in enumerate(header) if h.startswith("cos:")]
-    mask_cols = [(i, h[5:]) for i, h in enumerate(header) if h.startswith("mask:")]
-    steps = []
-    prev_reset = False
+    decisions = []
+    first = True
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
         try:
-            step = int(cells[0])
-            steps.append(TraceStep(
-                step=step,
-                skipped=bool(int(cells[1])),
-                warmup_scale=float(cells[2]),
-                reset=bool(int(cells[3])),
-                first_sample=(step == 1 or prev_reset),
-                cosines={g: float(cells[i]) for i, g in cos_cols},
-                mask={g: int(cells[i]) for i, g in mask_cols},
-            ))
-        except (ValueError, IndexError) as e:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells for {len(header)} columns")
+            if int(cells[0]) != number - 1:
+                raise ValueError(f"step {cells[0]} on row {number - 1}")
+            skipped = bool(int(cells[1]))
+            d = SelectionDecision(
+                np.array([float(c) for c in cells[4:4 + n]], dtype=np.float64),
+                np.array([int(m) for m in cells[4 + n:]], dtype=np.int64),
+                first, float(cells[2]), bool(int(cells[3])))
+            if skipped != d.skipped:
+                raise ValueError(f"skipped {int(skipped)} disagrees with the mask")
+        except ValueError as e:
             raise ConfigurationError(f"trace {p} line {number} is malformed: {e}") from e
-        prev_reset = steps[-1].reset
-    return steps
+        decisions.append(d)
+        first = d.reset
+    return groups, decisions
 
 
 def write_summary(path: str | Path, summary: MetricsSummary, *, fingerprint: str,

@@ -711,6 +711,9 @@ def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, di
             [np.asarray(v, dtype=np.float64) for v in payload["params"]],
             list(payload["layer_names"]),
         )
+        if params.layer_names != network.layer_names:
+            raise ConfigurationError(f"layer_names {params.layer_names} do not match the "
+                                     f"layers {network.layer_names}")
         network._check_params(params)
         return network, params, int(payload["seed"]), dict(payload["metadata"])
     except KeyError as e:

@@ -5,11 +5,12 @@ A selector is a scale policy over a parameter grouping (``grouping``).
 whose gradients the policy can read or move; the step computes no
 other gradient. ``select(grads, params, lr)`` gets a step's per-layer
 gradients (None outside ``grad_layers``) and the pre-update parameters
-and returns one scale per group, the step's SelectionDecision and its
-warm-up factor; ``after_update(params)`` gets the post-update
-parameters and reports whether the policy reset. The step moves each
-layer of a group with a nonzero scale s by s * (-lr * grad) and leaves
-every other layer's array as it is.
+and returns one scale per group and the step's SelectionDecision. That
+is the whole protocol: ``select`` is called once per step, in step
+order, and a step's pre-update parameters are the previous step's
+post-update ones, so a policy that keeps them (gala's anchor) takes
+them there. The step moves each layer of a group with a nonzero scale s
+by s * (-lr * grad) and leaves every other layer's array as it is.
 
 The step and the loop advance R runs in lockstep over the same batches,
 one policy per run. Each run's parameters are one row of the (R, P_i)
@@ -57,8 +58,6 @@ class StepResult:
     decisions: list[SelectionDecision]
     probs: np.ndarray
     losses: list[float]
-    warmups: list[float]
-    resets: list[bool]
 
 
 def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: LossKind,
@@ -89,10 +88,10 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
         params, batch, loss, layers=[policy.grad_layers for policy in policies])
     n = len(params.layers)
     copied: set[int] = set()
-    starts, decisions, warmups, resets = [], [], [], []
+    starts, decisions = [], []
     for r, policy in enumerate(policies):
-        g, view = grads[r], params.run(r)
-        scales, decision, warmup = policy.select(g, view, lr)
+        g = grads[r]
+        scales, decision = policy.select(g, params.run(r), lr)
         start = n
         for members, s in zip(policy.grouping.members, scales):
             if s:
@@ -100,16 +99,14 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
                     if i not in copied:
                         params.layers[i] = params.layers[i].copy()
                         copied.add(i)
-                    row = view.layers[i] = params.layers[i][r]  # the view follows the move
+                    row = params.layers[i][r]
                     row += s * (-lr * g[i])
                     start = min(start, i)
         starts.append(start)
         decisions.append(decision)
-        warmups.append(warmup)
-        resets.append(policy.after_update(view))
     if copied:
         probs = network.forward(params, batch, starts, acts)
-    return StepResult(decisions, probs, losses, warmups, resets)
+    return StepResult(decisions, probs, losses)
 
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
@@ -148,13 +145,12 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
     """``adapt`` for runs that step: one ``adapt_step`` per batch."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
-    steps = []  # per step: hits, decisions, losses, warm-ups, resets; each by run
+    steps = []  # per step: hits, decisions, losses; each by run
     for batch in stream.adapt_batches:
         res = adapt_step(network, params, Batch(batch.inputs), loss, opt, policies)
-        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses,
-                      res.warmups, res.resets))
+        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
     return [RunRecord(list(policy.grouping.names),
-                      *([step[field][r] for step in steps] for field in range(5)),
+                      *([step[field][r] for step in steps] for field in range(3)),
                       params.run(r), fingerprint, seed)
             for r, policy in enumerate(policies)]
 
@@ -177,12 +173,12 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
     Each chunk of the stream is one loss pass of the pretrained model over
     a per-run batch, one run per step, with no backward; the pass's
     probabilities are the post-update ones, since nothing moves. The
-    policy's ``select`` and ``after_update`` are called once per step, in
-    step order, with no gradients; a nonzero scale raises a ValueError.
+    policy's ``select`` is called once per step, in step order, with no
+    gradients; a nonzero scale raises a ValueError.
     """
     params = pretrained.copy()
     no_grads = [None] * len(params.layers)
-    hits, decisions, losses, warmups, resets = [], [], [], [], []
+    hits, decisions, losses = [], [], []
     for chunk in _chunks(stream.adapt_batches):
         try:
             values, _, probs, _ = network.loss_and_gradients(
@@ -194,14 +190,12 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
         hits.extend(probs.argmax(axis=2) == np.stack([b.labels for b in chunk]))
         losses.extend(values)
         for _ in chunk:
-            scales, decision, warmup = policy.select(no_grads, params, opt.learning_rate)
+            scales, decision = policy.select(no_grads, params, opt.learning_rate)
             if np.count_nonzero(scales):
                 raise ValueError(f"run {r} has no gradient layers but scales {list(scales)}")
             decisions.append(decision)
-            warmups.append(warmup)
-            resets.append(policy.after_update(params))
-    return RunRecord(list(policy.grouping.names), hits, decisions, losses, warmups, resets,
-                     params, fingerprint, seed)
+    return RunRecord(list(policy.grouping.names), hits, decisions, losses, params, fingerprint,
+                     seed)
 
 
 @dataclass
@@ -266,7 +260,7 @@ def run_selector(
     grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
                               selector.granularity, selector.num_blocks)
     if isinstance(selector, GalaConfig):
-        policy = GalaPolicy(selector, grouping, pretrained)
+        policy = GalaPolicy(selector, grouping)
         method, settings = "gala", {
             "threshold": selector.threshold,
             "window_size": "inf" if selector.window_size == math.inf else selector.window_size,
@@ -324,6 +318,6 @@ def run_baseline(
     Oracle variants without a pinned group first run the brute-force
     sweep on the same stream to find it.
     """
-    kind = replace(kind, granularity=granularity or kind.granularity,
-                   num_blocks=num_blocks or kind.num_blocks)
+    kind = replace(kind, granularity=kind.granularity if granularity is None else granularity,
+                   num_blocks=kind.num_blocks if num_blocks is None else num_blocks)
     return run_selector(network, pretrained, stream, loss, opt, kind, seed, None)

@@ -14,8 +14,7 @@ def single_step(network, params, batch, loss, opt, policy):
     stacked = ModelParameters([v[None] for v in params.layers], params.layer_names)
     res = adapt_step(network, stacked, batch, loss, opt, [policy])
     return SimpleNamespace(params=stacked.run(0), decision=res.decisions[0],
-                           probs=res.probs[0], loss=res.losses[0], warmup=res.warmups[0],
-                           reset=res.resets[0])
+                           probs=res.probs[0], loss=res.losses[0])
 
 
 def reference_loss(network, params, inputs, variant, labels=None, pl_labels=None, pl_weight=0.3):

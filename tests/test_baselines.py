@@ -88,7 +88,7 @@ def test_erm_never_updates():
     for before, after in zip(params.layers, record.final_params.layers):
         assert np.array_equal(before, after)
     for d in record.decisions:
-        assert d.skipped and d.selected_groups == [] and not d.mask.any()
+        assert d.skipped and not d.mask.any()
 
 
 def test_erm_correctness_matches_plain_forward():
@@ -139,7 +139,6 @@ def test_all_layers_first_step_flags_fresh_anchor():
         res = single_step(net, params, Batch(batch.inputs), loss, opt, policy)
         d = res.decision
         assert d.mask.all() and not d.skipped and not d.first_sample
-        assert d.selected_groups == grouping.names
         assert np.isnan(d.cosines).all()
         for before, after in zip(params.layers, res.params.layers):
             assert not np.array_equal(before, after)
@@ -174,7 +173,7 @@ def test_random_block_seeded_reproducibly():
                        loss, opt, granularity="single_layer")
     other = run_baseline(net, params, stream, SelectorKind("random_block", rng_seed=10),
                          loss, opt, granularity="single_layer")
-    picks = lambda rec: [d.selected_groups[0] for d in rec.decisions]
+    picks = lambda rec: [int(np.argmax(d.mask)) for d in rec.decisions]
     assert picks(one) == picks(two)
     assert picks(one) != picks(other)
     for a, b in zip(one.final_params.layers, two.final_params.layers):
@@ -247,6 +246,15 @@ def test_selector_kind_validation():
         baseline_policy(SelectorKind("oracle_worst", fixed_group="L9"), grouping)
 
 
+def test_run_baseline_grouping_arguments_override_the_kind_as_given():
+    """A num_blocks of 0 is passed on, not swapped for the kind's 4, so the
+    error names the 0 blocks asked for."""
+    net, params, stream = small_setup()
+    with pytest.raises(ConfigurationError, match="cannot split 2 layers into 0 blocks"):
+        run_baseline(net, params, stream, SelectorKind("all_layers", granularity="block"),
+                     LossKind("pseudo_label"), OptimizerConfig(0.2), num_blocks=0)
+
+
 def test_oracle_replay_touches_only_pinned_group():
     net, params, stream = small_setup()
     record = run_baseline(net, params, stream,
@@ -256,7 +264,7 @@ def test_oracle_replay_touches_only_pinned_group():
     assert np.array_equal(params.layers[0], record.final_params.layers[0])
     assert not np.array_equal(params.layers[1], record.final_params.layers[1])
     for d in record.decisions:
-        assert d.selected_groups == ["L1_dense"]
+        assert d.mask.tolist() == [0, 1]
 
 
 def test_oracle_sweep_needs_two_groups():
@@ -366,7 +374,8 @@ def test_run_baseline_autosweeps_unpinned_oracle():
                          granularity="single_layer")
     assert tta_accuracy(best) == pytest.approx(max(sweep.accuracies), abs=1e-9)
     assert tta_accuracy(worst) == pytest.approx(min(sweep.accuracies), abs=1e-9)
-    assert all(d.selected_groups == [sweep.best_group] for d in best.decisions)
+    best_mask = [int(name == sweep.best_group) for name in best.group_names]
+    assert all(d.mask.tolist() == best_mask for d in best.decisions)
 
 
 def test_baseline_runs_are_deterministic():

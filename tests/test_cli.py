@@ -358,6 +358,26 @@ def test_parse_config_sweep_axis_whitelist():
     assert parse_config(raw).sweep.values == [20, math.inf]
 
 
+@pytest.mark.parametrize("axis,values", [
+    ("threshold", [0.5]), ("window_size", [5, None]), ("granularity", ["multi_layer"]),
+])
+def test_gala_sweep_axis_needs_a_gala_selector(tmp_path, capsys, axis, values):
+    """A threshold, window_size or granularity sweep over a baseline is
+    rejected when the config is read, naming sweep.axis, so pretrain
+    exits 2 before any run; a batch_size sweep over a baseline parses."""
+    baseline = {"baseline": {"variant": "random_block"}}
+    raw = base_config(selector=baseline, sweep={"axis": axis, "values": values})
+    with pytest.raises(ConfigurationError, match=f"sweep.axis {axis} needs a gala selector"):
+        parse_config(raw)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(raw))
+    assert main(["pretrain", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "sweep.axis" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    raw["sweep"] = {"axis": "batch_size", "values": [4]}
+    assert parse_config(raw).sweep.values == [4]
+
+
 def test_load_config_missing_or_invalid(tmp_path):
     with pytest.raises(ConfigurationError, match="nope.json"):
         load_config(tmp_path / "nope.json")
@@ -442,6 +462,20 @@ def test_adapt_no_trace_skips_trace_file(workspace, tmp_path):
     assert not (rundir / "trace.tsv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--no-trace"], ["oracle", "--no-trace"], ["sweep", "--no-trace"],
+    ["geometry", "--no-trace"], ["report", "--no-trace"], ["adapt", "--trace"],
+], ids=["pretrain", "oracle", "sweep", "geometry", "report", "adapt_trace"])
+def test_trace_switch_is_adapts_no_trace_only(tmp_path, argv):
+    """Only adapt writes a trace, so only adapt takes --no-trace; --trace,
+    the default, is no flag at all. Anything else is a usage error."""
+    cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", str(cfg_path)])
+    assert info.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_adapt_missing_checkpoint_names_path(tmp_path, capsys):
     cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "empty"))
     assert main(["adapt", "--config", str(cfg_path)]) == 2
@@ -466,8 +500,15 @@ def _without_layer_specs(text):
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs],
-                         ids=["truncated", "no_layer_specs"])
+def _foreign_layer_names(text):
+    payload = json.loads(text)
+    payload["layer_names"] = ["x"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs,
+                                     _foreign_layer_names],
+                         ids=["truncated", "no_layer_specs", "foreign_layer_names"])
 def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt):
     cfg_path, ckpt = _broken_checkpoint(workspace, tmp_path, corrupt)
     assert main(["adapt", "--config", str(cfg_path)]) == 2
@@ -540,6 +581,7 @@ def test_quickstart_erm_adapts_with_default_grouping(tmp_path):
     """A baseline without a granularity adapts per layer, which fits the
     two-layer quickstart network."""
     raw = json.loads(QUICKSTART.read_text())
+    del raw["sweep"]  # a threshold sweep needs a gala selector
     raw.update(selector={"baseline": {"variant": "erm"}}, seeds=[0],
                output_dir=str(tmp_path / "erm"))
     path = tmp_path / "quickstart_erm.json"
@@ -774,8 +816,9 @@ def test_adapt_pins_run_fingerprints(tmp_path):
     random_block block-2 variant, seeds 0 and 1."""
     raw = json.loads(QUICKSTART.read_text())
     raw["output_dir"] = str(tmp_path / "out")
-    random_block = dict(raw, selector={"baseline": {"variant": "random_block",
-                                                    "granularity": "block", "num_blocks": 2}})
+    random_block = {key: value for key, value in raw.items() if key != "sweep"}
+    random_block["selector"] = {"baseline": {"variant": "random_block",
+                                             "granularity": "block", "num_blocks": 2}}
     expected = [(raw, ["a9c2e7783272642b", "0fdd07dc597e6f1f"]),
                 (random_block, ["1649cfae80870571", "81d2053a0d1e9d92"])]
     for i, (cfg, fingerprints) in enumerate(expected):

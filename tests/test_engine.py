@@ -86,29 +86,23 @@ def test_cosine_scale_invariance_spot():
         assert abs(cosine_alignment(s * u, s * td, EPS) - base) < 1e-12
 
 
-def names_for(groups):
-    return [f"g{i}" for i in range(len(groups))]
-
-
 def decision_for(cosines, cfg, first=False):
     groups = [forced_cosine_group(c) for c in cosines]
     proposal = [u for u, _ in groups]
     live = [td for _, td in groups]
-    return decide(proposal, live, [np.zeros(2) for _ in cosines], first, cfg, names_for(groups))
+    return decide(proposal, live, [np.zeros(2) for _ in cosines], first, cfg)
 
 
 def test_decide_single_layer_argmax():
     d = decision_for([0.9, 0.8, 0.2], GalaConfig(threshold=0.75))
     assert np.array_equal(d.mask, [1, 0, 0])
     assert not d.skipped and not d.first_sample
-    assert d.selected_groups == ["g0"]
 
 
 def test_decide_single_layer_all_below_threshold_skips():
     d = decision_for([0.5, 0.6], GalaConfig(threshold=0.75))
     assert d.skipped
     assert np.array_equal(d.mask, [0, 0])
-    assert d.selected_groups == []
 
 
 def test_decide_multi_layer_thresholding():
@@ -133,11 +127,11 @@ def test_decide_undefined_cosines_never_selected():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer")
     proposal = [np.zeros(2), np.array([1.0, 0.0])]
     live = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
-    d = decide(proposal, live, [np.zeros(2), np.zeros(2)], False, cfg, ["g0", "g1"])
+    d = decide(proposal, live, [np.zeros(2), np.zeros(2)], False, cfg)
     assert math.isnan(d.cosines[0]) and not math.isnan(d.cosines[1])
     assert np.array_equal(d.mask, [0, 1])
     all_zero = [np.zeros(2), np.zeros(2)]
-    d = decide(all_zero, live, [np.zeros(2), np.zeros(2)], False, cfg, ["g0", "g1"])
+    d = decide(all_zero, live, [np.zeros(2), np.zeros(2)], False, cfg)
     assert d.skipped
 
 
@@ -154,13 +148,12 @@ def test_decide_mask_implies_threshold_outside_first_sample():
 
 def test_warmup_scale_ramp():
     cfg = GalaConfig(warmup_len=3, warmup_mode="linear_ramp")
-    assert warmup_scale(cfg, 1, 0) == pytest.approx(1.0 / 3.0)
-    assert warmup_scale(cfg, 2, 0) == pytest.approx(2.0 / 3.0)
-    assert warmup_scale(cfg, 3, 0) == 1.0
-    assert warmup_scale(cfg, 4, 0) == 1.0
-    assert warmup_scale(cfg, 21, 20) == pytest.approx(1.0 / 3.0)
-    assert warmup_scale(GalaConfig(warmup_mode="none"), 1, 0) == 1.0
-    assert warmup_scale(GalaConfig(warmup_len=0), 1, 0) == 1.0
+    assert warmup_scale(cfg, 1) == pytest.approx(1.0 / 3.0)
+    assert warmup_scale(cfg, 2) == pytest.approx(2.0 / 3.0)
+    assert warmup_scale(cfg, 3) == 1.0
+    assert warmup_scale(cfg, 4) == 1.0
+    assert warmup_scale(GalaConfig(warmup_mode="none"), 1) == 1.0
+    assert warmup_scale(GalaConfig(warmup_len=0), 1) == 1.0
 
 
 class FixedScalePolicy:
@@ -173,11 +166,7 @@ class FixedScalePolicy:
 
     def select(self, grads, params, lr):
         mask = (self.scales != 0).astype(np.int64)
-        return self.scales, SelectionDecision(np.zeros(mask.size), mask, [], not mask.any(),
-                                              False), 1.0
-
-    def after_update(self, params):
-        return False
+        return self.scales, SelectionDecision(np.zeros(mask.size), mask, False)
 
 
 def test_apply_masked_update_semantics():
@@ -201,30 +190,36 @@ def test_apply_masked_update_semantics():
     assert np.array_equal(halved.params.layers[0], live[0] + 0.5 * u[0])
 
 
-def test_maybe_reset_window_boundary():
-    net = Network([LayerSpec("dense", 1, 1)])
-    grouping = build_grouping(net.layer_names, [2], "single_layer")
-    live = ModelParameters([np.array([5.0, 6.0])], list(net.layer_names))
+def _select_steps(cfg, steps):
+    """Decisions of ``steps`` selects on a one-layer net whose parameters
+    move by one after every step, with the anchor each one compared to."""
+    grouping = build_grouping(["L0_dense"], [2], "single_layer")
+    policy = GalaPolicy(cfg, grouping)
+    live = ModelParameters([np.array([5.0, 6.0])], ["L0_dense"])
+    out = []
+    for _ in range(steps):
+        _, decision = policy.select([np.array([0.5, -0.25])], live, 0.1)
+        out.append((decision, policy.anchor[0].copy()))
+        live = ModelParameters([live.layers[0] + 1.0], live.layer_names)
+    return out
 
-    def after_update_at(step, cfg):
-        policy = GalaPolicy(cfg, grouping, live)
-        policy.anchor, policy.steps = [np.zeros(2)], step - 1
-        reset = policy.after_update(live)
-        assert reset == (policy.last_reset == step)
-        return policy
 
-    cfg = GalaConfig(window_size=20)
-    at20 = after_update_at(20, cfg)
-    assert at20.last_reset == 20
-    assert np.array_equal(at20.anchor[0], live.layers[0])
-    at7 = after_update_at(7, cfg)
-    assert at7.last_reset == 0
-    assert np.array_equal(at7.anchor[0], np.zeros(2))
-    inf_cfg = GalaConfig(window_size=math.inf)
-    for i in (1, 20, 400):
-        a = after_update_at(i, inf_cfg)
-        assert a.last_reset == 0
-        assert np.array_equal(a.anchor[0], np.zeros(2))
+def test_select_window_reset_first_sample_and_warmup():
+    """Window 3, warm-up 2, 7 steps: steps 3 and 6 end a window, steps 1,
+    4 and 7 start one with warm-up 1/2 then 1, and each window's anchor is
+    the parameters after the previous window's last step."""
+    steps = _select_steps(GalaConfig(window_size=3, warmup_len=2), 7)
+    assert [d.reset for d, _ in steps] == [False, False, True, False, False, True, False]
+    assert [d.first_sample for d, _ in steps] == [True, False, False, True, False, False, True]
+    assert [d.warmup for d, _ in steps] == [0.5, 1.0, 1.0, 0.5, 1.0, 1.0, 0.5]
+    # live moves by one per step from [5, 6]; the anchor is taken at steps 1, 4, 7
+    for k, (_, anchor) in enumerate(steps):
+        assert np.array_equal(anchor, [5.0 + k // 3 * 3, 6.0 + k // 3 * 3]), k
+    endless = _select_steps(GalaConfig(window_size=math.inf, warmup_len=2), 7)
+    assert [d.reset for d, _ in endless] == [False] * 7
+    assert [d.first_sample for d, _ in endless] == [True] + [False] * 6
+    assert [d.warmup for d, _ in endless] == [0.5] + [1.0] * 6
+    assert all(np.array_equal(anchor, [5.0, 6.0]) for _, anchor in endless)
 
 
 def test_config_validation():
@@ -301,7 +296,7 @@ def test_gala_step_zero_gradient_skips_after_first_sample():
     net = Network([LayerSpec("dense", 1, 2)])
     params = ModelParameters([np.array([400.0, -400.0, 0.0, 0.0])], list(net.layer_names))
     grouping = build_grouping(net.layer_names, [4], "single_layer")
-    policy = GalaPolicy(GalaConfig(warmup_mode="none"), grouping, params)
+    policy = GalaPolicy(GalaConfig(warmup_mode="none"), grouping)
     opt = OptimizerConfig(0.5)
     batch = Batch(np.array([[1.0]]))
     r1 = single_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
@@ -324,7 +319,7 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", warmup_mode="none", window_size=5)
     opt = OptimizerConfig(0.05)
     loss = LossKind("pseudo_label")
-    policy = GalaPolicy(cfg, grouping, params)
+    policy = GalaPolicy(cfg, grouping)
     for _ in range(12):
         batch = Batch(rng.normal(size=(4, 3)))
         params = single_step(net, params, batch, loss, opt, policy).params
@@ -342,7 +337,7 @@ def test_gala_step_parallel_updates_give_cosine_one():
     cfg = GalaConfig(threshold=0.75, warmup_mode="none")
     opt = OptimizerConfig(0.1)
     batch = Batch(np.array([[1.0, 2.0]]))
-    policy = GalaPolicy(cfg, grouping, params)
+    policy = GalaPolicy(cfg, grouping)
     r1 = single_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
     assert r1.decision.first_sample
     r2 = single_step(net, r1.params, batch, LossKind("pseudo_label"), opt, policy)
@@ -356,7 +351,7 @@ def test_gala_step_predictions_use_post_update_parameters():
     opt = OptimizerConfig(1.0)
     batch = Batch(np.array([[0.7, -0.4], [0.1, 0.9]]))
     res = single_step(net, params, batch, LossKind("pseudo_label"), opt,
-                      GalaPolicy(cfg, grouping, params))
+                      GalaPolicy(cfg, grouping))
     assert np.array_equal(res.probs, net.forward(res.params, batch))
     assert not np.array_equal(res.probs, net.forward(params, batch))
 
@@ -383,7 +378,7 @@ def test_skipped_step_reuses_loss_pass_predictions(monkeypatch):
     monkeypatch.setattr(Network, "loss_and_gradients", counted_loss_pass)
     monkeypatch.setattr(Network, "forward", counted_forward)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
-    policy = GalaPolicy(GalaConfig(), grouping, params)
+    policy = GalaPolicy(GalaConfig(), grouping)
     opt = OptimizerConfig(scenarios.COLLAPSE_LR)
     moved_steps = skipped_steps = 0
     for step in stream.adapt_batches:
@@ -408,17 +403,16 @@ def _reference_step(net, params, batch, loss, opt, policy):
     """The step with nothing skipped: a full loss pass and backward, and
     a full forward after any move."""
     value, grads, probs, _ = net.loss_and_gradients(params, batch, loss)
-    scales, decision, warmup = policy.select(grads, params, opt.learning_rate)
+    scales, decision = policy.select(grads, params, opt.learning_rate)
     layers = list(params.layers)
     for members, s in zip(policy.grouping.members, scales):
         if s:
             for i in members:
                 layers[i] = layers[i] + s * (-opt.learning_rate * grads[i])
     new_params = ModelParameters(layers, params.layer_names)
-    reset = policy.after_update(new_params)
     if any(scales):
         probs = net.forward(new_params, batch)
-    return new_params, decision, probs, value, warmup, reset
+    return new_params, decision, probs, value
 
 
 def _collapse_policies(net, params):
@@ -426,9 +420,8 @@ def _collapse_policies(net, params):
     single = build_grouping(net.layer_names, sizes, "single_layer")
     block = build_grouping(net.layer_names, sizes, "block", num_blocks=2)
     policies = {
-        "gala_single": lambda: GalaPolicy(GalaConfig(), single, params),
-        "gala_block": lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2), block,
-                                         params),
+        "gala_single": lambda: GalaPolicy(GalaConfig(), single),
+        "gala_block": lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2), block),
         "auto_rgn": lambda: baseline_policy(SelectorKind("auto_rgn"), single),
     }
     for variant in ("erm", "all_layers", "random_block"):
@@ -453,15 +446,14 @@ def test_adapt_step_matches_full_passes_reference(batch_size):
         for step in stream.adapt_batches[:60]:
             batch = Batch(step.inputs)
             res = single_step(net, live, batch, scenarios.PL, opt, policy)
-            ref, decision, probs, value, warmup, reset = _reference_step(
+            ref, decision, probs, value = _reference_step(
                 net, ref, batch, scenarios.PL, opt, ref_policy)
             assert res.probs.tobytes() == probs.tobytes(), name
-            assert (res.loss, res.warmup, res.reset) == (value, warmup, reset), name
+            assert res.loss == value, name
             assert res.decision.cosines.tobytes() == decision.cosines.tobytes(), name
             assert res.decision.mask.tobytes() == decision.mask.tobytes(), name
-            assert ((res.decision.selected_groups, res.decision.skipped,
-                     res.decision.first_sample)
-                    == (decision.selected_groups, decision.skipped, decision.first_sample))
+            assert ((res.decision.first_sample, res.decision.warmup, res.decision.reset)
+                    == (decision.first_sample, decision.warmup, decision.reset)), name
             for a, b in zip(res.params.layers, ref.layers):
                 assert a.tobytes() == b.tobytes(), name
             live = res.params
@@ -498,7 +490,7 @@ def test_backward_stops_at_lowest_layer_the_policy_moves(monkeypatch):
                    for new, old in zip(res.params.layers[:k], params.layers[:k]))
     calls.clear()
     single_step(net, params, batch, scenarios.PL, opt,
-                GalaPolicy(GalaConfig(), grouping, params))
+                GalaPolicy(GalaConfig(), grouping))
     assert len(calls) == 3
 
 def _unit(rng, dim):
@@ -536,7 +528,7 @@ def test_decide_cosines_equal_reference_thousand_cases():
             live.append(g)
             anchors.append(a)
             cases += 1
-        d = decide(u, live, anchors, False, cfg, names_for(anchors))
+        d = decide(u, live, anchors, False, cfg)
         want = [cosine_alignment(ug, g - a, eps) for ug, g, a in zip(u, live, anchors)]
         for got, ref in zip(d.cosines, want):
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
@@ -544,56 +536,53 @@ def test_decide_cosines_equal_reference_thousand_cases():
 
 
 def test_anchor_owns_its_data():
-    """Writing to a live layer array in place never moves the anchor, at
-    construction or after a reset."""
+    """Writing to a live layer array in place never moves the anchor,
+    whether it was taken on the first step or after a reset."""
     net = Network([LayerSpec("dense", 2, 3, "tanh"), LayerSpec("dense", 3, 2)])
     params = net.init_params(6)
+    grads = [np.ones_like(v) for v in params.layers]
     for gran in ("single_layer", "block"):
         grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], gran,
                                   num_blocks=1)
         live = params.copy()
         policy = GalaPolicy(GalaConfig(window_size=1, granularity=gran, num_blocks=1),
-                            grouping, live)
-        before = [a.copy() for a in policy.anchor]
-        for vec in live.layers:
-            vec += 1.0
-        for a, b in zip(policy.anchor, before):
-            assert np.array_equal(a, b)
-        assert policy.after_update(live)
-        before = [a.copy() for a in policy.anchor]
-        for vec in live.layers:
-            vec *= 2.0
-        for a, b in zip(policy.anchor, before):
-            assert np.array_equal(a, b)
+                            grouping)
+        for change in (1.0, 2.0):
+            _, decision = policy.select(grads, live, 0.1)
+            assert decision.first_sample and decision.reset
+            before = [a.copy() for a in policy.anchor]
+            for vec in live.layers:
+                vec += change
+            for a, b in zip(policy.anchor, before):
+                assert np.array_equal(a, b)
 
 
 def test_anchor_consistency_and_reset_within_run():
-    """Between resets the displacement is the sum of applied updates."""
+    """A window's anchor is the previous step's post-update parameters,
+    and within the window the displacement is the sum of applied updates."""
     rng = np.random.default_rng(23)
     net = Network([LayerSpec("dense", 2, 6, "tanh"), LayerSpec("dense", 6, 2)])
     params = net.init_params(8)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "multi_layer")
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", window_size=7)
     opt = OptimizerConfig(0.1)
-    policy = GalaPolicy(cfg, grouping, params)
-    applied = [np.zeros_like(g) for g in policy.anchor]
+    policy = GalaPolicy(cfg, grouping)
     for step in range(1, 16):
         batch = Batch(rng.normal(size=(3, 2)))
         res = single_step(net, params, batch, LossKind("shot_im"), opt, policy)
         new_groups = grouping.gather(res.params.layers)
         old_groups = grouping.gather(params.layers)
+        assert res.decision.first_sample == (step % 7 == 1)
+        assert res.decision.reset == (step % 7 == 0)
+        if res.decision.first_sample:
+            for a, g in zip(policy.anchor, old_groups):
+                assert np.array_equal(a, g)
+            applied = [np.zeros_like(g) for g in old_groups]
         for acc, new, old in zip(applied, new_groups, old_groups):
             acc += new - old
+        for g, a, acc in zip(new_groups, policy.anchor, applied):
+            assert np.all(np.abs(g - a - acc) < 1e-9)
         params = res.params
-        if res.reset:
-            assert step % 7 == 0
-            assert policy.last_reset == step
-            for a, g in zip(policy.anchor, new_groups):
-                assert np.array_equal(a, g)
-            applied = [np.zeros_like(g) for g in applied]
-        else:
-            for g, a, acc in zip(new_groups, policy.anchor, applied):
-                assert np.all(np.abs(g - a - acc) < 1e-9)
 
 
 def test_trajectory_determinism():
@@ -603,7 +592,7 @@ def test_trajectory_determinism():
         params = net.init_params(2)
         grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                                   "single_layer")
-        policy = GalaPolicy(GalaConfig(window_size=4), grouping, params)
+        policy = GalaPolicy(GalaConfig(window_size=4), grouping)
         opt = OptimizerConfig(0.2)
         out = []
         for _ in range(10):

@@ -53,9 +53,9 @@ def assert_erm_record(record, net, params, stream, loss):
     assert [c.tobytes() for c in record.correct] == [h.tobytes() for h in hits]
     assert [c.shape for c in record.correct] == [h.shape for h in hits]
     assert record.losses == losses
-    assert record.warmups == [1.0] * len(hits) and record.resets == [False] * len(hits)
     for d in record.decisions:
-        assert not d.mask.any() and d.skipped and not d.selected_groups
+        assert not d.mask.any() and d.skipped and not d.first_sample
+        assert (d.warmup, d.reset) == (1.0, False)
     for got, want in zip(record.final_params.layers, params.layers):
         assert got.tobytes() == want.tobytes() and not np.shares_memory(got, want)
 
@@ -147,10 +147,7 @@ def test_frozen_policy_with_a_nonzero_scale_raises():
         grad_layers = frozenset()
 
         def select(self, grads, params, lr):
-            return np.ones(self.grouping.num_groups), None, 1.0
-
-        def after_update(self, params):
-            return False
+            return np.ones(self.grouping.num_groups), None
 
     with pytest.raises(ValueError, match="run 1 has no gradient layers"):
         adapt(net, params, stream_of(1), LossKind("pseudo_label"), OptimizerConfig(0.5),

@@ -193,10 +193,9 @@ def mixed_policy_makers(net, params):
     return [
         lambda: baseline_policy(SelectorKind("oracle_best", fixed_group=single.names[-1]),
                                 single),
-        lambda: GalaPolicy(GalaConfig(), single, params),
+        lambda: GalaPolicy(GalaConfig(), single),
         lambda: baseline_policy(SelectorKind("erm"), single),
-        lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2, window_size=5),
-                           block, params),
+        lambda: GalaPolicy(GalaConfig(granularity="block", num_blocks=2, window_size=5), block),
         lambda: baseline_policy(SelectorKind("all_layers"), single),
         lambda: baseline_policy(SelectorKind("random_block", rng_seed=3), single),
         lambda: baseline_policy(SelectorKind("auto_rgn"), single),
@@ -209,7 +208,7 @@ def mixed_policy_makers(net, params):
 def test_lockstep_runs_equal_single_runs(batch_size):
     """adapt_step with R mixed policies gives, run by run and step by step,
     the bytes of R separate one-run steps: probabilities, loss, cosines,
-    mask, selected groups, flags, warm-up, reset and parameters; adapt's
+    mask, flags, warm-up, reset and parameters; adapt's
     records match those of R separate adapt calls."""
     net, params = mixed_net()
     stream = stream_of(batch_size, steps=30)
@@ -228,20 +227,20 @@ def test_lockstep_runs_equal_single_runs(batch_size):
         for r in range(runs):
             one = adapt_step(net, singles[r], batch, loss, opt, [alone[r]])
             assert res.probs[r].tobytes() == one.probs[0].tobytes(), r
-            assert (res.losses[r], res.warmups[r], res.resets[r]) == (
-                one.losses[0], one.warmups[0], one.resets[0]), r
+            assert res.losses[r] == one.losses[0], r
             got, want = res.decisions[r], one.decisions[0]
             assert got.cosines.tobytes() == want.cosines.tobytes(), r
             assert got.mask.tobytes() == want.mask.tobytes(), r
-            assert ((got.selected_groups, got.skipped, got.first_sample)
-                    == (want.selected_groups, want.skipped, want.first_sample)), r
+            assert ((got.first_sample, got.warmup, got.reset)
+                    == (want.first_sample, want.warmup, want.reset)), r
             for a, b in zip(stacked.run(r).layers, singles[r].layers):
                 assert a.tobytes() == b.tobytes(), r
     records = adapt(net, params, stream, loss, opt, [make() for make in makers], "fp", 3)
     for make, record in zip(makers, records):
         (single,) = adapt(net, params, stream, loss, opt, [make()], "fp", 3)
         assert [c.tobytes() for c in record.correct] == [c.tobytes() for c in single.correct]
-        assert record.losses == single.losses and record.resets == single.resets
+        assert record.losses == single.losses
+        assert [d.reset for d in record.decisions] == [d.reset for d in single.decisions]
         for a, b in zip(record.final_params.layers, single.final_params.layers):
             assert a.tobytes() == b.tobytes()
 

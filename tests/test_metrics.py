@@ -22,7 +22,6 @@ from gala import (
     SelectorKind,
     ShiftSpec,
     TaskSpec,
-    TraceStep,
     build_stream,
     config_fingerprint,
     export_geometry_grid,
@@ -50,20 +49,17 @@ def tiny_params():
     return ModelParameters([np.zeros(6)], ["L0_dense"])
 
 
-def decision(mask, first_sample=False, skipped=False, cosines=None):
+def decision(mask, first_sample=False, cosines=None):
     mask = np.asarray(mask, dtype=np.int64)
     if cosines is None:
         cosines = np.full(mask.size, 0.5)
-    names = [f"G{i}" for i in np.flatnonzero(mask)]
-    return SelectionDecision(np.asarray(cosines, dtype=float), mask, names,
-                             skipped, first_sample)
+    return SelectionDecision(np.asarray(cosines, dtype=float), mask, first_sample)
 
 
 def record_from(correct, decisions, groups=("G0", "G1")):
     n = len(correct)
     return RunRecord(list(groups), [np.asarray(c, dtype=bool) for c in correct],
-                     decisions, [0.1] * n, [1.0] * n, [False] * n,
-                     tiny_params(), "f" * 16, seed=0)
+                     decisions, [0.1] * n, tiny_params(), "f" * 16, seed=0)
 
 
 def control_setup(seed=21):
@@ -89,7 +85,7 @@ def test_tta_accuracy_alternating():
 
 
 def test_tta_accuracy_empty_record_rejected():
-    rec = RunRecord(["G0"], [], [], [], [], [], tiny_params(), "f" * 16, seed=0)
+    rec = RunRecord(["G0"], [], [], [], tiny_params(), "f" * 16, seed=0)
     with pytest.raises(ConfigurationError):
         tta_accuracy(rec)
 
@@ -210,14 +206,14 @@ def test_selection_frequency_all_layers():
 
 
 def test_selection_frequency_all_skipped():
-    decs = [decision([0, 0], skipped=True)] * 5
+    decs = [decision([0, 0])] * 5
     rec = record_from([[True]] * 5, decs)
     assert selection_frequency(rec) == {"G0": 0.0, "G1": 0.0}
 
 
 def test_selection_frequency_counts_skips_in_denominator():
     decs = [decision([1, 1], first_sample=True),
-            decision([1, 0]), decision([0, 0], skipped=True), decision([1, 0]),
+            decision([1, 0]), decision([0, 0]), decision([1, 0]),
             decision([0, 1])]
     rec = record_from([[True]] * 5, decs)
     freqs = selection_frequency(rec)
@@ -296,40 +292,32 @@ def gala_run_with_resets(seed=5):
 
 
 def test_trace_round_trip(tmp_path):
+    """parse_trace gives back the record's group names and decisions:
+    cosines and masks bit for bit, warm-up, reset and first sample."""
     net, pre, data, stream, rec = gala_run_with_resets()
     path = tmp_path / "trace.tsv"
     write_trace(path, rec)
-    steps = parse_trace(path)
-    assert len(steps) == rec.num_steps
-    for i, (step, d) in enumerate(zip(steps, rec.decisions)):
-        assert step.step == i + 1
-        assert step.skipped == d.skipped
-        assert step.reset == rec.resets[i]
-        assert step.warmup_scale == rec.warmups[i]
-        got_cos = np.array([step.cosines[g] for g in rec.group_names])
-        same = np.isnan(got_cos) == np.isnan(d.cosines)
-        assert same.all()
-        assert np.array_equal(got_cos[~np.isnan(got_cos)], d.cosines[~np.isnan(d.cosines)])
-        assert [step.mask[g] for g in rec.group_names] == list(d.mask)
+    groups, decisions = parse_trace(path)
+    assert groups == rec.group_names
+    assert len(decisions) == rec.num_steps
+    for got, want in zip(decisions, rec.decisions):
+        assert got.cosines.tobytes() == want.cosines.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
+        assert ((got.first_sample, got.warmup, got.reset, got.skipped)
+                == (want.first_sample, want.warmup, want.reset, want.skipped))
 
 
-def test_trace_derives_first_sample_after_resets():
+def test_trace_derives_first_sample_after_resets(tmp_path):
     """Window size 3 resets at steps 3, 6, ... so steps 1, 4, 7 start
     fresh windows."""
     net, pre, data, stream, rec = gala_run_with_resets()
-    assert any(rec.resets)
-    import tempfile, os
-    fd, path = tempfile.mkstemp(suffix=".tsv")
-    os.close(fd)
-    try:
-        write_trace(path, rec)
-        steps = parse_trace(path)
-    finally:
-        os.unlink(path)
-    expected_first = {1} | {s.step + 1 for s in steps if s.reset}
-    got_first = {s.step for s in steps if s.first_sample}
-    assert got_first == expected_first & {s.step for s in steps}
-    assert {s.step for s in steps if s.step % 3 == 1} <= got_first
+    path = tmp_path / "trace.tsv"
+    write_trace(path, rec)
+    _, decisions = parse_trace(path)
+    steps = range(1, len(decisions) + 1)
+    assert [s for s, d in zip(steps, decisions) if d.reset] == [s for s in steps if s % 3 == 0]
+    assert [s for s, d in zip(steps, decisions) if d.first_sample] == [
+        s for s in steps if s % 3 == 1]
 
 
 def test_parse_trace_rejects_other_files(tmp_path):
@@ -343,21 +331,25 @@ def test_parse_trace_rejects_other_files(tmp_path):
 
 _TRACE_HEADER = "step\tskipped\twarmup_scale\treset\tcos:L0\tmask:L0"
 _TRACE_ROW = ["1", "0", "1.0", "0", "0.5", "1"]
+_NEXT_ROW = ["2", "0", "1.0", "0", "0.5", "1"]
 
 
 @pytest.mark.parametrize("column,cell", [
     (0, "x"),  # step: an integer
+    (0, "3"),  # step: the row's number
     (1, "no"),  # skipped: an integer flag
+    (1, "1"),  # skipped: what the mask says
     (2, "1,5"),  # warmup_scale: a float
     (3, "0.5"),  # reset: an integer flag
     (4, "cos"),  # a group's cosine: a float
     (5, ""),  # a group's mask: an integer
     (6, None),  # a row short of the header's columns
-], ids=["step", "skipped", "warmup_scale", "reset", "cosine", "mask", "short_row"])
+], ids=["step", "step_number", "skipped", "skipped_vs_mask", "warmup_scale", "reset", "cosine",
+        "mask", "short_row"])
 def test_parse_trace_malformed_row_names_path_and_line(tmp_path, column, cell):
     """A bad cell of any kind raises a ConfigurationError naming the trace
     and the line of the row, not a raw ValueError."""
-    bad = list(_TRACE_ROW)
+    bad = list(_NEXT_ROW)
     if cell is None:
         bad.pop()
     else:
@@ -367,7 +359,7 @@ def test_parse_trace_malformed_row_names_path_and_line(tmp_path, column, cell):
     with pytest.raises(ConfigurationError, match=re.escape(f"trace {path} line 3 is malformed")):
         parse_trace(path)
     path.write_text("\n".join([_TRACE_HEADER, "\t".join(_TRACE_ROW)]) + "\n")
-    assert parse_trace(path)[0].mask == {"L0": 1}
+    assert parse_trace(path)[1][0].mask.tolist() == [1]
 
 
 def test_summary_round_trip(tmp_path):
@@ -449,8 +441,8 @@ def test_config_fingerprint_stable_and_distinct():
 
 def test_run_record_length_validation():
     with pytest.raises(ConfigurationError, match="losses"):
-        RunRecord(["G0"], [np.array([True])], [decision([1])], [], [1.0], [False],
-                  tiny_params(), "f" * 16, seed=0)
+        RunRecord(["G0"], [np.array([True])], [decision([1])], [], tiny_params(), "f" * 16,
+                  seed=0)
 
 
 def test_metrics_summary_range_validation():

@@ -52,7 +52,6 @@ def _random_geometry(rng):
     """A synthetic multi-group selection state with known displacements."""
     k = int(rng.integers(2, 7))
     dims = [int(rng.integers(1, 6)) for _ in range(k)]
-    names = [f"G{i}" for i in range(k)]
     anchor_groups = [rng.normal(size=d) for d in dims]
     tds = [rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2) for d in dims]
     us = []
@@ -62,7 +61,7 @@ def _random_geometry(rng):
         else:
             us.append(rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2))
     live = [a + t for a, t in zip(anchor_groups, tds)]
-    return names, us, live, anchor_groups
+    return us, live, anchor_groups
 
 
 def test_mask_exclusivity_thousand_cases():
@@ -70,14 +69,14 @@ def test_mask_exclusivity_thousand_cases():
     mask is exactly the set of defined cosines above threshold."""
     rng = np.random.default_rng(202)
     for _ in range(1000):
-        names, proposal, live, anchor = _random_geometry(rng)
+        proposal, live, anchor = _random_geometry(rng)
         lam = float(rng.uniform(-1, 1))
         pick = rng.random()
         granularity = ("single_layer" if pick < 0.4 else
                        "block" if pick < 0.7 else "multi_layer")
         cfg = GalaConfig(threshold=lam, granularity=granularity,
                          warmup_mode="none", warmup_len=0)
-        d = decide(proposal, live, anchor, False, cfg, names)
+        d = decide(proposal, live, anchor, False, cfg)
         assert not d.first_sample
         defined = ~np.isnan(d.cosines)
         assert not d.mask[~defined].any()
@@ -99,13 +98,12 @@ def test_selection_monotone_in_threshold_thousand_cases():
     low threshold stays a skip at any higher one."""
     rng = np.random.default_rng(303)
     for _ in range(1000):
-        names, proposal, live, anchor = _random_geometry(rng)
+        proposal, live, anchor = _random_geometry(rng)
         lo, hi = sorted(rng.uniform(-1, 1, size=2))
         granularity = "multi_layer" if rng.random() < 0.5 else "single_layer"
         base = dict(granularity=granularity, warmup_mode="none", warmup_len=0)
-        d_lo = decide(proposal, live, anchor, False, GalaConfig(threshold=lo, **base), names)
-        d_hi = decide(proposal, live, anchor, False, GalaConfig(threshold=hi, **base), names)
-        assert set(d_hi.selected_groups) <= set(d_lo.selected_groups)
+        d_lo = decide(proposal, live, anchor, False, GalaConfig(threshold=lo, **base))
+        d_hi = decide(proposal, live, anchor, False, GalaConfig(threshold=hi, **base))
         assert np.all(d_lo.mask >= d_hi.mask)
         if d_lo.skipped:
             assert d_hi.skipped
@@ -127,8 +125,9 @@ def _random_loss(rng, k):
 
 
 def test_anchor_and_displacement_consistency_thousand_steps():
-    """Across 200 random runs of 5 steps: the anchor always equals the
-    parameters snapshot from the most recent reset, displacement is
+    """Across 200 random runs of 5 steps: the anchor a step compares
+    against always equals the parameters after the most recent reset
+    step (the initial ones before any), displacement is
     live-minus-anchor, and every reported cosine is reproducible from
     those quantities to 1e-9."""
     rng = np.random.default_rng(404)
@@ -144,7 +143,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                                   [s.param_count for s in net.specs],
                                   "single_layer")
         params = net.init_params(seed=int(rng.integers(1 << 16)))
-        policy = GalaPolicy(cfg, grouping, params)
+        policy = GalaPolicy(cfg, grouping)
         snapshot = [g.copy() for g in grouping.gather(params.layers)]
         opt = OptimizerConfig(10.0 ** rng.uniform(-2, 0))
         expect_first = True
@@ -168,12 +167,12 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                     else:
                         assert abs(got - want) <= 1e-9
                 checked += 1
-            if res.reset:
-                snapshot = [g.copy() for g in grouping.gather(res.params.layers)]
             for a, s in zip(policy.anchor, snapshot):
                 assert np.array_equal(a, s)
+            if res.decision.reset:
+                snapshot = [g.copy() for g in grouping.gather(res.params.layers)]
             params = res.params
-            expect_first = res.reset
+            expect_first = res.decision.reset
     assert checked >= 1000
 
 
@@ -204,7 +203,7 @@ def test_trajectory_determinism_thousand_steps():
                                  else None))
 
         def replay():
-            params, policy = init.copy(), GalaPolicy(cfg, grouping, init)
+            params, policy = init.copy(), GalaPolicy(cfg, grouping)
             out = []
             for b in batches:
                 res = single_step(net, params, b, loss, opt, policy)

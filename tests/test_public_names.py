@@ -1,12 +1,16 @@
-"""The names the demos and the benchmark harness take from gala exist.
+"""The names the demos and the benchmark harness take from gala exist,
+and the README's library quick start runs.
 
-A deleted export that a demo or the benchmark needs fails here, not
-only when that script runs.
+A deleted export that a demo or the benchmark needs, or an API change
+the README still shows, fails here, not only when a reader runs it.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
+import re
 import types
 from pathlib import Path
 
@@ -63,3 +67,14 @@ def _resolves(dotted: str) -> bool:
 def test_benchmark_gala_names_resolve(path):
     names = set(_gala_names(ast.parse(path.read_text(encoding="utf-8"))))
     assert not sorted(n for n in names if not _resolves(n))
+
+
+def test_readme_library_quick_start_runs():
+    """The python block under "Library quick start" in README.md, as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    (code,) = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    assert out.getvalue().startswith("stream acc ")
