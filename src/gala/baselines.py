@@ -3,10 +3,10 @@
 Each policy maps a step's gradients to one scale per parameter group,
 like gala's: erm scales every group by zero (it never updates);
 all_layers by one (plain SGD); random_block picks one uniformly drawn
-group per sample; oracle selectors replay the single best or worst
-group found by a brute-force sweep; auto_rgn scales every group's
-learning rate by its smoothed relative gradient norm. Their decisions
-carry nan cosines, as no alignment is measured.
+group per sample; oracle selectors replay the single best or worst group
+found by a brute-force sweep; auto_rgn scales every group's learning
+rate by its smoothed relative gradient norm, each norm a ``group_dot``.
+Their decisions carry nan cosines, as no alignment is measured.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ParameterGrouping, SelectionDecision
+from .engine import ParameterGrouping, SelectionDecision, group_dot
 from .errors import ConfigurationError
 from .nn import ModelParameters
 
@@ -95,9 +95,10 @@ class AutoRGN:
         self.ema: np.ndarray | None = None
 
     def select(self, grads, params: ModelParameters, lr):
+        p = params.layers
         ratios = np.array([
-            np.linalg.norm(g) / (np.linalg.norm(p) + _RGN_EPS)
-            for g, p in zip(self.grouping.gather(grads), self.grouping.gather(params.layers))
+            math.sqrt(group_dot(grads, grads, m)) / (math.sqrt(group_dot(p, p, m)) + _RGN_EPS)
+            for m in self.grouping.members
         ])
         self.ema = ratios if self.ema is None else (
             _RGN_DECAY * self.ema + (1.0 - _RGN_DECAY) * ratios

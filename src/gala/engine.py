@@ -16,9 +16,10 @@ unconditionally (there is no displacement to align with yet).
 
 ``GalaPolicy`` packages the criterion as a scale policy for the
 adaptation step in ``runner``: per group, the binary mask times the
-warm-up factor. It counts its steps and takes the anchor itself, from
-the parameters it is shown on the first step of each window: a step's
-pre-update parameters are the previous step's post-update ones.
+warm-up factor. It counts its steps and copies the anchor per layer
+from the parameters it is shown on the first step of each window: a
+step's pre-update parameters are the previous step's post-update ones.
+Every dot is a ``group_dot``, summed in one order at any thread count.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .nn import ModelParameters
 
 GRANULARITIES = ("single_layer", "multi_layer", "block")
 WARMUP_MODES = ("linear_ramp", "none")
+# OpenBLAS runs a ddot of up to 10,000 entries on one thread
+DOT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ class GalaConfig:
 class ParameterGrouping:
     """Ordered partition of layer indices into named groups.
 
-    ``layer_sizes`` pins the flat length of each layer's parameter
-    vector so group vectors can be gathered consistently.
+    ``members[k]`` lists group k's layers in order and ``layer_sizes``
+    each layer's flat length; ``group_dot`` reads a group's layers in place.
     """
 
     names: list[str]
@@ -97,28 +100,6 @@ class ParameterGrouping:
     @property
     def all_layers(self) -> frozenset[int]:
         return frozenset(range(len(self.layer_sizes)))
-
-    def gather(self, layer_vectors: list[np.ndarray]) -> list[np.ndarray]:
-        """Each group's layer vectors as one flat vector.
-
-        A multi-layer group is concatenated into a new array; a one-layer
-        group comes back as that layer's own array, not a copy, so callers
-        must not write to the result.
-        """
-        if len(layer_vectors) != len(self.layer_sizes):
-            raise ConfigurationError("layer count mismatch in gather")
-        for vec, size in zip(layer_vectors, self.layer_sizes):
-            if vec.size != size:
-                raise ConfigurationError("layer size mismatch in gather")
-        out = []
-        for group in self.members:
-            if len(group) == 1:
-                out.append(layer_vectors[group[0]])
-            elif group:
-                out.append(np.concatenate([layer_vectors[i] for i in group]))
-            else:
-                out.append(np.zeros(0))
-        return out
 
 
 def build_grouping(
@@ -164,16 +145,29 @@ class SelectionDecision:
         return not self.mask.any()
 
 
+def group_dot(a: list[np.ndarray], b: list[np.ndarray], members: list[int]) -> float:
+    """Dot product over the layers ``members`` of two per-layer lists: one
+    ``ndarray.dot`` per slice of at most ``DOT_CHUNK`` entries, summed in
+    layer and slice order from the first term; 0.0 for no entries."""
+    total = None
+    for i in members:
+        x, y = a[i], b[i]
+        for s in range(0, x.size, DOT_CHUNK):  # a short layer takes no slice views
+            d = x.dot(y) if x.size <= DOT_CHUNK else x[s:s + DOT_CHUNK].dot(y[s:s + DOT_CHUNK])
+            total = d if total is None else total + d
+    return 0.0 if total is None else total
+
+
 def cosine_alignment(u: np.ndarray, td: np.ndarray, eps: float) -> float:
-    """Cosine between u and u + td; nan when either norm is below eps."""
+    """Cosine between vectors u and u + td; nan when either norm is below eps."""
     if u.shape != td.shape:
         raise ConfigurationError("u and td must have the same shape")
-    resultant = u + td
-    nu = np.linalg.norm(u)
-    nr = np.linalg.norm(resultant)
+    u, r = [u], [u + td]
+    nu = math.sqrt(group_dot(u, u, [0]))
+    nr = math.sqrt(group_dot(r, r, [0]))
     if nu < eps or nr < eps:
         return math.nan
-    return float(np.clip(np.dot(u, resultant) / (nu * nr), -1.0, 1.0))
+    return float(np.clip(group_dot(u, r, [0]) / (nu * nr), -1.0, 1.0))
 
 
 def cosine_via_decomposition(td_norm: float, u_norm: float, beta: float) -> float:
@@ -194,50 +188,54 @@ def cosine_via_decomposition(td_norm: float, u_norm: float, beta: float) -> floa
 
 def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Angle in [0, pi] between two vectors; nan if either is zero."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+    a, b = [a], [b]
+    na = math.sqrt(group_dot(a, a, [0]))
+    nb = math.sqrt(group_dot(b, b, [0]))
     if na == 0.0 or nb == 0.0:
         return math.nan
-    return float(np.arccos(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0)))
+    return float(np.arccos(np.clip(group_dot(a, b, [0]) / (na * nb), -1.0, 1.0)))
 
 
 def decide(
     u: list[np.ndarray],
     live: list[np.ndarray],
     anchor: list[np.ndarray],
+    members: list[list[int]],
     first: bool,
     cfg: GalaConfig,
 ) -> SelectionDecision:
     """Choose which groups the current sample may update.
 
-    ``u`` holds the per-group proposed updates (-lr * gradient), ``live``
-    the pre-update group parameters and ``anchor`` the group parameters
-    at the last reset; ``first`` marks the first sample after a reset,
-    which selects every group regardless of threshold or granularity.
-    After that, single_layer and block modes select the argmax-cosine
-    group if it clears the threshold (ties to the lowest group index),
-    while multi_layer selects every group that clears it. A sample whose
-    every group fails is skipped.
+    ``u`` holds the per-layer proposed updates (-lr * gradient), ``live``
+    the pre-update layer parameters, ``anchor`` the layer parameters at
+    the last reset and ``members[k]`` group k's layers; ``first`` marks
+    the first sample after a reset, which selects every group regardless
+    of threshold or granularity. After that, single_layer and block modes
+    select the argmax-cosine group if it clears the threshold (ties to
+    the lowest group index), while multi_layer selects every group that
+    clears it. A sample whose every group fails is skipped.
 
-    The cosines are ``cosine_alignment(u_k, live_k - anchor_k, eps)``,
-    computed with the same operations in the same order (norms as
-    sqrt(x . x)), so they match it bit for bit.
+    A group's cosine is that of u and r = (live - anchor) + u over its
+    layers, by ``group_dot``: on one layer, the same operations in the
+    same order as ``cosine_alignment``, so it matches that bit for bit.
     """
     if not len(u) == len(live) == len(anchor):
-        raise ConfigurationError("group count mismatch in decide")
+        raise ConfigurationError("layer count mismatch in decide")
+    r = []
+    for ui, g, a in zip(u, live, anchor):
+        if not ui.shape == g.shape == a.shape:
+            raise ConfigurationError("layer shape mismatch in decide")
+        r.append(g - a)
+        r[-1] += ui
     eps = cfg.epsilon
     cosines = []
-    for uk, g, a in zip(u, live, anchor):
-        if not uk.shape == g.shape == a.shape:
-            raise ConfigurationError("group shape mismatch in decide")
-        r = g - a
-        r += uk
-        nu = math.sqrt(uk.dot(uk))
-        nr = math.sqrt(r.dot(r))
+    for group in members:
+        nu = math.sqrt(group_dot(u, u, group))
+        nr = math.sqrt(group_dot(r, r, group))
         if nu < eps or nr < eps:
             cosines.append(math.nan)
         else:
-            c = float(uk.dot(r) / (nu * nr))
+            c = group_dot(u, r, group) / (nu * nr)
             cosines.append(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
     n = len(cosines)
     if first:
@@ -273,7 +271,7 @@ class GalaPolicy:
 
     ``steps`` counts the steps taken. On the first step of each window
     (every ``window_size`` steps; an infinite window has only the first)
-    ``select`` sets ``anchor`` to a copy of the groups' parameters it is
+    ``select`` sets ``anchor`` to per-layer copies of the parameters it is
     shown, the pre-update ones, so a window's anchor is the parameters
     after the previous window's last step. The decision marks that last
     step as ``reset``.
@@ -288,13 +286,12 @@ class GalaPolicy:
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
                lr: float) -> tuple[np.ndarray, SelectionDecision]:
-        u = self.grouping.gather([-lr * g for g in grads])
-        live = self.grouping.gather(params.layers)
+        u = [-lr * g for g in grads]
         j = self.steps % self.cfg.window_size  # x % inf is x: one endless window
         if j == 0:
-            # copies: a one-layer group gathers the live array itself
-            self.anchor = [g.copy() for g in live]
-        decision = decide(u, live, self.anchor, j == 0, self.cfg)
+            self.anchor = [v.copy() for v in params.layers]
+        decision = decide(u, params.layers, self.anchor, self.grouping.members, j == 0,
+                          self.cfg)
         decision.warmup = warmup_scale(self.cfg, j + 1)
         decision.reset = j + 1 == self.cfg.window_size
         self.steps += 1

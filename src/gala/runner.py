@@ -266,6 +266,7 @@ def run_selector(
             "window_size": "inf" if selector.window_size == math.inf else selector.window_size,
             "warmup_len": selector.warmup_len,
             "warmup_mode": selector.warmup_mode,
+            "epsilon": selector.epsilon,
         }
     else:
         if selector.variant in ORACLE_VARIANTS and selector.fixed_group is None:

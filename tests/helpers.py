@@ -1,6 +1,7 @@
 """Shared test utilities: independent loss recomputation, finite
-differences and a one-run adaptation step."""
+differences, a one-run adaptation step and a run's digest."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,20 @@ def single_step(network, params, batch, loss, opt, policy):
     res = adapt_step(network, stacked, batch, loss, opt, [policy])
     return SimpleNamespace(params=stacked.run(0), decision=res.decisions[0],
                            probs=res.probs[0], loss=res.losses[0])
+
+
+def record_digest(record) -> str:
+    """Hash of everything a run observed, to compare runs bit for bit."""
+    h = hashlib.sha256()
+    for c in record.correct:
+        h.update(np.asarray(c).tobytes())
+    h.update(np.asarray(record.losses, dtype=np.float64).tobytes())
+    for d in record.decisions:
+        h.update(np.asarray(d.cosines, dtype=np.float64).tobytes())
+        h.update(np.asarray(d.mask).tobytes())
+    for v in record.final_params.layers:
+        h.update(np.asarray(v).tobytes())
+    return h.hexdigest()
 
 
 def reference_loss(network, params, inputs, variant, labels=None, pl_labels=None, pl_weight=0.3):

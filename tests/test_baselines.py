@@ -180,6 +180,14 @@ def test_random_block_seeded_reproducibly():
         assert np.array_equal(a, b)
 
 
+def rgn_ratios(grouping, grads, layers):
+    """Each group's gradient-to-weight norm ratio, its norms summed from
+    per-layer sums of squares."""
+    def norm(vectors, members):
+        return math.sqrt(sum(float(np.sum(vectors[i] ** 2)) for i in members))
+    return np.array([norm(grads, m) / (norm(layers, m) + 1e-12) for m in grouping.members])
+
+
 def test_auto_rgn_first_step_delta():
     """First step scales each group's SGD update by its gradient-to-weight
     norm ratio over the largest ratio."""
@@ -189,17 +197,38 @@ def test_auto_rgn_first_step_delta():
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
     _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
-    gathered_g = grouping.gather(grads)
-    gathered_p = grouping.gather(params.layers)
-    ratios = np.array([np.linalg.norm(g) / (np.linalg.norm(p) + 1e-12)
-                       for g, p in zip(gathered_g, gathered_p)])
+    ratios = rgn_ratios(grouping, grads, params.layers)
     scales = ratios / ratios.max()
     res = single_step(net, params, batch, loss, opt,
                       baseline_policy(SelectorKind("auto_rgn"), grouping))
-    got_groups = grouping.gather(res.params.layers)
-    for got, before, s, g in zip(got_groups, gathered_p, scales, gathered_g):
-        np.testing.assert_allclose(got, before - opt.learning_rate * s * g,
+    for (i,), s in zip(grouping.members, scales):
+        np.testing.assert_allclose(res.params.layers[i],
+                                   params.layers[i] - opt.learning_rate * s * grads[i],
                                    rtol=0, atol=1e-12)
+
+
+def test_auto_rgn_block_ratios_sum_over_layers():
+    """A block's ratio takes its norms over all its layers, and its scale
+    moves each of them."""
+    rng = np.random.default_rng(9)
+    net = Network([LayerSpec("dense", 3, 6, "tanh"), LayerSpec("dense", 6, 5, "tanh"),
+                   LayerSpec("dense", 5, 4)])
+    params = net.init_params(4)
+    batch = Batch(rng.normal(size=(7, 3)))
+    loss, opt = LossKind("shot_im"), OptimizerConfig(0.2)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "block",
+                              num_blocks=2)
+    assert grouping.members == [[0, 1], [2]]
+    _, grads, _, _ = net.loss_and_gradients(params, batch, loss)
+    ratios = rgn_ratios(grouping, grads, params.layers)
+    policy = baseline_policy(SelectorKind("auto_rgn"), grouping)
+    res = single_step(net, params, batch, loss, opt, policy)
+    np.testing.assert_allclose(policy.ema, ratios, rtol=1e-13, atol=0)
+    for members, s in zip(grouping.members, policy.ema / policy.ema.max()):
+        for i in members:
+            np.testing.assert_allclose(res.params.layers[i],
+                                       params.layers[i] - opt.learning_rate * s * grads[i],
+                                       rtol=0, atol=1e-12)
 
 
 def test_auto_rgn_ema_tracks_ratio_history():
@@ -214,9 +243,7 @@ def test_auto_rgn_ema_tracks_ratio_history():
 
     def ratios_at(p, b):
         _, grads, _, _ = net.loss_and_gradients(p, b, loss)
-        return np.array([np.linalg.norm(g) / (np.linalg.norm(q) + 1e-12)
-                         for g, q in zip(grouping.gather(grads),
-                                         grouping.gather(p.layers))])
+        return rgn_ratios(grouping, grads, p.layers)
 
     r1 = ratios_at(params, batch1)
     res1 = single_step(net, params, batch1, loss, opt, policy)

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gala.cli
+import scenarios
 from gala import (ConfigurationError, GalaConfig, LayerSpec, LossKind, OptimizerConfig,
-                  SelectorKind, ShiftSpec, TaskSpec, config, load_config, parse_config,
-                  parse_summary, save_checkpoint)
+                  SelectorKind, ShiftSpec, TaskSpec, build_stream, config, load_config,
+                  parse_config, parse_summary, run_gala, save_checkpoint)
 from gala.cli import main
 from gala.shiftbench import _ALLOWED_PARAMS
 from helpers import diverging_relu_net
@@ -819,7 +820,7 @@ def test_adapt_pins_run_fingerprints(tmp_path):
     random_block = {key: value for key, value in raw.items() if key != "sweep"}
     random_block["selector"] = {"baseline": {"variant": "random_block",
                                              "granularity": "block", "num_blocks": 2}}
-    expected = [(raw, ["a9c2e7783272642b", "0fdd07dc597e6f1f"]),
+    expected = [(raw, ["61fd84317263d053", "5fc9a67c19e8e245"]),
                 (random_block, ["1649cfae80870571", "81d2053a0d1e9d92"])]
     for i, (cfg, fingerprints) in enumerate(expected):
         path = tmp_path / f"cfg{i}.json"
@@ -831,3 +832,15 @@ def test_adapt_pins_run_fingerprints(tmp_path):
             _, payload = parse_summary(tmp_path / "out" / "adapt" / f"seed{seed}" /
                                        "summary.json")
             assert payload["config_fingerprint"] == fingerprint
+
+
+def test_gala_fingerprint_names_epsilon():
+    """Two gala epsilons give two run fingerprints: epsilon changes which
+    cosines are defined, so it changes the run."""
+    net, params, _ = scenarios.collapse_setup()
+    stream = build_stream(scenarios.COLLAPSE_TASK, scenarios.COLLAPSE_SHIFTS[:1], mode="single",
+                          batch_size=50, seed=0)
+    fingerprints = {run_gala(net, params, stream, scenarios.PL, OptimizerConfig(0.1),
+                             GalaConfig(epsilon=epsilon)).config_fingerprint
+                    for epsilon in (1e-12, 10.0)}
+    assert len(fingerprints) == 2

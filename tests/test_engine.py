@@ -27,6 +27,7 @@ from gala import (
     vector_angle,
     warmup_scale,
 )
+from gala.engine import DOT_CHUNK, group_dot
 from helpers import single_step
 
 EPS = 1e-12
@@ -90,7 +91,8 @@ def decision_for(cosines, cfg, first=False):
     groups = [forced_cosine_group(c) for c in cosines]
     proposal = [u for u, _ in groups]
     live = [td for _, td in groups]
-    return decide(proposal, live, [np.zeros(2) for _ in cosines], first, cfg)
+    return decide(proposal, live, [np.zeros(2) for _ in cosines],
+                  [[k] for k in range(len(cosines))], first, cfg)
 
 
 def test_decide_single_layer_argmax():
@@ -127,11 +129,11 @@ def test_decide_undefined_cosines_never_selected():
     cfg = GalaConfig(threshold=-1.0, granularity="multi_layer")
     proposal = [np.zeros(2), np.array([1.0, 0.0])]
     live = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
-    d = decide(proposal, live, [np.zeros(2), np.zeros(2)], False, cfg)
+    d = decide(proposal, live, [np.zeros(2), np.zeros(2)], [[0], [1]], False, cfg)
     assert math.isnan(d.cosines[0]) and not math.isnan(d.cosines[1])
     assert np.array_equal(d.mask, [0, 1])
     all_zero = [np.zeros(2), np.zeros(2)]
-    d = decide(all_zero, live, [np.zeros(2), np.zeros(2)], False, cfg)
+    d = decide(all_zero, live, [np.zeros(2), np.zeros(2)], [[0], [1]], False, cfg)
     assert d.skipped
 
 
@@ -270,18 +272,6 @@ def test_grouping_partition_validation():
         ParameterGrouping(["a"], [[0]], [2, 2])
     with pytest.raises(ConfigurationError):
         ParameterGrouping(["a"], [[0], [1]], [2, 2])
-
-
-def test_grouping_gather_scatter_round_trip():
-    rng = np.random.default_rng(17)
-    layers = [rng.normal(size=s) for s in (4, 0, 6, 2)]
-    grouping = ParameterGrouping(["B0", "B1"], [[0, 1], [2, 3]], [4, 0, 6, 2])
-    groups = grouping.gather(layers)
-    assert groups[0].size == 4 and groups[1].size == 8
-    back = [piece for group, members in zip(groups, grouping.members)
-            for piece in np.split(group, np.cumsum([layers[i].size for i in members])[:-1])]
-    for a, b in zip(back, layers):
-        assert np.array_equal(a, b)
 
 
 def linear_pair_net():
@@ -528,11 +518,64 @@ def test_decide_cosines_equal_reference_thousand_cases():
             live.append(g)
             anchors.append(a)
             cases += 1
-        d = decide(u, live, anchors, False, cfg)
+        d = decide(u, live, anchors, [[i] for i in range(k)], False, cfg)
         want = [cosine_alignment(ug, g - a, eps) for ug, g, a in zip(u, live, anchors)]
         for got, ref in zip(d.cosines, want):
             assert (math.isnan(got) and math.isnan(ref)) or got == ref
     assert cases >= 1000
+
+
+def test_group_dot_fixed_order_over_layers_and_slices():
+    """group_dot sums one ndarray.dot per slice of at most DOT_CHUNK
+    entries, layer by layer and left to right from the first term: a
+    short layer gets its one-call dot, a lone -0.0 survives and a group
+    with no entries gives 0.0."""
+    rng = np.random.default_rng(61)
+    for _ in range(10):  # one draw's whole-layer dot often rounds like the slices
+        a = [rng.normal(size=n) for n in (DOT_CHUNK, 0, 2 * DOT_CHUNK + 5, 3)]
+        b = [rng.normal(size=v.size) for v in a]
+        assert group_dot(a, b, [0]) == a[0].dot(b[0])
+        want = a[0].dot(b[0])
+        for s in (0, DOT_CHUNK, 2 * DOT_CHUNK):
+            want += a[2][s:s + DOT_CHUNK].dot(b[2][s:s + DOT_CHUNK])
+        want += a[3].dot(b[3])
+        got = group_dot(a, b, [0, 1, 2, 3])
+        assert got == want
+        assert abs(got - sum(float(np.sum(x * y)) for x, y in zip(a, b))) < 1e-10
+    assert math.copysign(1.0, group_dot([np.array([-0.0])], [np.array([1.0])], [0])) == -1.0
+    assert group_dot(a, b, [1]) == 0.0 and group_dot(a, b, []) == 0.0
+
+
+@pytest.mark.parametrize("size", [0, 272, 65_792])
+def test_decide_equals_cosine_alignment_on_one_layer_groups(size):
+    """On a one-layer group of any size, decide's cosine is
+    cosine_alignment's bit for bit: both take their dots by group_dot."""
+    rng = np.random.default_rng(size)
+    cfg = GalaConfig()
+    live, anchor = [rng.normal(size=size) for _ in range(2)]
+    for u in (rng.normal(size=size) * 1e-3, anchor - live, np.zeros(size)):
+        d = decide([u], [live], [anchor], [[0]], False, cfg)
+        want = cosine_alignment(u, live - anchor, cfg.epsilon)
+        assert (math.isnan(want) and math.isnan(d.cosines[0])) or d.cosines[0] == want
+
+
+def test_decide_multi_layer_group_matches_concatenation():
+    """A block's cosine is cosine_alignment of its layers concatenated,
+    to 1e-12: only the order of the sums differs."""
+    rng = np.random.default_rng(67)
+    sizes = (40, 0, 9000, 272)
+    cfg = GalaConfig(granularity="block")
+    members = [[0, 1, 2], [3]]
+    for _ in range(20):
+        u = [rng.normal(size=n) * 10.0 ** rng.uniform(-3, 0) for n in sizes]
+        anchor = [rng.normal(size=n) for n in sizes]
+        live = [a + rng.normal(size=a.size) * 10.0 ** rng.uniform(-3, 0) for a in anchor]
+        d = decide(u, live, anchor, members, False, cfg)
+        for k, group in enumerate(members):
+            want = cosine_alignment(np.concatenate([u[i] for i in group]),
+                                    np.concatenate([live[i] - anchor[i] for i in group]),
+                                    cfg.epsilon)
+            assert abs(d.cosines[k] - want) <= 1e-12
 
 
 def test_anchor_owns_its_data():
@@ -570,17 +613,16 @@ def test_anchor_consistency_and_reset_within_run():
     for step in range(1, 16):
         batch = Batch(rng.normal(size=(3, 2)))
         res = single_step(net, params, batch, LossKind("shot_im"), opt, policy)
-        new_groups = grouping.gather(res.params.layers)
-        old_groups = grouping.gather(params.layers)
+        new_layers, old_layers = res.params.layers, params.layers
         assert res.decision.first_sample == (step % 7 == 1)
         assert res.decision.reset == (step % 7 == 0)
         if res.decision.first_sample:
-            for a, g in zip(policy.anchor, old_groups):
+            for a, g in zip(policy.anchor, old_layers):
                 assert np.array_equal(a, g)
-            applied = [np.zeros_like(g) for g in old_groups]
-        for acc, new, old in zip(applied, new_groups, old_groups):
+            applied = [np.zeros_like(g) for g in old_layers]
+        for acc, new, old in zip(applied, new_layers, old_layers):
             acc += new - old
-        for g, a, acc in zip(new_groups, policy.anchor, applied):
+        for g, a, acc in zip(new_layers, policy.anchor, applied):
             assert np.all(np.abs(g - a - acc) < 1e-9)
         params = res.params
 

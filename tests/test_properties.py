@@ -49,7 +49,8 @@ def test_cosine_scale_invariance_thousand_cases():
 
 
 def _random_geometry(rng):
-    """A synthetic multi-group selection state with known displacements."""
+    """A synthetic multi-group selection state with known displacements,
+    one layer per group."""
     k = int(rng.integers(2, 7))
     dims = [int(rng.integers(1, 6)) for _ in range(k)]
     anchor_groups = [rng.normal(size=d) for d in dims]
@@ -61,7 +62,7 @@ def _random_geometry(rng):
         else:
             us.append(rng.normal(size=d) * 10.0 ** rng.uniform(-2, 2))
     live = [a + t for a, t in zip(anchor_groups, tds)]
-    return us, live, anchor_groups
+    return us, live, anchor_groups, [[i] for i in range(k)]
 
 
 def test_mask_exclusivity_thousand_cases():
@@ -69,14 +70,14 @@ def test_mask_exclusivity_thousand_cases():
     mask is exactly the set of defined cosines above threshold."""
     rng = np.random.default_rng(202)
     for _ in range(1000):
-        proposal, live, anchor = _random_geometry(rng)
+        proposal, live, anchor, members = _random_geometry(rng)
         lam = float(rng.uniform(-1, 1))
         pick = rng.random()
         granularity = ("single_layer" if pick < 0.4 else
                        "block" if pick < 0.7 else "multi_layer")
         cfg = GalaConfig(threshold=lam, granularity=granularity,
                          warmup_mode="none", warmup_len=0)
-        d = decide(proposal, live, anchor, False, cfg)
+        d = decide(proposal, live, anchor, members, False, cfg)
         assert not d.first_sample
         defined = ~np.isnan(d.cosines)
         assert not d.mask[~defined].any()
@@ -98,12 +99,12 @@ def test_selection_monotone_in_threshold_thousand_cases():
     low threshold stays a skip at any higher one."""
     rng = np.random.default_rng(303)
     for _ in range(1000):
-        proposal, live, anchor = _random_geometry(rng)
+        proposal, live, anchor, members = _random_geometry(rng)
         lo, hi = sorted(rng.uniform(-1, 1, size=2))
         granularity = "multi_layer" if rng.random() < 0.5 else "single_layer"
         base = dict(granularity=granularity, warmup_mode="none", warmup_len=0)
-        d_lo = decide(proposal, live, anchor, False, GalaConfig(threshold=lo, **base))
-        d_hi = decide(proposal, live, anchor, False, GalaConfig(threshold=hi, **base))
+        d_lo = decide(proposal, live, anchor, members, False, GalaConfig(threshold=lo, **base))
+        d_hi = decide(proposal, live, anchor, members, False, GalaConfig(threshold=hi, **base))
         assert np.all(d_lo.mask >= d_hi.mask)
         if d_lo.skipped:
             assert d_hi.skipped
@@ -144,7 +145,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                                   "single_layer")
         params = net.init_params(seed=int(rng.integers(1 << 16)))
         policy = GalaPolicy(cfg, grouping)
-        snapshot = [g.copy() for g in grouping.gather(params.layers)]
+        snapshot = [v.copy() for v in params.layers]
         opt = OptimizerConfig(10.0 ** rng.uniform(-2, 0))
         expect_first = True
         for _step in range(5):
@@ -153,11 +154,11 @@ def test_anchor_and_displacement_consistency_thousand_steps():
                           rng.integers(k, size=n) if loss.supervised else None)
             pre_params = params.copy()
             _, grads, _, _ = net.loss_and_gradients(pre_params, batch, loss)
-            expect_u = grouping.gather([-opt.learning_rate * g for g in grads])
+            expect_u = [-opt.learning_rate * g for g in grads]
             res = single_step(net, params, batch, loss, opt, policy)
             assert res.decision.first_sample == expect_first
-            live = grouping.gather(pre_params.layers)
-            tds = [g - s for g, s in zip(live, snapshot)]
+            # single_layer: group gi is layer gi
+            tds = [g - s for g, s in zip(pre_params.layers, snapshot)]
             for gi in range(grouping.num_groups):
                 if not res.decision.first_sample:
                     want = cosine_alignment(expect_u[gi], tds[gi], cfg.epsilon)
@@ -170,7 +171,7 @@ def test_anchor_and_displacement_consistency_thousand_steps():
             for a, s in zip(policy.anchor, snapshot):
                 assert np.array_equal(a, s)
             if res.decision.reset:
-                snapshot = [g.copy() for g in grouping.gather(res.params.layers)]
+                snapshot = [v.copy() for v in res.params.layers]
             params = res.params
             expect_first = res.decision.reset
     assert checked >= 1000
