@@ -8,7 +8,9 @@ one hyperparameter axis, ``geometry`` tabulates the criterion surface,
 and ``report`` rebuilds aggregate tables from existing run artifacts.
 
 Every command writes a manifest next to its artifacts recording the
-config, the command, package versions, and the seeds used.
+config, the command, package versions, and the seeds used. ``adapt``
+labels each run's summary with a fingerprint of every field of the
+selector as run, the loss and the optimizer, and of the seed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,7 @@ from .config import ExperimentConfig, load_config
 from .engine import build_grouping
 from .errors import ConfigurationError, GalaError
 from .metrics import (
+    config_fingerprint,
     selection_frequency,
     spearman_rank_correlation,
     summarize,
@@ -50,11 +53,11 @@ from .shiftbench import build_stream, generate_task
 MANIFEST_FORMAT = "gala-experiment-manifest"
 
 
-def _output_root(cfg: ExperimentConfig, out_flag: str | None) -> Path:
+def _output_root(cfg: ExperimentConfig | None, out_flag: str | None) -> Path:
     if out_flag:
         return Path(out_flag)
     env_root = os.environ.get("GALA_OUTPUT_ROOT")
-    if cfg.output_dir:
+    if cfg is not None and cfg.output_dir:
         p = Path(cfg.output_dir)
         if env_root and not p.is_absolute():
             return Path(env_root) / p
@@ -96,14 +99,12 @@ def _load_pretrained(root: Path):
         raise ConfigurationError(f"{e}; run the pretrain command first") from e
 
 
-def _adapt_record(network, params, stream, cfg: ExperimentConfig, seed: int, sweep):
-    """One run of the configured selector; ``sweep``, a sweep already run on
-    this stream, pins an unpinned oracle. random_block draws from the run
-    seed, so each seed gets its own draws."""
-    selector = cfg.selector
-    if isinstance(selector, SelectorKind):
-        selector = replace(selector, rng_seed=seed)
-    return run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector, seed, sweep)
+def _seeded_selector(cfg: ExperimentConfig, seed: int):
+    """The configured selector as run with ``seed``: random_block draws from
+    the run seed, so each seed gets its own draws."""
+    if isinstance(cfg.selector, SelectorKind):
+        return replace(cfg.selector, rng_seed=seed)
+    return cfg.selector
 
 
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
@@ -139,13 +140,18 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         rundir.mkdir(parents=True, exist_ok=True)
         stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode,
                               cfg.batch_size, seed=seed)
-        record = _adapt_record(network, params, stream, cfg, seed, None)
+        selector = _seeded_selector(cfg, seed)
+        record = run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector, seed,
+                              None)
         summary = summarize(network, params, record, stream.target_holdout,
                             stream.source_holdout)
         if not args.no_trace:
             write_trace(rundir / "trace.tsv", record)
-        write_summary(rundir / "summary.json", summary,
-                      fingerprint=record.config_fingerprint, seed=seed)
+        # every field of the run's settings, so a new one cannot be left out
+        fingerprint = config_fingerprint({type(selector).__name__: asdict(selector),
+                                          "loss": asdict(cfg.loss),
+                                          "optimizer": asdict(cfg.optimizer), "seed": seed})
+        write_summary(rundir / "summary.json", summary, fingerprint=fingerprint, seed=seed)
         rows.append({"seed": seed, "tta_acc": summary.tta_acc,
                      "generalization": summary.generalization,
                      "forgetting": summary.forgetting})
@@ -169,7 +175,8 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
                               cfg.batch_size, seed=seed)
         sweep = oracle_sweep(network, params, stream, cfg.loss, cfg.optimizer,
                              grouping)
-        record = _adapt_record(network, params, stream, cfg, seed, sweep)
+        record = run_selector(network, params, stream, cfg.loss, cfg.optimizer,
+                              _seeded_selector(cfg, seed), seed, sweep)
         freqs = selection_frequency(record)
         rank = spearman_rank_correlation(
             sweep.accuracies, [freqs[g] for g in sweep.group_names])
@@ -223,7 +230,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         for seed in _seeds(cfg, args):
             stream = build_stream(point.task, point.shifts, point.shift_mode,
                                   point.batch_size, seed=seed)
-            record = _adapt_record(network, params, stream, point, seed, None)
+            record = run_selector(network, params, stream, point.loss, point.optimizer,
+                                  _seeded_selector(point, seed), seed, None)
             summary = summarize(network, params, record, stream.target_holdout,
                                 stream.source_holdout)
             shown = "inf" if value == math.inf else value
@@ -250,7 +258,7 @@ def cmd_geometry(cfg: ExperimentConfig | None, args) -> int:
         td = list(np.geomspace(0.01, 100.0, 41))
         u = list(np.geomspace(0.01, 100.0, 41))
         betas = list(np.linspace(0.0, math.pi, 41))
-    root = _output_root(cfg, args.out) if cfg else Path(args.out or "runs")
+    root = _output_root(cfg, args.out)
     outdir = root / "geometry"
     outdir.mkdir(parents=True, exist_ok=True)
     grid = export_geometry_grid(outdir / "grid.tsv", td, u, betas)

@@ -83,6 +83,17 @@ class ExperimentConfig:
         if self.shift_mode == "single" and len(self.shifts) != 1:
             raise ConfigurationError(f"shift_mode single takes exactly one entry in shifts, "
                                      f"got {len(self.shifts)}")
+        n = self.task.samples_per_domain
+        sizes = [("batch_size", self.batch_size)]
+        if self.sweep is not None and self.sweep.axis == "batch_size":
+            sizes += [(f"sweep.values[{i}]", v) for i, v in enumerate(self.sweep.values)]
+        for path, size in sizes:
+            if size > self.task.adapt_samples:
+                raise ConfigurationError(f"{path} must be in [1, {self.task.adapt_samples}] "
+                                         f"for {n} samples per domain, got {size}")
+        if self.pretrain.batch_size > n:
+            raise ConfigurationError(f"pretrain.batch_size must be in [1, {n}] for {n} "
+                                     f"samples per domain, got {self.pretrain.batch_size}")
 
 
 def _is_int(value) -> bool:
@@ -126,12 +137,12 @@ _SHIFT_PARAMS = {"angle_deg": _REAL, "drift": _REAL, "direction_seed": _NONNEG,
                  "noise_seed": _NONNEG, "target_class": _INT, "toward_class": _INT}
 _LAYER = {"kind": None, "input_dim": _INT, "output_dim": _INT, "activation": None}
 _LOSS = {"variant": None, "shot_pl_weight": _REAL}
-_OPTIMIZER = {"learning_rate": _REAL, "kind": None}
+_OPTIMIZER = {"learning_rate": _REAL}
 _SELECTOR = {"gala": None, "baseline": None}
 _GROUPING = {"granularity": _one_of(GRANULARITIES), "num_blocks": _COUNT}
 _GALA = {"threshold": _REAL, "window_size": (lambda v: v is None or _is_int(v),
                                              "an integer or null"),
-         "warmup_len": _NONNEG, "warmup_mode": None, "epsilon": _REAL, **_GROUPING}
+         "warmup_len": _NONNEG, "epsilon": _REAL, **_GROUPING}
 _BASELINE = {"variant": None, "fixed_group": _STR_OR_NULL, **_GROUPING}
 _PRETRAIN = {"steps": _NONNEG, "batch_size": _COUNT, "learning_rate": _REAL, "seed": _NONNEG}
 _GEOMETRY = {"td_norms": [_REAL], "u_norms": [_REAL], "betas": [_REAL]}

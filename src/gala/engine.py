@@ -33,7 +33,6 @@ from .errors import ConfigurationError
 from .nn import ModelParameters
 
 GRANULARITIES = ("single_layer", "multi_layer", "block")
-WARMUP_MODES = ("linear_ramp", "none")
 # OpenBLAS runs a ddot of up to 10,000 entries on one thread
 DOT_CHUNK = 8192
 
@@ -44,7 +43,7 @@ class GalaConfig:
 
     ``window_size`` may be ``math.inf`` for no-reset operation. The
     threshold accepts the degenerate value -1, which makes every defined
-    cosine pass and (in multi_layer mode with warm-up off) reduces the
+    cosine pass and (in multi_layer mode with ``warmup_len`` 0) reduces the
     method to plain all-layers SGD.
     """
 
@@ -52,7 +51,6 @@ class GalaConfig:
     window_size: int | float = 20
     granularity: str = "single_layer"
     warmup_len: int = 3
-    warmup_mode: str = "linear_ramp"
     epsilon: float = 1e-12
     num_blocks: int = 4
 
@@ -66,8 +64,6 @@ class GalaConfig:
             raise ConfigurationError(f"unknown granularity {self.granularity!r}")
         if not (isinstance(self.warmup_len, (int, np.integer)) and self.warmup_len >= 0):
             raise ConfigurationError("warmup_len must be a nonnegative integer")
-        if self.warmup_mode not in WARMUP_MODES:
-            raise ConfigurationError(f"unknown warmup_mode {self.warmup_mode!r}")
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ConfigurationError("epsilon must be a small positive real")
         if not (isinstance(self.num_blocks, (int, np.integer)) and self.num_blocks >= 1):
@@ -253,10 +249,11 @@ def decide(
 def warmup_scale(cfg: GalaConfig, j: int) -> float:
     """Ramp factor for the j-th sample of a window (j >= 1).
 
-    linear_ramp scales the first ``warmup_len`` samples of each window
-    by j / warmup_len; everything else gets 1.
+    The first ``warmup_len`` samples of each window are scaled by
+    j / warmup_len; everything else gets 1, so ``warmup_len`` 0 turns
+    warm-up off.
     """
-    if cfg.warmup_mode == "none" or cfg.warmup_len == 0:
+    if cfg.warmup_len == 0:
         return 1.0
     if j < 1:
         raise ConfigurationError("warmup_scale needs j >= 1")

@@ -28,15 +28,18 @@ TRACE_COLUMNS = ("step", "skipped", "warmup_scale", "reset")
 
 @dataclass
 class RunRecord:
-    """Everything observed during one online adaptation pass."""
+    """Everything observed during one online adaptation pass.
+
+    ``seed`` is the seed ``run_gala`` or ``run_baseline`` was given; a
+    record from ``adapt`` itself keeps 0.
+    """
 
     group_names: list[str]
     correct: list[np.ndarray]
     decisions: list[SelectionDecision]
     losses: list[float]
     final_params: ModelParameters
-    config_fingerprint: str
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         n = len(self.correct)
@@ -54,7 +57,6 @@ class MetricsSummary:
     tta_acc: float
     generalization: float
     forgetting: float
-    rank_correlation: float
     selection_frequency: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -155,12 +157,11 @@ def summarize(
     target_holdout: Batch,
     source_holdout: Batch,
 ) -> MetricsSummary:
-    """The run's metrics; no oracle is run here, so its rank correlation is nan."""
+    """The run's metrics."""
     return MetricsSummary(
         tta_acc=tta_accuracy(record),
         generalization=generalization(network, record.final_params, target_holdout),
         forgetting=forgetting(network, pretrained, record.final_params, source_holdout),
-        rank_correlation=math.nan,
         selection_frequency=selection_frequency(record),
     )
 
@@ -248,27 +249,25 @@ def parse_trace(path: str | Path) -> tuple[list[str], list[SelectionDecision]]:
 
 
 def write_summary(path: str | Path, summary: MetricsSummary, *, fingerprint: str,
-                  seed: int, extra: dict | None = None) -> None:
+                  seed: int) -> None:
     payload = {
         "format": SUMMARY_FORMAT,
-        "format_version": 1,
+        "format_version": 2,
         "config_fingerprint": fingerprint,
         "seed": int(seed),
         "metrics": {
             "tta_acc": summary.tta_acc,
             "generalization": summary.generalization,
             "forgetting": summary.forgetting,
-            "rank_correlation": (None if math.isnan(summary.rank_correlation)
-                                 else summary.rank_correlation),
             "selection_frequency": summary.selection_frequency,
         },
-        "extra": extra or {},
     }
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
 def parse_summary(path: str | Path) -> tuple[MetricsSummary, dict]:
-    """Read a summary written by ``write_summary``.
+    """Read a summary written by ``write_summary``; a version 1 file's
+    ``rank_correlation`` and ``extra`` are ignored.
 
     A missing, undecodable or malformed file raises a
     ConfigurationError naming the path.
@@ -279,12 +278,10 @@ def parse_summary(path: str | Path) -> tuple[MetricsSummary, dict]:
         raise ConfigurationError(f"{p} is not a run summary")
     try:
         m = payload["metrics"]
-        rank = m["rank_correlation"]
         summary = MetricsSummary(
             tta_acc=m["tta_acc"],
             generalization=m["generalization"],
             forgetting=m["forgetting"],
-            rank_correlation=(math.nan if rank is None else rank),
             selection_frequency=dict(m["selection_frequency"]),
         )
     except KeyError as e:

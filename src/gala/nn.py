@@ -127,11 +127,8 @@ class OptimizerConfig:
     """Plain SGD; the learning rate is the only knob."""
 
     learning_rate: float
-    kind: str = "sgd"
 
     def __post_init__(self):
-        if self.kind != "sgd":
-            raise ConfigurationError(f"unsupported optimizer kind {self.kind!r}")
         if not np.isfinite(self.learning_rate) or self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be finite and positive")
 

@@ -26,7 +26,6 @@ label information (the losses additionally refuse labeled batches).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import groupby
 
@@ -41,7 +40,7 @@ from .engine import (
     build_grouping,
 )
 from .errors import ConfigurationError, NumericsError
-from .metrics import RunRecord, config_fingerprint, tta_accuracy
+from .metrics import RunRecord, tta_accuracy
 from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
 from .shiftbench import ShiftStream
 
@@ -110,7 +109,7 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
 
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
-          opt: OptimizerConfig, policies, fingerprint: str, seed: int) -> list[RunRecord]:
+          opt: OptimizerConfig, policies) -> list[RunRecord]:
     """Adapt one copy of ``pretrained`` per policy over one stream, one step
     per batch; one record per run, in policy order.
 
@@ -124,13 +123,12 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
     """
     moving = [r for r, policy in enumerate(policies) if policy.grad_layers]
     records = [None if policy.grad_layers else
-               _frozen_record(network, pretrained, stream, loss, opt, policy, r, fingerprint,
-                              seed)
+               _frozen_record(network, pretrained, stream, loss, opt, policy, r)
                for r, policy in enumerate(policies)]
     if moving:
         try:
             stepped = _lockstep(network, pretrained, stream, loss, opt,
-                                [policies[r] for r in moving], fingerprint, seed)
+                                [policies[r] for r in moving])
         except NumericsError as e:
             e.runs = [moving[i] for i in e.runs]
             raise
@@ -140,8 +138,7 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
 
 
 def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream,
-              loss: LossKind, opt: OptimizerConfig, policies, fingerprint: str,
-              seed: int) -> list[RunRecord]:
+              loss: LossKind, opt: OptimizerConfig, policies) -> list[RunRecord]:
     """``adapt`` for runs that step: one ``adapt_step`` per batch."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
@@ -151,7 +148,7 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
         steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
     return [RunRecord(list(policy.grouping.names),
                       *([step[field][r] for step in steps] for field in range(3)),
-                      params.run(r), fingerprint, seed)
+                      params.run(r))
             for r, policy in enumerate(policies)]
 
 
@@ -166,8 +163,7 @@ def _chunks(batches):
 
 
 def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftStream,
-                   loss: LossKind, opt: OptimizerConfig, policy, r: int, fingerprint: str,
-                   seed: int) -> RunRecord:
+                   loss: LossKind, opt: OptimizerConfig, policy, r: int) -> RunRecord:
     """The record of run r, whose policy has no ``grad_layers``.
 
     Each chunk of the stream is one loss pass of the pretrained model over
@@ -194,8 +190,7 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
             if np.count_nonzero(scales):
                 raise ValueError(f"run {r} has no gradient layers but scales {list(scales)}")
             decisions.append(decision)
-    return RunRecord(list(policy.grouping.names), hits, decisions, losses, params, fingerprint,
-                     seed)
+    return RunRecord(list(policy.grouping.names), hits, decisions, losses, params)
 
 
 @dataclass
@@ -228,8 +223,7 @@ def oracle_sweep(
     policies = [baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
                 for name in grouping.names]
     try:
-        # a trial is scored, not reported, so its record carries no fingerprint
-        records = adapt(network, pretrained, stream, loss, opt, policies, "", 0)
+        records = adapt(network, pretrained, stream, loss, opt, policies)
     except NumericsError as e:
         groups = ", ".join(grouping.names[r] for r in e.runs)
         raise NumericsError(f"oracle trial on {groups} diverged: {e}", e.runs) from e
@@ -250,7 +244,8 @@ def run_selector(
     seed: int,
     sweep: OracleSweepResult | None,
 ) -> RunRecord:
-    """Adapt with gala or a baseline over one stream.
+    """Adapt with gala or a baseline over one stream; the record carries
+    ``seed``, the stream's seed.
 
     The selector's ``granularity`` and ``num_blocks`` build the grouping
     it scales. An oracle kind without a pinned group replays the best or
@@ -261,13 +256,6 @@ def run_selector(
                               selector.granularity, selector.num_blocks)
     if isinstance(selector, GalaConfig):
         policy = GalaPolicy(selector, grouping)
-        method, settings = "gala", {
-            "threshold": selector.threshold,
-            "window_size": "inf" if selector.window_size == math.inf else selector.window_size,
-            "warmup_len": selector.warmup_len,
-            "warmup_mode": selector.warmup_mode,
-            "epsilon": selector.epsilon,
-        }
     else:
         if selector.variant in ORACLE_VARIANTS and selector.fixed_group is None:
             if sweep is None:
@@ -275,18 +263,9 @@ def run_selector(
             selector = replace(selector, fixed_group=sweep.best_group
                                if selector.variant == "oracle_best" else sweep.worst_group)
         policy = baseline_policy(selector, grouping)
-        method, settings = selector.variant, {"rng_seed": selector.rng_seed,
-                                              "fixed_group": selector.fixed_group}
-    fingerprint = config_fingerprint({
-        "method": method,
-        "loss": {"variant": loss.variant, "shot_pl_weight": loss.shot_pl_weight},
-        "opt": {"learning_rate": opt.learning_rate, "kind": opt.kind},
-        "seed": seed,
-        "granularity": selector.granularity,
-        "num_blocks": selector.num_blocks,
-        **settings,
-    })
-    return adapt(network, pretrained, stream, loss, opt, [policy], fingerprint, seed)[0]
+    (record,) = adapt(network, pretrained, stream, loss, opt, [policy])
+    record.seed = seed
+    return record
 
 
 def run_gala(

@@ -56,6 +56,12 @@ class TaskSpec:
         if self.samples_per_domain < 2 * self.num_classes:
             raise ConfigurationError("samples_per_domain too small for balanced classes")
 
+    @property
+    def adapt_samples(self) -> int:
+        """The samples of each stream segment that adapt, four fifths rounded
+        down; the rest are the segment's target holdout."""
+        return (4 * self.samples_per_domain) // 5
+
 
 @dataclass
 class ShiftSpec:
@@ -197,19 +203,10 @@ class ShiftStream:
     shift that produced it; target holdouts of all segments are pooled.
     """
 
-    task: TaskSpec
-    sequence: list[ShiftSpec]
-    mode: str
-    batch_size: int
-    seed: int
     adapt_batches: list[Batch]
     segment_of_batch: list[int]
     target_holdout: Batch
     source_holdout: Batch
-
-    @property
-    def num_adapt_samples(self) -> int:
-        return sum(b.size for b in self.adapt_batches)
 
 
 def _effective_shift(shift: ShiftSpec, task_seed: int, stream_seed: int, index: int) -> ShiftSpec:
@@ -243,7 +240,7 @@ def build_stream(
     if mode == "single" and len(shifts) != 1:
         raise ConfigurationError("single mode takes exactly one shift")
     n = task.samples_per_domain
-    n_adapt = (4 * n) // 5
+    n_adapt = task.adapt_samples
     if batch_size < 1 or batch_size > n_adapt:
         raise ConfigurationError(
             f"batch_size must be in [1, {n_adapt}] for {n} samples per domain"
@@ -267,14 +264,4 @@ def build_stream(
         np.concatenate([b.labels for b in holdout_parts]),
     )
     source_holdout = generate_task(task).source_holdout
-    return ShiftStream(
-        task=task,
-        sequence=list(shifts),
-        mode=mode,
-        batch_size=batch_size,
-        seed=seed,
-        adapt_batches=adapt_batches,
-        segment_of_batch=segment_of_batch,
-        target_holdout=target_holdout,
-        source_holdout=source_holdout,
-    )
+    return ShiftStream(adapt_batches, segment_of_batch, target_holdout, source_holdout)

@@ -125,7 +125,7 @@ def test_criterion_03_threshold_minus_one_is_plain_sgd(verdict):
     loss = LossKind("pseudo_label")
     opt = OptimizerConfig(0.05)
     cfg = GalaConfig(threshold=-1.0, window_size=math.inf,
-                     granularity="multi_layer", warmup_mode="none", warmup_len=0)
+                     granularity="multi_layer", warmup_len=0)
     ok = True
     for seed in range(10):
         stream = build_stream(task, [ShiftSpec("rotation", 2, {"angle_deg": 30.0})],

@@ -117,7 +117,7 @@ def test_all_layers_equals_degenerate_threshold():
     base = run_baseline(net, params, stream, SelectorKind("all_layers"), loss, opt,
                         granularity="multi_layer")
     cfg = GalaConfig(threshold=-1.0, window_size=math.inf, granularity="multi_layer",
-                     warmup_len=0, warmup_mode="none")
+                     warmup_len=0)
     aligned = run_gala(net, params, stream, loss, opt, cfg)
     for a, b in zip(base.final_params.layers, aligned.final_params.layers):
         assert np.array_equal(a, b)
@@ -348,9 +348,9 @@ def test_oracle_sweep_divergence_names_the_group():
         policy = baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
         if k == 1:
             with pytest.raises(NumericsError, match="layer 1"):
-                adapt(net, params, stream, loss, opt, [policy], "", 0)
+                adapt(net, params, stream, loss, opt, [policy])
         else:
-            (record,) = adapt(net, params, stream, loss, opt, [policy], "", 0)
+            (record,) = adapt(net, params, stream, loss, opt, [policy])
             assert record.final_params.allfinite()
 
 

@@ -14,10 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gala.cli
-import scenarios
 from gala import (ConfigurationError, GalaConfig, LayerSpec, LossKind, OptimizerConfig,
-                  SelectorKind, ShiftSpec, TaskSpec, build_stream, config, load_config,
-                  parse_config, parse_summary, run_gala, save_checkpoint)
+                  SelectorKind, ShiftSpec, TaskSpec, config, load_config, parse_config,
+                  parse_summary, save_checkpoint)
 from gala.cli import main
 from gala.shiftbench import _ALLOWED_PARAMS
 from helpers import diverging_relu_net
@@ -158,6 +157,18 @@ def test_numeric_config_fields_type_checked(tmp_path, capsys, path, value, field
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("path,value", [(("selector", "gala", "warmup_mode"), "none"),
+                                        (("optimizer", "kind"), "sgd")],
+                         ids=["warmup_mode", "optimizer_kind"])
+def test_removed_config_fields_exit_2_naming_them(tmp_path, capsys, path, value):
+    """warmup_len 0 is the way to turn warm-up off and plain SGD is the only
+    optimizer, so neither has a field of its own."""
+    cfg = tmp_path / "old.json"
+    cfg.write_text(json.dumps(with_leaf(base_config(), path, value)))
+    assert main(["adapt", "--config", str(cfg)]) == 2
+    assert f"unknown config field: {'.'.join(path)}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("mode,num_shifts", [
     (5, 1), ("sequential", 1), (None, 1), (["continual"], 1), (True, 1), ("single", 2),
 ])
@@ -186,6 +197,29 @@ def test_sweep_values_checked_by_axis(tmp_path, capsys, axis, value):
     err = capsys.readouterr().err
     index = 1 if axis == "threshold" else 0
     assert f"sweep.values[{index}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("path,bad,good,field", [
+    (("batch_size",), 33, 32, "batch_size"),
+    (("sweep",), {"axis": "batch_size", "values": [8, 33]},
+     {"axis": "batch_size", "values": [8, 32]}, "sweep.values[1]"),
+    (("pretrain", "batch_size"), 41, 40, "pretrain.batch_size"),
+], ids=["batch_size", "sweep_value", "pretrain_batch_size"])
+def test_oversized_batch_size_exits_2_naming_its_field(tmp_path, capsys, fuzz_checkpoint_root,
+                                                       path, bad, good, field):
+    """A batch larger than a segment's 32 adapt samples (four fifths of the
+    40 samples per domain), or a pretraining batch larger than the 40
+    samples, exits 2 naming its field when the config is read: sweep
+    prints no row before it exits."""
+    parse_config(with_leaf(_FUZZ_BASE, path, good))
+    shutil.copytree(fuzz_checkpoint_root / "pretrain", tmp_path / "pretrain")
+    cfg = tmp_path / "oversized.json"
+    cfg.write_text(json.dumps(with_leaf(_FUZZ_BASE, path, bad)))
+    for command in ("pretrain", "adapt", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {field} must be in [1, "), command
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["oversized.json", "pretrain"]
 
 
 @pytest.mark.parametrize("selector,field", [
@@ -685,6 +719,14 @@ def test_geometry_runs_without_config(tmp_path):
     assert len(lines) == 1 + 41 * 41 * 41
 
 
+def test_geometry_without_config_uses_env_root(tmp_path, monkeypatch):
+    monkeypatch.setenv("GALA_OUTPUT_ROOT", str(tmp_path / "envroot"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["geometry"]) == 0
+    assert (tmp_path / "envroot" / "geometry" / "grid.tsv").exists()
+    assert not (tmp_path / "runs").exists()
+
+
 def test_geometry_uses_config_axes(workspace, tmp_path):
     root, _ = workspace
     out = tmp_path / "geo2"
@@ -820,8 +862,8 @@ def test_adapt_pins_run_fingerprints(tmp_path):
     random_block = {key: value for key, value in raw.items() if key != "sweep"}
     random_block["selector"] = {"baseline": {"variant": "random_block",
                                              "granularity": "block", "num_blocks": 2}}
-    expected = [(raw, ["61fd84317263d053", "5fc9a67c19e8e245"]),
-                (random_block, ["1649cfae80870571", "81d2053a0d1e9d92"])]
+    expected = [(raw, ["bf9b2fa4961a498e", "36380e41d6bab215"]),
+                (random_block, ["f3a7b481430a660e", "b50f869aebc1dd95"])]
     for i, (cfg, fingerprints) in enumerate(expected):
         path = tmp_path / f"cfg{i}.json"
         path.write_text(json.dumps(cfg))
@@ -834,13 +876,46 @@ def test_adapt_pins_run_fingerprints(tmp_path):
             assert payload["config_fingerprint"] == fingerprint
 
 
-def test_gala_fingerprint_names_epsilon():
-    """Two gala epsilons give two run fingerprints: epsilon changes which
-    cosines are defined, so it changes the run."""
-    net, params, _ = scenarios.collapse_setup()
-    stream = build_stream(scenarios.COLLAPSE_TASK, scenarios.COLLAPSE_SHIFTS[:1], mode="single",
-                          batch_size=50, seed=0)
-    fingerprints = {run_gala(net, params, stream, scenarios.PL, OptimizerConfig(0.1),
-                             GalaConfig(epsilon=epsilon)).config_fingerprint
-                    for epsilon in (1e-12, 10.0)}
-    assert len(fingerprints) == 2
+# One edit per field of the run's settings: the config path and its new
+# value, or None for seed 1 in place of seed 0. A baseline's rng_seed is the
+# run seed, so its edit is the seed's.
+_FINGERPRINT_EDITS = {
+    "GalaConfig.threshold": (("selector", "gala", "threshold"), 0.5),
+    "GalaConfig.window_size": (("selector", "gala", "window_size"), None),
+    "GalaConfig.granularity": (("selector", "gala", "granularity"), "multi_layer"),
+    "GalaConfig.warmup_len": (("selector", "gala", "warmup_len"), 0),
+    "GalaConfig.epsilon": (("selector", "gala", "epsilon"), 10.0),
+    "GalaConfig.num_blocks": (("selector", "gala", "num_blocks"), 2),
+    "SelectorKind.variant": (("selector", "baseline", "variant"), "all_layers"),
+    "SelectorKind.rng_seed": None,
+    "SelectorKind.fixed_group": (("selector", "baseline", "fixed_group"), "B0"),
+    "SelectorKind.granularity": (("selector", "baseline", "granularity"), "single_layer"),
+    "SelectorKind.num_blocks": (("selector", "baseline", "num_blocks"), 1),
+    "LossKind.variant": (("loss", "variant"), "shot_im"),
+    "LossKind.shot_pl_weight": (("loss", "shot_pl_weight"), 0.5),
+    "OptimizerConfig.learning_rate": (("optimizer", "learning_rate"), 0.2),
+    "seed": None,
+}
+
+
+@pytest.mark.parametrize("name", [f"{cls.__name__}.{f.name}" for cls in
+                                  (GalaConfig, SelectorKind, LossKind, OptimizerConfig)
+                                  for f in dataclasses.fields(cls)] + ["seed"])
+def test_fingerprint_sees_every_field(tmp_path, fuzz_checkpoint_root, name):
+    """Changing any one field of the selector, the loss or the optimizer,
+    or the seed, changes the fingerprint in summary.json. A field added to
+    one of these dataclasses fails here until it has an edit."""
+    shutil.copytree(fuzz_checkpoint_root / "pretrain", tmp_path / "pretrain")
+    edit = _FINGERPRINT_EDITS[name]
+    # a threshold sweep needs a gala selector
+    base = (without_key(_BLOCK_BASE, ("sweep",)) if name.startswith("SelectorKind.")
+            else _FUZZ_BASE)
+    fingerprints = []
+    for raw, seed in ((base, "0"), (base, "1") if edit is None else (with_leaf(base, *edit), "0")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["adapt", "--config", str(cfg), "--out", str(tmp_path), "--no-trace",
+                     "--seed", seed]) == 0
+        _, payload = parse_summary(tmp_path / "adapt" / f"seed{seed}" / "summary.json")
+        fingerprints.append(payload["config_fingerprint"])
+    assert fingerprints[0] != fingerprints[1]

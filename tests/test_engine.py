@@ -149,12 +149,11 @@ def test_decide_mask_implies_threshold_outside_first_sample():
 
 
 def test_warmup_scale_ramp():
-    cfg = GalaConfig(warmup_len=3, warmup_mode="linear_ramp")
+    cfg = GalaConfig(warmup_len=3)
     assert warmup_scale(cfg, 1) == pytest.approx(1.0 / 3.0)
     assert warmup_scale(cfg, 2) == pytest.approx(2.0 / 3.0)
     assert warmup_scale(cfg, 3) == 1.0
     assert warmup_scale(cfg, 4) == 1.0
-    assert warmup_scale(GalaConfig(warmup_mode="none"), 1) == 1.0
     assert warmup_scale(GalaConfig(warmup_len=0), 1) == 1.0
 
 
@@ -239,8 +238,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         GalaConfig(warmup_len=-1)
     with pytest.raises(ConfigurationError):
-        GalaConfig(warmup_mode="cosine")
-    with pytest.raises(ConfigurationError):
         GalaConfig(epsilon=0.0)
     with pytest.raises(ConfigurationError):
         GalaConfig(num_blocks=0)
@@ -286,7 +283,7 @@ def test_gala_step_zero_gradient_skips_after_first_sample():
     net = Network([LayerSpec("dense", 1, 2)])
     params = ModelParameters([np.array([400.0, -400.0, 0.0, 0.0])], list(net.layer_names))
     grouping = build_grouping(net.layer_names, [4], "single_layer")
-    policy = GalaPolicy(GalaConfig(warmup_mode="none"), grouping)
+    policy = GalaPolicy(GalaConfig(warmup_len=0), grouping)
     opt = OptimizerConfig(0.5)
     batch = Batch(np.array([[1.0]]))
     r1 = single_step(net, params, batch, LossKind("pseudo_label"), opt, policy)
@@ -306,7 +303,7 @@ def test_gala_step_degenerate_threshold_matches_plain_sgd():
     params = net.init_params(4)
     sgd = params.copy()
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "multi_layer")
-    cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", warmup_mode="none", window_size=5)
+    cfg = GalaConfig(threshold=-1.0, granularity="multi_layer", warmup_len=0, window_size=5)
     opt = OptimizerConfig(0.05)
     loss = LossKind("pseudo_label")
     policy = GalaPolicy(cfg, grouping)
@@ -324,7 +321,7 @@ def test_gala_step_parallel_updates_give_cosine_one():
     """Same single sample twice: the second proposal is parallel to the
     accumulated displacement, so its cosine is exactly aligned."""
     net, params, grouping = linear_pair_net()
-    cfg = GalaConfig(threshold=0.75, warmup_mode="none")
+    cfg = GalaConfig(threshold=0.75, warmup_len=0)
     opt = OptimizerConfig(0.1)
     batch = Batch(np.array([[1.0, 2.0]]))
     policy = GalaPolicy(cfg, grouping)
@@ -337,7 +334,7 @@ def test_gala_step_parallel_updates_give_cosine_one():
 
 def test_gala_step_predictions_use_post_update_parameters():
     net, params, grouping = linear_pair_net()
-    cfg = GalaConfig(warmup_mode="none")
+    cfg = GalaConfig(warmup_len=0)
     opt = OptimizerConfig(1.0)
     batch = Batch(np.array([[0.7, -0.4], [0.1, 0.9]]))
     res = single_step(net, params, batch, LossKind("pseudo_label"), opt,

@@ -79,8 +79,7 @@ def test_frozen_run_equals_per_step_loop(sizes, variant):
     net, params = mixed_net()
     stream = sized_stream(sizes)
     loss = LossKind(variant)
-    (record,) = adapt(net, params, stream, loss, OptimizerConfig(0.5), [erm(net)], "fp", 4)
-    assert (record.config_fingerprint, record.seed) == ("fp", 4)
+    (record,) = adapt(net, params, stream, loss, OptimizerConfig(0.5), [erm(net)])
     assert_erm_record(record, net, params, stream, loss)
 
 
@@ -101,7 +100,7 @@ def test_frozen_run_takes_one_loss_pass_per_chunk(monkeypatch, sizes):
     monkeypatch.setattr(Network, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
     net, params = mixed_net()
     adapt(net, params, sized_stream(sizes), LossKind("pseudo_label"), OptimizerConfig(0.5),
-          [erm(net)], "", 0)
+          [erm(net)])
     expected = []  # (steps, batch size), greedily
     for n in sizes:
         if expected and expected[-1][1] == n and (expected[-1][0] + 1) * n <= FROZEN_CHUNK_ROWS:
@@ -119,7 +118,7 @@ def test_erm_in_a_mixed_pass(batch_size):
     stream = stream_of(batch_size, steps=30)
     loss, opt = LossKind("shot_im"), OptimizerConfig(0.4)
     makers = mixed_policy_makers(net, params)
-    records = adapt(net, params, stream, loss, opt, [make() for make in makers], "fp", 3)
+    records = adapt(net, params, stream, loss, opt, [make() for make in makers])
     frozen = [r for r, make in enumerate(makers) if not make().grad_layers]
     assert frozen == [2]
     assert_erm_record(records[2], net, params, stream, loss)
@@ -151,7 +150,7 @@ def test_frozen_policy_with_a_nonzero_scale_raises():
 
     with pytest.raises(ValueError, match="run 1 has no gradient layers"):
         adapt(net, params, stream_of(1), LossKind("pseudo_label"), OptimizerConfig(0.5),
-              [erm(net), Moves()], "", 0)
+              [erm(net), Moves()])
 
 
 def overflowing_relu_net():
@@ -171,11 +170,11 @@ def test_diverging_erm_run_names_its_policy_index():
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.1)
     all_layers = lambda: baseline_policy(SelectorKind("all_layers"), erm(net).grouping)
     with pytest.raises(NumericsError, match="non-finite activation") as info:
-        adapt(net, params, stream, loss, opt, [all_layers(), erm(net)], "", 0)
+        adapt(net, params, stream, loss, opt, [all_layers(), erm(net)])
     assert info.value.runs == [1]
     net, params = diverging_relu_net()
     with pytest.raises(NumericsError, match="layer 1") as info:
-        adapt(net, params, stream, loss, OptimizerConfig(1e305), [erm(net), all_layers()], "", 0)
+        adapt(net, params, stream, loss, OptimizerConfig(1e305), [erm(net), all_layers()])
     assert info.value.runs == [1]
 
 
@@ -192,7 +191,7 @@ def test_frozen_run_memory_does_not_grow_with_the_stream():
         stream = sized_stream([8] * (steps_per_chunk * chunks))
         tracemalloc.start()
         try:
-            records = adapt(net, params, stream, loss, opt, [erm(net)], "", 0)
+            records = adapt(net, params, stream, loss, opt, [erm(net)])
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

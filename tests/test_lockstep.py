@@ -174,7 +174,7 @@ def test_sweep_equals_independent_per_trial_loop(granularity, variant, batch_siz
                               granularity, num_blocks=2)
     loss, opt = LossKind(variant, SHOT_PL_WEIGHT), OptimizerConfig(0.5)
     sweep = oracle_sweep(net, params, stream, loss, opt, grouping)
-    records = adapt(net, params, stream, loss, opt, oracle_policies(grouping), "", 0)
+    records = adapt(net, params, stream, loss, opt, oracle_policies(grouping))
     for k, members in enumerate(grouping.members):
         correct, layers = reference_trial(net, params, stream, variant, opt.learning_rate,
                                           members)
@@ -235,9 +235,9 @@ def test_lockstep_runs_equal_single_runs(batch_size):
                     == (want.first_sample, want.warmup, want.reset)), r
             for a, b in zip(stacked.run(r).layers, singles[r].layers):
                 assert a.tobytes() == b.tobytes(), r
-    records = adapt(net, params, stream, loss, opt, [make() for make in makers], "fp", 3)
+    records = adapt(net, params, stream, loss, opt, [make() for make in makers])
     for make, record in zip(makers, records):
-        (single,) = adapt(net, params, stream, loss, opt, [make()], "fp", 3)
+        (single,) = adapt(net, params, stream, loss, opt, [make()])
         assert [c.tobytes() for c in record.correct] == [c.tobytes() for c in single.correct]
         assert record.losses == single.losses
         assert [d.reset for d in record.decisions] == [d.reset for d in single.decisions]
@@ -268,10 +268,10 @@ def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.5)
-    adapt(net, params, stream, loss, opt, oracle_policies(grouping), "", 0)
+    adapt(net, params, stream, loss, opt, oracle_policies(grouping))
     lockstep = dict(rows)
     rows.update(forward=0, backward=0)
     for policy in oracle_policies(grouping):
-        adapt(net, params, stream, loss, opt, [policy], "", 0)
+        adapt(net, params, stream, loss, opt, [policy])
     assert lockstep == rows
     assert rows["backward"] > 0

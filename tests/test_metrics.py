@@ -1,6 +1,7 @@
 """Evaluation metrics, the criterion geometry table, and report files."""
 
 import csv
+import json
 import math
 import re
 
@@ -59,7 +60,7 @@ def decision(mask, first_sample=False, cosines=None):
 def record_from(correct, decisions, groups=("G0", "G1")):
     n = len(correct)
     return RunRecord(list(groups), [np.asarray(c, dtype=bool) for c in correct],
-                     decisions, [0.1] * n, tiny_params(), "f" * 16, seed=0)
+                     decisions, [0.1] * n, tiny_params())
 
 
 def control_setup(seed=21):
@@ -85,7 +86,7 @@ def test_tta_accuracy_alternating():
 
 
 def test_tta_accuracy_empty_record_rejected():
-    rec = RunRecord(["G0"], [], [], [], tiny_params(), "f" * 16, seed=0)
+    rec = RunRecord(["G0"], [], [], [], tiny_params())
     with pytest.raises(ConfigurationError):
         tta_accuracy(rec)
 
@@ -364,25 +365,32 @@ def test_parse_trace_malformed_row_names_path_and_line(tmp_path, column, cell):
 
 def test_summary_round_trip(tmp_path):
     summary = MetricsSummary(tta_acc=87.5, generalization=90.0, forgetting=-1.25,
-                             rank_correlation=0.6,
                              selection_frequency={"G0": 0.5, "G1": 0.25})
     path = tmp_path / "summary.json"
-    write_summary(path, summary, fingerprint="ab" * 8, seed=3, extra={"note": "x"})
+    write_summary(path, summary, fingerprint="ab" * 8, seed=3)
     back, payload = parse_summary(path)
     assert back == summary
+    assert payload["format_version"] == 2
     assert payload["config_fingerprint"] == "ab" * 8
     assert payload["seed"] == 3
-    assert payload["extra"] == {"note": "x"}
+    assert set(payload) == {"format", "format_version", "config_fingerprint", "seed", "metrics"}
+    assert set(payload["metrics"]) == {"tta_acc", "generalization", "forgetting",
+                                       "selection_frequency"}
 
 
-def test_summary_round_trip_nan_rank(tmp_path):
-    summary = MetricsSummary(tta_acc=50.0, generalization=50.0, forgetting=0.0,
-                             rank_correlation=math.nan, selection_frequency={})
+def test_parse_summary_reads_version_1(tmp_path):
+    """A version 1 summary, with its rank_correlation and extra keys, still
+    parses, so ``gala report`` works on runs written before version 2."""
     path = tmp_path / "summary.json"
-    write_summary(path, summary, fingerprint="00" * 8, seed=0)
-    back, payload = parse_summary(path)
-    assert math.isnan(back.rank_correlation)
-    assert payload["metrics"]["rank_correlation"] is None
+    path.write_text(json.dumps({
+        "format": "gala-run-summary", "format_version": 1,
+        "config_fingerprint": "61fd84317263d053", "seed": 0,
+        "metrics": {"tta_acc": 87.5, "generalization": 90.0, "forgetting": -1.25,
+                    "rank_correlation": None, "selection_frequency": {"L0_dense": 0.5}},
+        "extra": {}}))
+    back, _ = parse_summary(path)
+    assert back == MetricsSummary(tta_acc=87.5, generalization=90.0, forgetting=-1.25,
+                                  selection_frequency={"L0_dense": 0.5})
 
 
 def test_parse_summary_rejects_other_files(tmp_path):
@@ -405,7 +413,6 @@ def test_summarize_composes_on_control_run():
     assert summary.generalization == generalization(net, rec.final_params,
                                                     stream.target_holdout)
     assert summary.forgetting == 0.0
-    assert math.isnan(summary.rank_correlation)
     assert set(summary.selection_frequency) == set(rec.group_names)
 
 
@@ -441,14 +448,12 @@ def test_config_fingerprint_stable_and_distinct():
 
 def test_run_record_length_validation():
     with pytest.raises(ConfigurationError, match="losses"):
-        RunRecord(["G0"], [np.array([True])], [decision([1])], [], tiny_params(), "f" * 16,
-                  seed=0)
+        RunRecord(["G0"], [np.array([True])], [decision([1])], [], tiny_params())
 
 
 def test_metrics_summary_range_validation():
     with pytest.raises(ConfigurationError):
-        MetricsSummary(tta_acc=101.0, generalization=50.0, forgetting=0.0,
-                       rank_correlation=0.0)
+        MetricsSummary(tta_acc=101.0, generalization=50.0, forgetting=0.0)
     with pytest.raises(ConfigurationError):
         MetricsSummary(tta_acc=50.0, generalization=50.0, forgetting=0.0,
-                       rank_correlation=0.0, selection_frequency={"G0": 1.5})
+                       selection_frequency={"G0": 1.5})

@@ -76,7 +76,7 @@ def test_mask_exclusivity_thousand_cases():
         granularity = ("single_layer" if pick < 0.4 else
                        "block" if pick < 0.7 else "multi_layer")
         cfg = GalaConfig(threshold=lam, granularity=granularity,
-                         warmup_mode="none", warmup_len=0)
+                         warmup_len=0)
         d = decide(proposal, live, anchor, members, False, cfg)
         assert not d.first_sample
         defined = ~np.isnan(d.cosines)
@@ -102,7 +102,7 @@ def test_selection_monotone_in_threshold_thousand_cases():
         proposal, live, anchor, members = _random_geometry(rng)
         lo, hi = sorted(rng.uniform(-1, 1, size=2))
         granularity = "multi_layer" if rng.random() < 0.5 else "single_layer"
-        base = dict(granularity=granularity, warmup_mode="none", warmup_len=0)
+        base = dict(granularity=granularity, warmup_len=0)
         d_lo = decide(proposal, live, anchor, members, False, GalaConfig(threshold=lo, **base))
         d_hi = decide(proposal, live, anchor, members, False, GalaConfig(threshold=hi, **base))
         assert np.all(d_lo.mask >= d_hi.mask)
@@ -189,8 +189,7 @@ def test_trajectory_determinism_thousand_steps():
         cfg = GalaConfig(threshold=float(rng.uniform(-1, 1)),
                          window_size=[3, math.inf][int(rng.integers(2))],
                          granularity=granularity,
-                         warmup_len=int(rng.integers(0, 4)),
-                         warmup_mode="linear_ramp")
+                         warmup_len=int(rng.integers(0, 4)))
         grouping = build_grouping(net.layer_names,
                                   [s.param_count for s in net.specs],
                                   granularity)

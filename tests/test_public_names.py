@@ -1,8 +1,9 @@
 """The names the demos and the benchmark harness take from gala exist,
-and the README's library quick start runs.
+the README's library quick start runs and its selector examples parse.
 
-A deleted export that a demo or the benchmark needs, or an API change
-the README still shows, fails here, not only when a reader runs it.
+A deleted export that a demo or the benchmark needs, or an API change or
+config field the README still shows, fails here, not only when a reader
+runs it.
 """
 
 import ast
@@ -10,6 +11,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import re
 import types
 from pathlib import Path
@@ -78,3 +80,26 @@ def test_readme_library_quick_start_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
     assert out.getvalue().startswith("stream acc ")
+
+
+def _json_values(text):
+    """The JSON values written one after another in ``text``."""
+    decoder, text = json.JSONDecoder(), text.strip()
+    while text:
+        value, end = decoder.raw_decode(text)
+        yield value
+        text = text[end:].strip()
+
+
+def test_readme_selector_examples_parse():
+    """Each selector in a json block under "## Configuration" in README.md,
+    put into the quickstart config, parses."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    selectors = [value for block in re.findall(r"```json\n(.*?)```", section, re.DOTALL)
+                 for value in _json_values(block)]
+    assert {key for selector in selectors for key in selector} == {"gala", "baseline"}
+    raw = json.loads((ROOT / "demos" / "configs" / "quickstart.json").read_text())
+    del raw["sweep"]  # a threshold sweep needs a gala selector
+    for selector in selectors:
+        gala.parse_config({**raw, "selector": selector})

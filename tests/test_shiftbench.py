@@ -151,7 +151,7 @@ def test_stream_split_arithmetic():
     shifts = [ShiftSpec("rotation", 1), ShiftSpec("additive_noise", 2),
               ShiftSpec("translation", 3)]
     stream = build_stream(task, shifts, mode="continual", batch_size=16, seed=4)
-    assert stream.num_adapt_samples == 240
+    assert sum(b.size for b in stream.adapt_batches) == 240
     assert stream.target_holdout.size == 60
     assert len(stream.adapt_batches) == 15
     assert stream.segment_of_batch == [0] * 5 + [1] * 5 + [2] * 5
