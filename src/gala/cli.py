@@ -211,8 +211,6 @@ def _apply_axis(cfg: ExperimentConfig, axis: str, value):
     a gala selector for every axis but batch_size."""
     if axis == "batch_size":
         return replace(cfg, batch_size=value)
-    if axis == "threshold":
-        value = float(value)
     return replace(cfg, selector=replace(cfg.selector, **{axis: value}))
 
 

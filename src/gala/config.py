@@ -7,7 +7,8 @@ offending field, so a config file always regenerates a run exactly.
 
 Each section's fields and their kinds live in one table, and ``_fields``
 checks a section against its table. An absent optional field takes the
-default of the dataclass the section builds.
+default of the dataclass the section builds. A real field is a float
+however it is written, so ``1`` and ``1.0`` give one run.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baselines import SelectorKind
+from .baselines import SELECTOR_VARIANTS, SelectorKind
 from .engine import GRANULARITIES, GalaConfig
 from .errors import ConfigurationError, read_input
-from .nn import LayerSpec, LossKind, OptimizerConfig
-from .shiftbench import STREAM_MODES, ShiftSpec, TaskSpec
+from .nn import ACTIVATIONS, LAYER_KINDS, LOSS_VARIANTS, LayerSpec, LossKind, OptimizerConfig
+from .shiftbench import GEOMETRIES, SHIFT_KINDS, STREAM_MODES, ShiftSpec, TaskSpec
 
 SWEEP_AXES = ("threshold", "window_size", "granularity", "batch_size")
 
@@ -130,32 +131,34 @@ _TOP = {"task": None, "shifts": _ITEMS, "shift_mode": _one_of(STREAM_MODES),
         "batch_size": _COUNT, "model": _ITEMS, "loss": None, "optimizer": None,
         "selector": None, "pretrain": None, "seeds": [_NONNEG],
         "output_dir": _STR_OR_NULL, "geometry": None, "sweep": None}
-_TASK = {"num_classes": _INT, "input_dim": _INT, "class_geometry": None,
+_TASK = {"num_classes": _INT, "input_dim": _INT, "class_geometry": _one_of(GEOMETRIES),
          "samples_per_domain": _INT, "seed": _NONNEG}
-_SHIFT = {"kind": None, "severity": _INT, "params": None}
+_SHIFT = {"kind": _one_of(SHIFT_KINDS), "severity": _INT, "params": None}
 _SHIFT_PARAMS = {"angle_deg": _REAL, "drift": _REAL, "direction_seed": _NONNEG,
                  "noise_seed": _NONNEG, "target_class": _INT, "toward_class": _INT}
-_LAYER = {"kind": None, "input_dim": _INT, "output_dim": _INT, "activation": None}
-_LOSS = {"variant": None, "shot_pl_weight": _REAL}
+_LAYER = {"kind": _one_of(LAYER_KINDS), "input_dim": _INT, "output_dim": _INT,
+          "activation": _one_of(ACTIVATIONS)}
+_LOSS = {"variant": _one_of(LOSS_VARIANTS), "shot_pl_weight": _REAL}
 _OPTIMIZER = {"learning_rate": _REAL}
 _SELECTOR = {"gala": None, "baseline": None}
 _GROUPING = {"granularity": _one_of(GRANULARITIES), "num_blocks": _COUNT}
 _GALA = {"threshold": _REAL, "window_size": (lambda v: v is None or _is_int(v),
                                              "an integer or null"),
          "warmup_len": _NONNEG, "epsilon": _REAL, **_GROUPING}
-_BASELINE = {"variant": None, "fixed_group": _STR_OR_NULL, **_GROUPING}
+_BASELINE = {"variant": _one_of(SELECTOR_VARIANTS), "fixed_group": _STR_OR_NULL, **_GROUPING}
 _PRETRAIN = {"steps": _NONNEG, "batch_size": _COUNT, "learning_rate": _REAL, "seed": _NONNEG}
 _GEOMETRY = {"td_norms": [_REAL], "u_norms": [_REAL], "betas": [_REAL]}
 _SWEEP = {"axis": None, "values": _LIST}
 
 
-def _check(value, path: str, kind) -> None:
+def _check(value, path: str, kind):
+    """``value`` once it passes ``kind``, with every real as a float."""
     if isinstance(kind, list):
         _check(value, path, _LIST)
-        for i, v in enumerate(value):
-            _check(v, f"{path}[{i}]", kind[0])
-    elif kind is not None and not kind[0](value):
+        return [_check(v, f"{path}[{i}]", kind[0]) for i, v in enumerate(value)]
+    if kind is not None and not kind[0](value):
         raise ConfigurationError(f"{path} must be {kind[1]}, got {value!r}")
+    return float(value) if kind is _REAL else value
 
 
 def _fields(raw, path: str, kinds: dict, required: tuple[str, ...] = ()) -> dict:
@@ -163,8 +166,8 @@ def _fields(raw, path: str, kinds: dict, required: tuple[str, ...] = ()) -> dict
 
     ``raw`` must be an object whose keys all name fields of ``kinds``, with
     every ``required`` one present and every value passing its field's
-    kind. Absent optional fields are left out, to take the dataclass's
-    defaults.
+    kind, and each real value is a float. Absent optional fields are left
+    out, to take the dataclass's defaults.
     """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path or 'config root'} must be an object, got {raw!r}")
@@ -175,9 +178,7 @@ def _fields(raw, path: str, kinds: dict, required: tuple[str, ...] = ()) -> dict
     for key in required:
         if key not in raw:
             raise ConfigurationError(f"missing config field: {prefix}{key}")
-    for key, value in raw.items():
-        _check(value, prefix + key, kinds[key])
-    return dict(raw)
+    return {key: _check(value, prefix + key, kinds[key]) for key, value in raw.items()}
 
 
 def _no_limit(window):
@@ -217,7 +218,7 @@ def _sweep(raw, selector: GalaConfig | SelectorKind, num_layers: int) -> SweepSe
         raise ConfigurationError(f"sweep.axis {sweep.axis} needs a gala selector")
     # a value must pass the check of the field it sets
     kind = _TOP["batch_size"] if sweep.axis == "batch_size" else _GALA[sweep.axis]
-    _check(sweep.values, "sweep.values", [kind])
+    sweep.values = _check(sweep.values, "sweep.values", [kind])
     if (sweep.axis == "granularity" and "block" in sweep.values
             and selector.num_blocks > num_layers):
         raise ConfigurationError(
@@ -243,9 +244,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if "pretrain" in top:
         top["pretrain"] = PretrainSettings(**_fields(top["pretrain"], "pretrain", _PRETRAIN))
     if "geometry" in top:
-        axes = _fields(top["geometry"], "geometry", _GEOMETRY)
-        top["geometry"] = GeometrySettings(**{key: [float(v) for v in values]
-                                              for key, values in axes.items()})
+        top["geometry"] = GeometrySettings(**_fields(top["geometry"], "geometry", _GEOMETRY))
     if "sweep" in top:
         top["sweep"] = _sweep(top["sweep"], top["selector"], len(top["model"]))
     return ExperimentConfig(**top, raw=raw)

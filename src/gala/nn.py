@@ -5,7 +5,8 @@ Everything is float64 numpy. A network is described by an ordered list of
 flat vector per layer, so optimizer-side code can treat layers as opaque
 vectors, or as one (R, P_i) array per layer for R models that step in
 lockstep over the same batches; a batch may also hold one batch per run.
-Three losses are supported: supervised cross-entropy for
+Every layer is an affine map with parameters, followed by its elementwise
+activation. Three losses are supported: supervised cross-entropy for
 pretraining, and two unsupervised adaptation losses (hard pseudo-labeling
 and an information-maximization loss with an optional pseudo-label term).
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericsError, TrainingError, read_input
 
-LAYER_KINDS = ("dense", "activation", "normalization")
+LAYER_KINDS = ("dense", "normalization")
 ACTIVATIONS = ("relu", "tanh", "identity")
 LOSS_VARIANTS = ("cross_entropy", "pseudo_label", "shot_im")
 
@@ -37,12 +38,12 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One layer of the network.
+    """One layer of the network: an affine map, then ``activation``
+    elementwise on its output.
 
-    ``dense`` is an affine map with a fused elementwise activation,
-    ``activation`` is a parameter-free elementwise nonlinearity, and
-    ``normalization`` standardizes each feature with current-batch
-    statistics and applies a learnable scale and offset.
+    ``dense`` maps with a weight matrix and a bias; ``normalization``
+    standardizes each feature with current-batch statistics and applies a
+    learnable scale and offset.
     """
 
     kind: str
@@ -57,16 +58,14 @@ class LayerSpec:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ConfigurationError("layer dims must be positive")
-        if self.kind in ("activation", "normalization") and self.input_dim != self.output_dim:
-            raise ConfigurationError(f"{self.kind} layer must preserve dimension")
+        if self.kind == "normalization" and self.input_dim != self.output_dim:
+            raise ConfigurationError("normalization layer must preserve dimension")
 
     @property
     def param_count(self) -> int:
         if self.kind == "dense":
             return self.output_dim * self.input_dim + self.output_dim
-        if self.kind == "normalization":
-            return 2 * self.output_dim
-        return 0
+        return 2 * self.output_dim
 
 
 @dataclass
@@ -301,10 +300,8 @@ class Network:
                 w = rng.uniform(-limit, limit, size=(spec.output_dim, spec.input_dim))
                 b = np.zeros(spec.output_dim)
                 vecs.append(np.concatenate([w.ravel(), b]))
-            elif spec.kind == "normalization":
-                vecs.append(np.concatenate([np.ones(spec.output_dim), np.zeros(spec.output_dim)]))
             else:
-                vecs.append(np.zeros(0))
+                vecs.append(np.concatenate([np.ones(spec.output_dim), np.zeros(spec.output_dim)]))
         return ModelParameters(vecs, list(self.layer_names))
 
     def _check_params(self, params: ModelParameters):
@@ -337,7 +334,13 @@ class Network:
 
     def _layer_forward(self, i: int, x: np.ndarray, vec: np.ndarray, update_stats: bool):
         """Layer i on x (k, B, d), the input of the first k runs of ``vec``,
-        or of every run when ``vec`` is one row that they share."""
+        or of every run when ``vec`` is one row that they share.
+
+        Returns the layer's output, its affine map activated, and its
+        backward cache: the kind and the arrays (src, ...), src being the
+        dense layer's input or normalization's standardized input. Every
+        cached array leads with a run axis. The backward reads the output
+        from the pass's activations, so no cache holds it."""
         spec = self.specs[i]
         k = len(x)
         if spec.kind == "dense":
@@ -345,36 +348,32 @@ class Network:
             w = vec[:k, :n].reshape(-1, spec.output_dim, spec.input_dim)
             z = x @ w.swapaxes(-1, -2)
             z += vec[:k, None, n:]  # in place: one temporary fewer, same bytes
-            a = _act(spec.activation, z)
-            return a, ("dense", (x, a, w))
-        if spec.kind == "activation":
-            a = _act(spec.activation, x)
-            return a, ("activation", (a,))
-        gamma = vec[:k, None, : spec.output_dim]
-        beta = vec[:k, None, spec.output_dim :]
-        if x.shape[1] >= 2:
-            mu = x.mean(axis=1, keepdims=True)
-            var = x.var(axis=1, keepdims=True)
-            if update_stats:  # one model (loss_and_gradients checks)
-                m = _NORM_MOMENTUM
+            kind, src, rest = "dense", x, (w,)
+        else:
+            gamma = vec[:k, None, : spec.output_dim]
+            if x.shape[1] >= 2:
+                kind = "norm_batch"
+                mu = x.mean(axis=1, keepdims=True)
+                var = x.var(axis=1, keepdims=True)
+                if update_stats:  # one model (loss_and_gradients checks)
+                    m = _NORM_MOMENTUM
+                    rm, rv = self.norm_stats[i]
+                    self.norm_stats[i] = ((1 - m) * rm + m * mu[0, 0],
+                                          (1 - m) * rv + m * var[0, 0])
+                inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
+                src = x - mu
+            else:
+                # Single-sample batches fall back to frozen statistics, shared
+                # by every run: the layer degrades to a fixed affine transform.
+                kind = "norm_frozen"
                 rm, rv = self.norm_stats[i]
-                self.norm_stats[i] = ((1 - m) * rm + m * mu[0, 0], (1 - m) * rv + m * var[0, 0])
-            inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
-            xhat = x - mu
-            xhat *= inv_std
-            out = gamma * xhat
-            out += beta
-            return out, ("norm_batch", (xhat, inv_std, gamma))
-        # Single-sample batches fall back to frozen statistics: the layer
-        # degrades to a fixed affine transform.
-        rm, rv = self.norm_stats[i]
-        inv_std = 1.0 / np.sqrt(rv + _NORM_EPS)
-        xhat = x - rm
-        xhat *= inv_std
-        out = gamma * xhat
-        out += beta
-        # every cached array leads with a run axis; the frozen one is shared
-        return out, ("norm_frozen", (xhat, inv_std[None, None], gamma))
+                inv_std = (1.0 / np.sqrt(rv + _NORM_EPS))[None, None]
+                src = x - rm
+            src *= inv_std
+            z = gamma * src
+            z += vec[:k, None, spec.output_dim :]
+            rest = inv_std, gamma
+        return _act(spec.activation, z), (kind, (src, *rest))
 
     def _forward_cached(self, layers: list[np.ndarray], acts: list[np.ndarray],
                         starts: list[int], update_stats=False):
@@ -543,29 +542,27 @@ class Network:
         for i, k, spans, below in _backward_plan(wanted, n):
             kind, arrays = caches[i]
             caches[i] = None  # free each cache once consumed
+            out = acts[i + 1]
             if k < runs:  # the later runs stopped above this layer
-                arrays = [v[:k] for v in arrays]
-            act = self.specs[i].activation
-            if kind == "dense":  # arrays: input, output, weights
-                dx = dx * _act_grad(act, arrays[1])  # dz
+                arrays, out = [v[:k] for v in arrays], out[:k]
+            dact = _act_grad(self.specs[i].activation, out)
+            if not isinstance(dact, float):  # identity's 1.0 would only copy dx
+                dx = dx * dact  # d loss / d affine output
+            del dact  # a (k, B, d) array: free it before the layer's products
             for lo, hi in spans:
-                # src is the dense layer's input or normalization's xhat
                 d, src = (dx, arrays[0]) if hi - lo == k else (dx[lo:hi], arrays[0][lo:hi])
                 if kind == "dense":  # weights, then bias
                     parts = d.swapaxes(-1, -2) @ src, d.sum(axis=1)
-                elif kind != "activation":  # scale, then offset
+                else:  # scale, then offset
                     parts = (d * src).sum(axis=1), d.sum(axis=1)
                 for r in range(lo, hi):
-                    grads[r][i] = (np.zeros(0) if kind == "activation" else
-                                   np.concatenate([parts[0][r - lo].ravel(), parts[1][r - lo]]))
+                    grads[r][i] = np.concatenate([parts[0][r - lo].ravel(), parts[1][r - lo]])
             if not below:
                 continue
             if below < k:
                 dx, arrays = dx[:below], [v[:below] for v in arrays]
             if kind == "dense":
-                dx = dx @ arrays[2]
-            elif kind == "activation":
-                dx = dx * _act_grad(act, arrays[0])
+                dx = dx @ arrays[1]
             elif kind == "norm_batch":
                 xhat, inv_std, gamma = arrays
                 nb = xhat.shape[1]
@@ -577,7 +574,7 @@ class Network:
                        - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
                 )
             else:  # norm_frozen
-                xhat, inv_std, gamma = arrays
+                _, inv_std, gamma = arrays
                 dx = dx * gamma * inv_std
         if one:
             return values[0], grads[0], probs[0], [a[0] for a in acts]

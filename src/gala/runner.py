@@ -195,10 +195,13 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
 
 @dataclass
 class OracleSweepResult:
+    """One trial per group, in group order: its accuracy and its record."""
+
     group_names: list[str]
     accuracies: list[float]
     best_group: str
     worst_group: str
+    records: list[RunRecord]
 
 
 def oracle_sweep(
@@ -231,7 +234,7 @@ def oracle_sweep(
     best = int(np.argmax(accuracies))
     worst = int(np.argmin(accuracies))
     return OracleSweepResult(list(grouping.names), accuracies,
-                             grouping.names[best], grouping.names[worst])
+                             grouping.names[best], grouping.names[worst], records)
 
 
 def run_selector(
@@ -248,24 +251,24 @@ def run_selector(
     ``seed``, the stream's seed.
 
     The selector's ``granularity`` and ``num_blocks`` build the grouping
-    it scales. An oracle kind without a pinned group replays the best or
-    worst group of ``sweep``, a sweep of the same stream and grouping;
-    when that is None the sweep runs here.
+    it scales. An oracle kind without a pinned group takes the record of
+    the best or worst trial of ``sweep``, a sweep of the same stream and
+    grouping, since that trial is the oracle's run; when ``sweep`` is None
+    the sweep runs here.
     """
     grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
                               selector.granularity, selector.num_blocks)
-    if isinstance(selector, GalaConfig):
-        policy = GalaPolicy(selector, grouping)
+    if (isinstance(selector, SelectorKind) and selector.variant in ORACLE_VARIANTS
+            and selector.fixed_group is None):
+        if sweep is None:
+            sweep = oracle_sweep(network, pretrained, stream, loss, opt, grouping)
+        group = sweep.best_group if selector.variant == "oracle_best" else sweep.worst_group
+        record = sweep.records[sweep.group_names.index(group)]
     else:
-        if selector.variant in ORACLE_VARIANTS and selector.fixed_group is None:
-            if sweep is None:
-                sweep = oracle_sweep(network, pretrained, stream, loss, opt, grouping)
-            selector = replace(selector, fixed_group=sweep.best_group
-                               if selector.variant == "oracle_best" else sweep.worst_group)
-        policy = baseline_policy(selector, grouping)
-    (record,) = adapt(network, pretrained, stream, loss, opt, [policy])
-    record.seed = seed
-    return record
+        policy = (GalaPolicy(selector, grouping) if isinstance(selector, GalaConfig)
+                  else baseline_policy(selector, grouping))
+        (record,) = adapt(network, pretrained, stream, loss, opt, [policy])
+    return replace(record, seed=seed)
 
 
 def run_gala(

@@ -104,16 +104,11 @@ def random_small_net(rng, max_params=2000, allow_relu=True):
         specs = []
         for i in range(depth):
             acts = ["tanh", "identity"] + (["relu"] if allow_relu else [])
-            kind = rng.choice(["dense", "dense", "normalization", "activation"])
-            if kind == "dense":
-                act = str(rng.choice(acts)) if i < depth - 1 else "identity"
-                specs.append(LayerSpec("dense", dims[i], dims[i + 1], act))
-            else:
+            kind = str(rng.choice(["dense", "dense", "normalization"]))
+            act = str(rng.choice(acts)) if i < depth - 1 else "identity"
+            if kind == "normalization":
                 dims[i + 1] = dims[i]
-                if kind == "activation":
-                    specs.append(LayerSpec("activation", dims[i], dims[i], str(rng.choice(acts))))
-                else:
-                    specs.append(LayerSpec("normalization", dims[i], dims[i]))
+            specs.append(LayerSpec(kind, dims[i], dims[i + 1], act))
         if specs[-1].kind != "dense":
             specs.append(LayerSpec("dense", dims[-1], int(rng.integers(2, 6))))
         net = Network(specs)
@@ -139,17 +134,6 @@ def _min_relu_margin(net, params, batch):
             w = vec[: spec.output_dim * spec.input_dim].reshape(spec.output_dim, spec.input_dim)
             b = vec[spec.output_dim * spec.input_dim :]
             z = x @ w.T + b
-            if spec.activation == "relu":
-                margin = min(margin, np.abs(z).min())
-            x = np.maximum(z, 0.0) if spec.activation == "relu" else (
-                np.tanh(z) if spec.activation == "tanh" else z
-            )
-        elif spec.kind == "activation":
-            if spec.activation == "relu":
-                margin = min(margin, np.abs(x).min())
-            x = np.maximum(x, 0.0) if spec.activation == "relu" else (
-                np.tanh(x) if spec.activation == "tanh" else x
-            )
         else:
             if x.shape[0] >= 2:
                 mu, var = x.mean(axis=0), x.var(axis=0)
@@ -157,7 +141,12 @@ def _min_relu_margin(net, params, batch):
                 mu, var = net.norm_stats[i]
             gamma = vec[: spec.output_dim]
             beta = vec[spec.output_dim :]
-            x = gamma * (x - mu) / np.sqrt(var + 1e-5) + beta
+            z = gamma * (x - mu) / np.sqrt(var + 1e-5) + beta
+        if spec.activation == "relu":
+            margin = min(margin, np.abs(z).min())
+        x = np.maximum(z, 0.0) if spec.activation == "relu" else (
+            np.tanh(z) if spec.activation == "tanh" else z
+        )
     return margin
 
 

@@ -32,7 +32,7 @@ from gala import (
     tta_accuracy,
 )
 from gala.runner import adapt
-from helpers import diverging_relu_net, single_step
+from helpers import diverging_relu_net, record_digest, single_step
 
 
 def small_setup(seed=5):
@@ -147,7 +147,7 @@ def test_all_layers_first_step_flags_fresh_anchor():
 
 def test_random_block_long_run_frequencies():
     """Picks are uniform over groups: 10k draws land within 2 points of 1/4."""
-    net = Network([LayerSpec("dense", 2, 4, "relu"), LayerSpec("activation", 4, 4, "tanh"),
+    net = Network([LayerSpec("dense", 2, 4, "relu"), LayerSpec("normalization", 4, 4, "tanh"),
                    LayerSpec("dense", 4, 4, "relu"), LayerSpec("dense", 4, 2)])
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "block", num_blocks=4)
@@ -388,6 +388,8 @@ def test_head_only_shift_ranks_last_group_best():
 
 
 def test_run_baseline_autosweeps_unpinned_oracle():
+    """An unpinned oracle's record is its sweep trial's: bit for bit the
+    record of the oracle pinned to that group, seed aside."""
     net, params, stream = head_scenario()
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
@@ -403,6 +405,12 @@ def test_run_baseline_autosweeps_unpinned_oracle():
     assert tta_accuracy(worst) == pytest.approx(min(sweep.accuracies), abs=1e-9)
     best_mask = [int(name == sweep.best_group) for name in best.group_names]
     assert all(d.mask.tolist() == best_mask for d in best.decisions)
+    for record, kind in ((best, SelectorKind("oracle_best", fixed_group=sweep.best_group)),
+                         (worst, SelectorKind("oracle_worst", fixed_group=sweep.worst_group))):
+        pinned = run_baseline(net, params, stream, kind, LossKind("shot_im"),
+                              OptimizerConfig(1.0), granularity="single_layer", seed=5)
+        assert record_digest(record) == record_digest(pinned)
+        assert (record.seed, pinned.seed) == (0, 5)
 
 
 def test_baseline_runs_are_deterministic():

@@ -169,6 +169,28 @@ def test_removed_config_fields_exit_2_naming_them(tmp_path, capsys, path, value)
     assert f"unknown config field: {'.'.join(path)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value,field", [
+    (("model", 1, "kind"), "conv", "model[1].kind"),
+    (("model", 1, "kind"), "activation", "model[1].kind"),
+    (("model", 0, "activation"), "softplus", "model[0].activation"),
+    (("loss", "variant"), "mse", "loss.variant"),
+    (("shifts", 0, "kind"), "blur", "shifts[0].kind"),
+    (("task", "class_geometry"), "spirals", "task.class_geometry"),
+    (("selector",), {"baseline": {"variant": "oracle"}}, "selector.baseline.variant"),
+], ids=["layer_kind", "activation_kind", "activation", "loss_variant", "shift_kind",
+        "class_geometry", "baseline_variant"])
+def test_enum_config_fields_exit_2_naming_them(tmp_path, capsys, path, value, field):
+    """A named option that is not one of its values exits 2 naming its path
+    and the values, before any work runs; a layer of the removed
+    parameter-free kind "activation" is one such value."""
+    cfg = tmp_path / "enum.json"
+    cfg.write_text(json.dumps(with_leaf(base_config(), path, value)))
+    assert main(["pretrain", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {field} must be one of " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode,num_shifts", [
     (5, 1), ("sequential", 1), (None, 1), (["continual"], 1), (True, 1), ("single", 2),
 ])
@@ -541,9 +563,21 @@ def _foreign_layer_names(text):
     return json.dumps(payload)
 
 
+def _with_activation_layer(text):
+    """The checkpoint with a parameter-free activation layer between its two
+    dense layers, a kind of layer that no longer exists."""
+    payload = json.loads(text)
+    payload["layer_specs"].insert(1, {"kind": "activation", "input_dim": 8, "output_dim": 8,
+                                      "activation": "tanh"})
+    payload["params"].insert(1, [])
+    payload["layer_names"] = [f"L{i}_{s['kind']}" for i, s in enumerate(payload["layer_specs"])]
+    return json.dumps(payload)
+
+
 @pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs,
-                                     _foreign_layer_names],
-                         ids=["truncated", "no_layer_specs", "foreign_layer_names"])
+                                     _foreign_layer_names, _with_activation_layer],
+                         ids=["truncated", "no_layer_specs", "foreign_layer_names",
+                              "activation_layer"])
 def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt):
     cfg_path, ckpt = _broken_checkpoint(workspace, tmp_path, corrupt)
     assert main(["adapt", "--config", str(cfg_path)]) == 2
@@ -629,9 +663,9 @@ def test_quickstart_erm_adapts_with_default_grouping(tmp_path):
 
 
 def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
-    """An unpinned oracle selector replays the group of the sweep the
-    command already ran: one lockstep pass for every group, plus the
-    replay."""
+    """An unpinned oracle selector takes the record of the sweep's trial on
+    its group: the command's one lockstep pass for every group is the only
+    pass over the stream."""
     passes = []
 
     class CountedBatches(list):
@@ -652,7 +686,7 @@ def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
                         output_dir=str(tmp_path / "oracle"))
     assert main(["pretrain", "--config", str(path)]) == 0
     assert main(["oracle", "--config", str(path)]) == 0
-    assert passes == [2, 2]
+    assert passes == [1, 1]
 
 
 def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
@@ -874,6 +908,22 @@ def test_adapt_pins_run_fingerprints(tmp_path):
             _, payload = parse_summary(tmp_path / "out" / "adapt" / f"seed{seed}" /
                                        "summary.json")
             assert payload["config_fingerprint"] == fingerprint
+
+
+def test_integer_written_reals_give_one_fingerprint(tmp_path, fuzz_checkpoint_root):
+    """A real field reads as a float, so learning_rate 1 and 1.0 are one run
+    with one fingerprint in summary.json."""
+    shutil.copytree(fuzz_checkpoint_root / "pretrain", tmp_path / "pretrain")
+    fingerprints = []
+    for lr in (1, 1.0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(with_leaf(_FUZZ_BASE, ("optimizer", "learning_rate"), lr)))
+        assert type(json.loads(cfg.read_text())["optimizer"]["learning_rate"]) is type(lr)
+        assert main(["adapt", "--config", str(cfg), "--out", str(tmp_path), "--no-trace",
+                     "--seed", "0"]) == 0
+        _, payload = parse_summary(tmp_path / "adapt" / "seed0" / "summary.json")
+        fingerprints.append(payload["config_fingerprint"])
+    assert fingerprints[0] == fingerprints[1]
 
 
 # One edit per field of the run's settings: the config path and its new

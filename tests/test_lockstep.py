@@ -25,6 +25,7 @@ from gala import (
     tta_accuracy,
 )
 from gala.runner import adapt
+from helpers import _min_relu_margin, finite_difference_grads, gradient_relative_error
 
 NORM_EPS = 1e-5
 LOG_FLOOR = 1e-300
@@ -32,12 +33,11 @@ SHOT_PL_WEIGHT = 0.3
 
 
 def mixed_net():
-    """Dense, normalization and activation layers, with non-default norm
+    """Dense layers and a normalization with a relu, with non-default norm
     affines and frozen statistics (used by single-sample batches)."""
     rng = np.random.default_rng(71)
-    net = Network([LayerSpec("dense", 3, 6, "tanh"), LayerSpec("normalization", 6, 6),
-                   LayerSpec("activation", 6, 6, "relu"), LayerSpec("dense", 6, 4, "tanh"),
-                   LayerSpec("dense", 4, 3)])
+    net = Network([LayerSpec("dense", 3, 6, "tanh"), LayerSpec("normalization", 6, 6, "relu"),
+                   LayerSpec("dense", 6, 4, "tanh"), LayerSpec("dense", 4, 3)])
     params = net.init_params(8)
     params.layers[1] += rng.normal(scale=0.3, size=12)
     net.norm_stats[1] = (rng.normal(size=6), rng.uniform(0.5, 2.0, size=6))
@@ -71,20 +71,15 @@ def ref_act_grad(name, z, a):
 
 
 def ref_forward(net, layers, x):
-    """Logits and one cache per layer."""
+    """Logits and one cache per layer: the layer's affine output z, its
+    activation a, and what its kind's backward needs."""
     caches = []
     for i, (spec, vec) in enumerate(zip(net.specs, layers)):
         if spec.kind == "dense":
             m = spec.output_dim * spec.input_dim
             w = vec[:m].reshape(spec.output_dim, spec.input_dim)
             z = x @ w.T + vec[m:]
-            caches.append((x, z, w))
-            x = ref_act(spec.activation, z)
-            caches[-1] += (x,)
-        elif spec.kind == "activation":
-            caches.append((x,))
-            x = ref_act(spec.activation, x)
-            caches[-1] += (x,)
+            cache = (x, w)
         else:
             gamma, beta = vec[: spec.output_dim], vec[spec.output_dim:]
             if len(x) >= 2:
@@ -94,8 +89,10 @@ def ref_forward(net, layers, x):
                 mean, var = net.norm_stats[i]
                 inv = 1.0 / np.sqrt(var + NORM_EPS)
                 xhat = (x - mean) * inv
-            caches.append((xhat, inv, gamma))
-            x = gamma * xhat + beta
+            z = gamma * xhat + beta
+            cache = (xhat, inv, gamma)
+        x = ref_act(spec.activation, z)
+        caches.append((z, x, cache))
     return x, caches
 
 
@@ -123,17 +120,14 @@ def ref_backward(net, caches, dx):
     grads = [None] * len(caches)
     for i in reversed(range(len(caches))):
         spec = net.specs[i]
+        z, a, cache = caches[i]
+        dx = dx * ref_act_grad(spec.activation, z, a)
         if spec.kind == "dense":
-            x, z, w, a = caches[i]
-            dz = dx * ref_act_grad(spec.activation, z, a)
-            grads[i] = np.concatenate([(dz.T @ x).ravel(), dz.sum(axis=0)])
-            dx = dz @ w
-        elif spec.kind == "activation":
-            x, a = caches[i]
-            grads[i] = np.zeros(0)
-            dx = dx * ref_act_grad(spec.activation, x, a)
+            x, w = cache
+            grads[i] = np.concatenate([(dx.T @ x).ravel(), dx.sum(axis=0)])
+            dx = dx @ w
         else:
-            xhat, inv, gamma = caches[i]
+            xhat, inv, gamma = cache
             grads[i] = np.concatenate([(dx * xhat).sum(axis=0), dx.sum(axis=0)])
             if len(xhat) >= 2:
                 nb = len(xhat)
@@ -158,6 +152,33 @@ def reference_trial(net, params, stream, variant, lr, members):
         logits, _ = ref_forward(net, layers, batch.inputs)
         correct.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
     return correct, layers
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_normalization_applies_its_activation(activation, batch_size):
+    """A normalization layer's activation acts on its output: the loss
+    pass's probabilities and gradients equal the plain 2-D reference's
+    bytes, and the gradients match central finite differences; batch 1
+    uses frozen statistics and batch 5 batch statistics."""
+    rng = np.random.default_rng(73)
+    net = Network([LayerSpec("dense", 3, 6, "tanh"),
+                   LayerSpec("normalization", 6, 6, activation), LayerSpec("dense", 6, 3)])
+    params = net.init_params(9)
+    params.layers[1] += rng.normal(scale=0.3, size=12)
+    net.norm_stats[1] = (rng.normal(size=6), rng.uniform(0.5, 2.0, size=6))
+    batch = Batch(rng.normal(size=(batch_size, 3)) * 1.5)
+    loss = LossKind("shot_im", SHOT_PL_WEIGHT)
+    _, grads, probs, _ = net.loss_and_gradients(params, batch, loss)
+    logits, caches = ref_forward(net, params.layers, batch.inputs)
+    p = ref_softmax(logits)
+    assert probs.tobytes() == p.tobytes()
+    for got, want in zip(grads, ref_backward(net, caches, ref_dlogits(p, "shot_im"))):
+        assert got.tobytes() == want.tobytes()
+    z, a, _ = caches[1]
+    assert not np.array_equal(z, a)  # the activation changed the layer's output
+    assert _min_relu_margin(net, params, batch) > 1e-3
+    assert gradient_relative_error(grads, finite_difference_grads(net, params, batch, loss)) < 1e-6
 
 
 @pytest.mark.parametrize("granularity", ["single_layer", "block"])

@@ -20,6 +20,7 @@ from gala import (
     pretrain_erm,
     save_checkpoint,
 )
+from gala.nn import LAYER_KINDS
 from helpers import finite_difference_grads, gradient_relative_error, random_small_net
 
 
@@ -177,12 +178,11 @@ def test_gradients_match_finite_differences(variant):
 
 
 def mixed_net_and_params(rng):
-    """Dense, activation and normalization layers, with non-default
-    affine parameters and frozen statistics."""
+    """Dense and normalization layers, one normalization with a relu, with
+    non-default affine parameters and frozen statistics."""
     net = Network([
         LayerSpec("dense", 3, 6, "tanh"),
-        LayerSpec("normalization", 6, 6),
-        LayerSpec("activation", 6, 6, "relu"),
+        LayerSpec("normalization", 6, 6, "relu"),
         LayerSpec("dense", 6, 5, "relu"),
         LayerSpec("normalization", 5, 5),
         LayerSpec("dense", 5, 4),
@@ -246,8 +246,8 @@ def test_forward_restart_matches_full_forward(size):
         net.forward(params, batch, 3)
     with pytest.raises(ConfigurationError, match="layer 3"):
         net.forward(params, batch, 3, inputs[:3] + [inputs[3][:, :4]] + inputs[4:])
-    with pytest.raises(ConfigurationError, match="layer 5 expects"):
-        net.forward(ModelParameters(params.layers[:5] + [np.zeros(3)], params.layer_names),
+    with pytest.raises(ConfigurationError, match="layer 4 expects"):
+        net.forward(ModelParameters(params.layers[:4] + [np.zeros(3)], params.layer_names),
                     batch, 5, inputs)
     bad = [v.copy() for v in params.layers]
     bad[4][0] = np.inf
@@ -328,8 +328,10 @@ def test_init_params_bounds():
 
 
 def test_layer_spec_validation():
-    with pytest.raises(ConfigurationError):
-        LayerSpec("conv", 3, 3)
+    assert LAYER_KINDS == ("dense", "normalization")
+    for kind in ("conv", "activation"):  # every layer has parameters
+        with pytest.raises(ConfigurationError, match="unknown layer kind"):
+            LayerSpec(kind, 3, 3)
     with pytest.raises(ConfigurationError):
         LayerSpec("normalization", 3, 4)
     with pytest.raises(ConfigurationError):
