@@ -3,7 +3,8 @@
 Subcommands cover the full experiment cycle: ``pretrain`` fits and
 checkpoints a source model, ``adapt`` runs online adaptation over the
 configured shift stream, ``oracle`` brute-forces per-group adaptation
-quality and correlates it with the selector's choices, ``sweep`` varies
+quality and correlates it with the selector's choices, stepping the
+selector beside the per-group trials in one pass per seed, ``sweep`` varies
 one hyperparameter axis, ``geometry`` tabulates the criterion surface,
 and ``report`` rebuilds aggregate tables from existing run artifacts.
 
@@ -47,7 +48,7 @@ from .nn import (
     pretrain_erm,
     save_checkpoint,
 )
-from .runner import oracle_sweep, run_selector
+from .runner import run_selector
 from .shiftbench import build_stream, generate_task
 
 MANIFEST_FORMAT = "gala-experiment-manifest"
@@ -141,8 +142,8 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
         stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode,
                               cfg.batch_size, seed=seed)
         selector = _seeded_selector(cfg, seed)
-        record = run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector, seed,
-                              None)
+        record, _ = run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector,
+                                 seed, None)
         summary = summarize(network, params, record, stream.target_holdout,
                             stream.source_holdout)
         if not args.no_trace:
@@ -173,10 +174,8 @@ def cmd_oracle(cfg: ExperimentConfig, args) -> int:
     for seed in _seeds(cfg, args):
         stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode,
                               cfg.batch_size, seed=seed)
-        sweep = oracle_sweep(network, params, stream, cfg.loss, cfg.optimizer,
-                             grouping)
-        record = run_selector(network, params, stream, cfg.loss, cfg.optimizer,
-                              _seeded_selector(cfg, seed), seed, sweep)
+        record, sweep = run_selector(network, params, stream, cfg.loss, cfg.optimizer,
+                                     _seeded_selector(cfg, seed), seed, grouping)
         freqs = selection_frequency(record)
         rank = spearman_rank_correlation(
             sweep.accuracies, [freqs[g] for g in sweep.group_names])
@@ -228,8 +227,8 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         for seed in _seeds(cfg, args):
             stream = build_stream(point.task, point.shifts, point.shift_mode,
                                   point.batch_size, seed=seed)
-            record = run_selector(network, params, stream, point.loss, point.optimizer,
-                                  _seeded_selector(point, seed), seed, None)
+            record, _ = run_selector(network, params, stream, point.loss, point.optimizer,
+                                     _seeded_selector(point, seed), seed, None)
             summary = summarize(network, params, record, stream.target_holdout,
                                 stream.source_holdout)
             shown = "inf" if value == math.inf else value

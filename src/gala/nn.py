@@ -197,6 +197,57 @@ def _suffix_min(starts) -> list[int]:
     return out
 
 
+def _spans(runs) -> list[tuple[int, int]]:
+    """Ascending run indices as maximal [lo, hi) ranges of the run axis."""
+    spans: list[list[int]] = []
+    for r in runs:
+        if spans and spans[-1][1] == r:
+            spans[-1][1] = r + 1
+        else:
+            spans.append([r, r + 1])
+    return [tuple(span) for span in spans]
+
+
+def _rows(runs: list[int]):
+    """An index of the run axis that picks ``runs`` (ascending): a slice,
+    which takes a view, when they are consecutive."""
+    return slice(runs[0], runs[-1] + 1) if runs[-1] - runs[0] + 1 == len(runs) else runs
+
+
+@lru_cache(maxsize=256)
+def _forward_plan(starts: tuple[int, ...], n: int) -> tuple:
+    """How a forward pass runs when run r joins at layer ``starts[r]``:
+    (first, rows, steps). The pass starts at layer ``first`` on the input
+    rows ``rows`` of the runs that start there. Each step, bottom up, is
+    (layer, live, spans, join): ``live`` lists the runs the layer runs
+    for, ascending, in the order x stacks their rows; ``spans`` splits them
+    into maximal ranges of the run axis, one layer call each, as (a, b,
+    lo, hi): rows [a, b) of x are runs [lo, hi); ``join`` is None or
+    (rows, order), the next layer's input rows of the runs that join
+    there, appended to x, and the permutation of x that restores run
+    order (None when they join at the end). A step's starts come from a
+    few layers, so each plan is worked out once.
+    """
+    first = min(starts)
+    live = [r for r, s in enumerate(starts) if s == first]
+    rows, steps = _rows(live), []
+    for i in range(first, n):
+        spans, a = [], 0
+        for lo, hi in _spans(live):
+            spans.append((a, a + hi - lo, lo, hi))
+            a += hi - lo
+        joining = [r for r, s in enumerate(starts) if s == i + 1]
+        join = None
+        if joining:
+            runs = live + joining
+            order = None if live[-1] < joining[0] else [int(k) for k in np.argsort(runs)]
+            join = _rows(joining), order
+        steps.append((i, tuple(live), tuple(spans), join))
+        if joining:
+            live = sorted(runs)
+    return first, rows, tuple(steps)
+
+
 @lru_cache(maxsize=256)
 def _backward_plan(wanted: tuple[frozenset[int], ...], n: int) -> tuple:
     """The layers a backward pass visits, top down, as (layer, k, spans,
@@ -212,15 +263,8 @@ def _backward_plan(wanted: tuple[frozenset[int], ...], n: int) -> tuple:
     low = _suffix_min([min(w, default=n) for w in wanted])
     plan = []
     for i in range(n - 1, low[0] - 1, -1):
-        spans: list[list[int]] = []
-        for r, w in enumerate(wanted):
-            if i not in w:
-                continue
-            if spans and spans[-1][1] == r:
-                spans[-1][1] = r + 1
-            else:
-                spans.append([r, r + 1])
-        plan.append((i, bisect_right(low, i), tuple(map(tuple, spans)), bisect_left(low, i)))
+        spans = tuple(_spans(r for r, w in enumerate(wanted) if i in w))
+        plan.append((i, bisect_right(low, i), spans, bisect_left(low, i)))
     return tuple(plan)
 
 
@@ -333,8 +377,8 @@ class Network:
         return layers, runs, False
 
     def _layer_forward(self, i: int, x: np.ndarray, vec: np.ndarray, update_stats: bool):
-        """Layer i on x (k, B, d), the input of the first k runs of ``vec``,
-        or of every run when ``vec`` is one row that they share.
+        """Layer i on x (k, B, d), the inputs of k runs whose parameters are
+        the rows of ``vec``, or one row of ``vec`` that they share.
 
         Returns the layer's output, its affine map activated, and its
         backward cache: the kind and the arrays (src, ...), src being the
@@ -342,15 +386,14 @@ class Network:
         cached array leads with a run axis. The backward reads the output
         from the pass's activations, so no cache holds it."""
         spec = self.specs[i]
-        k = len(x)
         if spec.kind == "dense":
             n = spec.output_dim * spec.input_dim
-            w = vec[:k, :n].reshape(-1, spec.output_dim, spec.input_dim)
+            w = vec[:, :n].reshape(-1, spec.output_dim, spec.input_dim)
             z = x @ w.swapaxes(-1, -2)
-            z += vec[:k, None, n:]  # in place: one temporary fewer, same bytes
+            z += vec[:, None, n:]  # in place: one temporary fewer, same bytes
             kind, src, rest = "dense", x, (w,)
         else:
-            gamma = vec[:k, None, : spec.output_dim]
+            gamma = vec[:, None, : spec.output_dim]
             if x.shape[1] >= 2:
                 kind = "norm_batch"
                 mu = x.mean(axis=1, keepdims=True)
@@ -371,51 +414,40 @@ class Network:
                 src = x - rm
             src *= inv_std
             z = gamma * src
-            z += vec[:k, None, spec.output_dim :]
+            z += vec[:, None, spec.output_dim :]
             rest = inv_std, gamma
         return _act(spec.activation, z), (kind, (src, *rest))
 
-    def _forward_cached(self, layers: list[np.ndarray], acts: list[np.ndarray],
-                        starts: list[int], update_stats=False):
-        """Forward pass of the stacked models whose parameters are ``layers``.
-
-        Run r joins the pass at layer ``starts[r]`` (nondecreasing over
-        runs) on its row of ``acts[starts[r]]``; ``acts`` lists the
-        activations of a pass over the batch (``acts[i]`` is the input of
-        layer i, ``acts[-1]`` the logits), and the loss pass starts every
-        run at layer 0 with ``acts == [inputs]``. Returns the logits, one
-        backward cache per layer run and the activations of this pass from
-        layer ``starts[0]`` up, runs on axis 0 throughout.
-        """
-        n = len(self.specs)
-        first, last = starts[0], starts[-1]
-        k = bisect_right(starts, first)
-        x = acts[first]
-        if k < len(x):
-            x = x[:k]
-        if first < n and x.shape[-1] != self.specs[first].input_dim:
+    def _check_input(self, x: np.ndarray, i: int):
+        if x.shape[-1] != self.specs[i].input_dim:
             raise ConfigurationError(
-                f"batch input_dim {x.shape[-1]} does not match layer {first} "
-                f"input_dim {self.specs[first].input_dim}"
+                f"batch input_dim {x.shape[-1]} does not match layer {i} "
+                f"input_dim {self.specs[i].input_dim}"
             )
-        caches, outs = [], [x]
-        # Overflow is detected by the finiteness check and raised as a
-        # NumericsError, so the intermediate warning is noise.
+
+    def _nonfinite(self, x: np.ndarray, i: int, live: Sequence[int]) -> NumericsError:
+        """The error for layer i's output x, naming the runs among ``live``
+        (x's rows) that went non-finite. It reports overflow, so the passes
+        silence numpy's own warning for it."""
+        return NumericsError(f"non-finite activation at layer {i} ({self.layer_names[i]})",
+                             [live[b] for b in _bad_runs(x)])
+
+    def _forward_cached(self, layers: list[np.ndarray], x: np.ndarray, update_stats=False):
+        """The loss pass: every stacked model whose parameters are ``layers``
+        runs every layer on its row of the inputs x (R, B, d). Returns the
+        logits, one backward cache per layer and the activations (``acts[i]``
+        is the input of layer i, ``acts[-1]`` the logits), runs on axis 0."""
+        self._check_input(x, 0)
+        live = range(len(x))
+        caches, acts = [], [x]
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(first, n):
+            for i in range(len(self.specs)):
                 x, cache = self._layer_forward(i, x, layers[i], update_stats)
                 if not _all_finite(x):
-                    raise NumericsError(
-                        f"non-finite activation at layer {i} ({self.layer_names[i]})",
-                        _bad_runs(x))
+                    raise self._nonfinite(x, i, live)
                 caches.append(cache)
-                if i < last:  # runs that start above layer i join here
-                    j = bisect_right(starts, i + 1)
-                    if j > k:
-                        x = np.concatenate([x, acts[i + 1][k:j]])
-                        k = j
-                outs.append(x)
-        return x, caches, outs
+                acts.append(x)
+        return x, caches, acts
 
     def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
                 acts: list[np.ndarray] | None = None) -> np.ndarray:
@@ -425,24 +457,44 @@ class Network:
         With ``start`` > 0 only layers ``start`` and up run, on
         ``acts[start]``: ``acts`` is the activation list that
         ``loss_and_gradients`` returned for the same batch. Stacked models
-        may give one start per run; a run starting at ``len(specs)`` keeps
-        the logits of ``acts``. Each run restarts at the least start of its
-        own and every later run's, so the runs of any one layer are a
-        prefix of the run axis and no layer is run for more runs than that
-        needs; when the layers below a run's start hold the parameters of
-        the pass behind ``acts``, rerunning them reproduces their bytes,
-        and the result equals a full forward bit for bit.
+        may give one start per run, in any order; a run starting at
+        ``len(specs)`` keeps the logits of ``acts``. Each layer runs for
+        exactly the runs that start at or below it, and keeps no backward
+        cache. When the layers below a run's start hold the parameters of
+        the pass behind ``acts``, its result equals a full forward bit for
+        bit.
         """
         layers, runs, one = self._stacked(params, batch)
-        starts = ([start] * runs if isinstance(start, (int, np.integer))
-                  else _suffix_min(start))
-        if starts[0] and acts is None:
-            raise ValueError(f"forward from layer {starts[0]} needs that layer's input")
+        starts = (start,) * runs if isinstance(start, (int, np.integer)) else tuple(start)
+        n = len(self.specs)
+        if min(starts) and acts is None:
+            raise ValueError(f"forward from layer {min(starts)} needs that layer's input")
         if acts is None:
             acts = [_run_inputs(batch.inputs, runs)]
         elif one:
             acts = [a[None] for a in acts]
-        probs = softmax(self._forward_cached(layers, acts, starts)[0])
+        first, rows, steps = _forward_plan(starts, n)
+        x = acts[first][rows]
+        if first < n:
+            self._check_input(x, first)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, live, spans, join in steps:
+                vec = layers[i]
+                if len(vec) == 1:  # one row that every run shares
+                    x = self._layer_forward(i, x, vec, False)[0]
+                elif len(spans) == 1:
+                    x = self._layer_forward(i, x, vec[spans[0][2]:spans[0][3]], False)[0]
+                else:
+                    x = np.concatenate([self._layer_forward(i, x[a:b], vec[lo:hi], False)[0]
+                                        for a, b, lo, hi in spans])
+                if not _all_finite(x):
+                    raise self._nonfinite(x, i, live)
+                if join:
+                    rows, order = join
+                    x = np.concatenate([x, acts[i + 1][rows]])
+                    if order:
+                        x = x[order]
+        probs = softmax(x)
         return probs[0] if one else probs
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
@@ -528,7 +580,7 @@ class Network:
         if len(wanted) != runs:
             raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
         logits, caches, acts = self._forward_cached(
-            stacked, [_run_inputs(batch.inputs, runs)], [0] * runs, update_norm_stats)
+            stacked, _run_inputs(batch.inputs, runs), update_norm_stats)
         probs = softmax(logits)
         shape = probs.shape
         values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), batch.labels, loss,

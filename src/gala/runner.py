@@ -113,15 +113,16 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
     """Adapt one copy of ``pretrained`` per policy over one stream, one step
     per batch; one record per run, in policy order.
 
-    The runs that can move step in lockstep. Runs ordered by the lowest
-    layer of their ``grad_layers`` share each layer's backward work
-    without anyone doing more than it would alone. A run with no
-    ``grad_layers`` never moves, so no batch depends on the one before:
-    it is evaluated first, in chunks (see ``_frozen_record``), and its
-    record equals that of stepping it. A NumericsError names the runs by
-    their index in ``policies``.
+    The runs that can move step in lockstep, ordered stably by the lowest
+    layer of their ``grad_layers``: then they share each layer's backward
+    work without any run doing more than it would alone, whatever order
+    the policies come in. A run with no ``grad_layers`` never moves, so no
+    batch depends on the one before: it is evaluated first, in chunks (see
+    ``_frozen_record``), and its record equals that of stepping it. A
+    NumericsError names the runs by their index in ``policies``.
     """
-    moving = [r for r, policy in enumerate(policies) if policy.grad_layers]
+    moving = sorted((r for r, policy in enumerate(policies) if policy.grad_layers),
+                    key=lambda r: min(policies[r].grad_layers))
     records = [None if policy.grad_layers else
                _frozen_record(network, pretrained, stream, loss, opt, policy, r)
                for r, policy in enumerate(policies)]
@@ -216,25 +217,12 @@ def oracle_sweep(
 
     One trial per group adapts only that group from the pretrained
     parameters on every stream sample and is scored by its online
-    accuracy; the trials run in lockstep, one pass over the stream.
-    Labels are read for scoring only; the loss path never sees them. A
-    trial that goes non-finite stops the pass with a NumericsError naming
-    its group.
+    accuracy; the trials run in lockstep, one pass over the stream. This
+    is ``run_selector``'s pass with no selector. Labels are read for
+    scoring only; the loss path never sees them. A trial that goes
+    non-finite stops the pass with a NumericsError naming its group.
     """
-    if grouping.num_groups < 2:
-        raise ConfigurationError("oracle sweep needs at least 2 groups")
-    policies = [baseline_policy(SelectorKind("oracle_best", fixed_group=name), grouping)
-                for name in grouping.names]
-    try:
-        records = adapt(network, pretrained, stream, loss, opt, policies)
-    except NumericsError as e:
-        groups = ", ".join(grouping.names[r] for r in e.runs)
-        raise NumericsError(f"oracle trial on {groups} diverged: {e}", e.runs) from e
-    accuracies = [tta_accuracy(record) for record in records]
-    best = int(np.argmax(accuracies))
-    worst = int(np.argmin(accuracies))
-    return OracleSweepResult(list(grouping.names), accuracies,
-                             grouping.names[best], grouping.names[worst], records)
+    return run_selector(network, pretrained, stream, loss, opt, None, 0, grouping)[1]
 
 
 def run_selector(
@@ -243,32 +231,64 @@ def run_selector(
     stream: ShiftStream,
     loss: LossKind,
     opt: OptimizerConfig,
-    selector: GalaConfig | SelectorKind,
+    selector: GalaConfig | SelectorKind | None,
     seed: int,
-    sweep: OracleSweepResult | None,
-) -> RunRecord:
-    """Adapt with gala or a baseline over one stream; the record carries
-    ``seed``, the stream's seed.
+    trials: ParameterGrouping | None,
+) -> tuple[RunRecord | None, OracleSweepResult | None]:
+    """Adapt with gala or a baseline over one stream, and with ``trials``
+    sweep its groups, in one pass: the selector's record, which carries
+    ``seed``, the stream's seed, and the oracle sweep over ``trials``.
 
     The selector's ``granularity`` and ``num_blocks`` build the grouping
-    it scales. An oracle kind without a pinned group takes the record of
-    the best or worst trial of ``sweep``, a sweep of the same stream and
-    grouping, since that trial is the oracle's run; when ``sweep`` is None
-    the sweep runs here.
+    it scales. With ``trials``, one oracle trial per group of it steps
+    beside the selector's run in one ``adapt`` call; the records equal
+    those of separate passes. An oracle kind without a pinned group adds
+    no run: it takes the record of the best or worst trial of ``trials``,
+    or, when that is None, of a sweep over its own grouping, run here. A
+    ``selector`` of None runs the sweep alone and gives no record (see
+    ``oracle_sweep``). A run that
+    goes non-finite stops the pass with a NumericsError naming the
+    selector's run, the trials' groups, or both.
     """
-    grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
-                              selector.granularity, selector.num_blocks)
-    if (isinstance(selector, SelectorKind) and selector.variant in ORACLE_VARIANTS
-            and selector.fixed_group is None):
-        if sweep is None:
-            sweep = oracle_sweep(network, pretrained, stream, loss, opt, grouping)
+    policies, name = [], None
+    if selector is not None:
+        grouping = build_grouping(network.layer_names,
+                                  [s.param_count for s in network.specs],
+                                  selector.granularity, selector.num_blocks)
+        if isinstance(selector, GalaConfig):
+            policies, name = [GalaPolicy(selector, grouping)], "gala"
+        elif selector.variant not in ORACLE_VARIANTS or selector.fixed_group is not None:
+            policies, name = [baseline_policy(selector, grouping)], selector.variant
+        elif trials is None:
+            trials = grouping
+    first = len(policies)  # the trials' runs follow the selector's
+    if trials is not None:
+        if trials.num_groups < 2:
+            raise ConfigurationError("oracle sweep needs at least 2 groups")
+        policies += [baseline_policy(SelectorKind("oracle_best", fixed_group=group), trials)
+                     for group in trials.names]
+    try:
+        records = adapt(network, pretrained, stream, loss, opt, policies)
+    except NumericsError as e:
+        what = [f"{name} run"] if 0 in e.runs and first else []
+        groups = [trials.names[r - first] for r in e.runs if r >= first]
+        if groups:
+            what.append(f"oracle trial on {', '.join(groups)}")
+        raise NumericsError(f"{' and '.join(what)} diverged: {e}", e.runs) from e
+    sweep = None
+    if trials is not None:
+        accuracies = [tta_accuracy(record) for record in records[first:]]
+        best = trials.names[int(np.argmax(accuracies))]
+        worst = trials.names[int(np.argmin(accuracies))]
+        sweep = OracleSweepResult(list(trials.names), accuracies, best, worst, records[first:])
+    if selector is None:
+        return None, sweep
+    if name is None:  # an unpinned oracle: its trial's record
         group = sweep.best_group if selector.variant == "oracle_best" else sweep.worst_group
         record = sweep.records[sweep.group_names.index(group)]
     else:
-        policy = (GalaPolicy(selector, grouping) if isinstance(selector, GalaConfig)
-                  else baseline_policy(selector, grouping))
-        (record,) = adapt(network, pretrained, stream, loss, opt, [policy])
-    return replace(record, seed=seed)
+        record = records[0]
+    return replace(record, seed=seed), sweep
 
 
 def run_gala(
@@ -281,7 +301,7 @@ def run_gala(
     seed: int = 0,
 ) -> RunRecord:
     """Adapt with aligned layer selection over one stream."""
-    return run_selector(network, pretrained, stream, loss, opt, cfg, seed, None)
+    return run_selector(network, pretrained, stream, loss, opt, cfg, seed, None)[0]
 
 
 def run_baseline(
@@ -303,4 +323,4 @@ def run_baseline(
     """
     kind = replace(kind, granularity=kind.granularity if granularity is None else granularity,
                    num_blocks=kind.num_blocks if num_blocks is None else num_blocks)
-    return run_selector(network, pretrained, stream, loss, opt, kind, seed, None)
+    return run_selector(network, pretrained, stream, loss, opt, kind, seed, None)[0]

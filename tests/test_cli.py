@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 import gala.cli
 from gala import (ConfigurationError, GalaConfig, LayerSpec, LossKind, OptimizerConfig,
-                  SelectorKind, ShiftSpec, TaskSpec, config, load_config, parse_config,
-                  parse_summary, save_checkpoint)
+                  SelectorKind, ShiftSpec, TaskSpec, build_grouping, config, load_config,
+                  oracle_sweep, parse_config, parse_summary, run_gala, save_checkpoint,
+                  selection_frequency, spearman_rank_correlation)
 from gala.cli import main
 from gala.shiftbench import _ALLOWED_PARAMS
 from helpers import diverging_relu_net
@@ -662,31 +663,70 @@ def test_quickstart_erm_adapts_with_default_grouping(tmp_path):
     assert summary.forgetting == 0.0
 
 
-def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch):
-    """An unpinned oracle selector takes the record of the sweep's trial on
-    its group: the command's one lockstep pass for every group is the only
-    pass over the stream."""
-    passes = []
+@pytest.mark.parametrize("selector, passes", [
+    ({"gala": {"granularity": "single_layer"}}, 1),
+    ({"baseline": {"variant": "all_layers"}}, 1),
+    ({"baseline": {"variant": "random_block"}}, 1),
+    ({"baseline": {"variant": "auto_rgn"}}, 1),
+    ({"baseline": {"variant": "oracle_best", "fixed_group": "L0_dense"}}, 1),
+    ({"baseline": {"variant": "oracle_best"}}, 1),
+    # erm never moves: its frozen evaluation iterates the stream by itself
+    ({"baseline": {"variant": "erm"}}, 2),
+], ids=["gala", "all_layers", "random_block", "auto_rgn", "pinned_oracle_best", "oracle_best",
+        "erm"])
+def test_oracle_runs_one_sweep_per_seed(tmp_path, monkeypatch, selector, passes):
+    """Each seed steps the configured selector beside the sweep's trials in
+    one lockstep pass over the stream; an unpinned oracle selector adds no
+    run and takes the record of the sweep's trial on its group."""
+    counts = []
 
     class CountedBatches(list):
         def __iter__(self):
-            passes[-1] += 1
+            counts[-1] += 1
             return super().__iter__()
 
     def counted_stream(*args, **kwargs):
         stream = build_stream(*args, **kwargs)
         stream.adapt_batches = CountedBatches(stream.adapt_batches)
-        passes.append(0)
+        counts.append(0)
         return stream
 
     build_stream = gala.cli.build_stream
     monkeypatch.setattr(gala.cli, "build_stream", counted_stream)
-    path = write_config(tmp_path, selector={"baseline": {"variant": "oracle_best",
-                                                         "granularity": "single_layer"}},
-                        output_dir=str(tmp_path / "oracle"))
+    path = write_config(tmp_path, selector=selector, output_dir=str(tmp_path / "oracle"))
     assert main(["pretrain", "--config", str(path)]) == 0
     assert main(["oracle", "--config", str(path)]) == 0
-    assert passes == [1, 1]
+    assert counts == [passes, passes]
+
+
+def test_oracle_seed_file_equals_separate_sweep_and_run(workspace, tmp_path):
+    """The one shared pass writes the seed file that a separate oracle_sweep
+    and run_gala over the same stream give."""
+    root, cfg_path = workspace
+    out = tmp_path / "out"
+    shutil.copytree(root / "out" / "pretrain", out / "pretrain")
+    assert main(["oracle", "--config", str(cfg_path), "--seed", "1", "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    network, params, _, _ = gala.cli._load_pretrained(out)
+    stream = gala.cli.build_stream(cfg.task, cfg.shifts, cfg.shift_mode, cfg.batch_size, seed=1)
+    grouping = build_grouping(network.layer_names, [s.param_count for s in network.specs],
+                              "single_layer")
+    sweep = oracle_sweep(network, params, stream, cfg.loss, cfg.optimizer, grouping)
+    record = run_gala(network, params, stream, cfg.loss, cfg.optimizer, cfg.selector, seed=1)
+    freqs = selection_frequency(record)
+    rank = spearman_rank_correlation(sweep.accuracies, [freqs[g] for g in sweep.group_names])
+    reference = {
+        "format": "gala-oracle-result",
+        "format_version": 1,
+        "seed": 1,
+        "group_names": sweep.group_names,
+        "oracle_accuracies": sweep.accuracies,
+        "best_group": sweep.best_group,
+        "worst_group": sweep.worst_group,
+        "selection_frequency": freqs,
+        "rank_correlation": None if math.isnan(rank) else rank,
+    }
+    assert (out / "oracle" / "seed1.json").read_text() == json.dumps(reference, indent=1)
 
 
 def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
@@ -705,6 +745,32 @@ def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "oracle trial on L1_dense diverged" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("selector, diverged", [
+    ({"gala": {"granularity": "single_layer"}}, "gala run and oracle trial on L1_dense"),
+    ({"baseline": {"variant": "all_layers"}}, "all_layers run and oracle trial on L1_dense"),
+    ({"baseline": {"variant": "oracle_best", "fixed_group": "L0_dense"}},
+     "error: oracle trial on L1_dense"),
+], ids=["gala", "all_layers", "pinned_oracle_best"])
+def test_oracle_selector_divergence_exits_1_naming_it(tmp_path, capsys, selector, diverged):
+    """A selector whose run goes non-finite in the pass it shares with the
+    sweep's trials exits 1 naming it beside the trial that did too, with no
+    traceback; a selector that stays finite is not named."""
+    net, params = diverging_relu_net()
+    out = tmp_path / "out"
+    (out / "pretrain").mkdir(parents=True)
+    save_checkpoint(out / "pretrain" / "checkpoint.json", net, params, seed=0)
+    model = [{"kind": s.kind, "input_dim": s.input_dim, "output_dim": s.output_dim,
+              "activation": s.activation} for s in net.specs]
+    path = write_config(tmp_path, model=model, batch_size=4, seeds=[0], selector=selector,
+                        task={"num_classes": 3, "input_dim": 2, "samples_per_domain": 40,
+                              "seed": 4},
+                        optimizer={"learning_rate": 1e305})
+    assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{diverged} diverged: non-finite activation at layer 1" in err
+    assert "Traceback" not in err
 
 
 def test_erm_divergence_exits_1(tmp_path, capsys):

@@ -24,7 +24,7 @@ from gala import (
     oracle_sweep,
     tta_accuracy,
 )
-from gala.runner import adapt
+from gala.runner import adapt, run_selector
 from helpers import _min_relu_margin, finite_difference_grads, gradient_relative_error
 
 NORM_EPS = 1e-5
@@ -267,10 +267,13 @@ def test_lockstep_runs_equal_single_runs(batch_size):
 
 
 def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
-    """Per layer, the lockstep sweep runs the forward and the backward for
-    exactly as many (run, sample) rows as the trials do one at a time: a
-    trial's backward stops at its group and its post-update forward
-    restarts there."""
+    """Per layer, a lockstep pass runs the forward and the backward for
+    exactly as many (run, sample) rows as its runs do one at a time, in
+    any policy order: a run's backward stops at the lowest layer it reads
+    and its post-update forward restarts at the lowest layer it moved.
+    Checked for the oracle sweep, for the mixed policies in their unsorted
+    order, and for gala beside the sweep's trials in run_selector's one
+    pass."""
     rows = {"forward": 0, "backward": 0}
     layer_forward, act_grad = Network._layer_forward, gala.nn._act_grad
 
@@ -282,17 +285,30 @@ def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
         rows["backward"] += a.shape[0] * a.shape[1]
         return act_grad(name, a)
 
+    def work(run):
+        rows.update(forward=0, backward=0)
+        run()
+        return dict(rows)
+
     monkeypatch.setattr(Network, "_layer_forward", counted_forward)
     monkeypatch.setattr(gala.nn, "_act_grad", counted_act_grad)
     net, params = mixed_net()
-    stream = stream_of(5, steps=4)
+    stream = stream_of(5, steps=12)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
     loss, opt = LossKind("pseudo_label"), OptimizerConfig(0.5)
-    adapt(net, params, stream, loss, opt, oracle_policies(grouping))
-    lockstep = dict(rows)
-    rows.update(forward=0, backward=0)
-    for policy in oracle_policies(grouping):
-        adapt(net, params, stream, loss, opt, [policy])
-    assert lockstep == rows
-    assert rows["backward"] > 0
+    trials = [lambda p=p: p for p in oracle_policies(grouping)]  # stateless
+    cases = [
+        (lambda: adapt(net, params, stream, loss, opt, oracle_policies(grouping)), trials),
+        (lambda: adapt(net, params, stream, loss, opt,
+                       [make() for make in mixed_policy_makers(net, params)]),
+         mixed_policy_makers(net, params)),
+        (lambda: run_selector(net, params, stream, loss, opt, GalaConfig(), 0, grouping),
+         [lambda: GalaPolicy(GalaConfig(), grouping)] + trials),
+    ]
+    for lockstep, makers in cases:
+        together = work(lockstep)
+        alone = [work(lambda: adapt(net, params, stream, loss, opt, [make()]))
+                 for make in makers]
+        assert together == {key: sum(w[key] for w in alone) for key in rows}
+        assert together["backward"] > 0

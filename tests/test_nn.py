@@ -79,7 +79,7 @@ def test_normalization_batch_statistics():
     rng = np.random.default_rng(7)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))
     # gamma=1, beta=0 at init, so outputs are just standardized features.
-    (out_logits,), _, _ = net._forward_cached([v[None] for v in params.layers], [x[None]], [0])
+    (out_logits,), _, _ = net._forward_cached([v[None] for v in params.layers], x[None])
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
 
@@ -89,7 +89,7 @@ def test_normalization_single_sample_uses_frozen_stats():
     params = ModelParameters([np.array([2.0, 0.5, 1.0, -1.0])], list(net.layer_names))
     net.norm_stats[0] = (np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     x = np.array([[3.0, 0.0]])
-    (out,), _, _ = net._forward_cached([v[None] for v in params.layers], [x[None]], [0])
+    (out,), _, _ = net._forward_cached([v[None] for v in params.layers], x[None])
     expected = np.array([
         2.0 * (3.0 - 1.0) / math.sqrt(4.0 + 1e-5) + 1.0,
         0.5 * (0.0 + 1.0) / math.sqrt(0.25 + 1e-5) - 1.0,
@@ -253,6 +253,42 @@ def test_forward_restart_matches_full_forward(size):
     bad[4][0] = np.inf
     with pytest.raises(NumericsError, match="layer 4"):
         net.forward(ModelParameters(bad, params.layer_names), batch, 3, inputs)
+
+@pytest.mark.parametrize("size", [1, 5])
+def test_forward_per_run_starts_in_any_order(size):
+    """Stacked runs restarting at layers in no particular order, each with
+    the layers from its start up moved, get the bytes of a full forward of
+    each run alone, and each layer runs for exactly the runs that start at
+    or below it; a non-finite run is named by its index."""
+    rng = np.random.default_rng(63)
+    net, params = mixed_net_and_params(rng)
+    batch = _loss_batch(rng, "shot_im", size)
+    starts = [3, 0, 5, 1, 3, 4, 2, 0]
+    runs = len(starts)
+    stacked = ModelParameters([np.repeat(v[None], runs, axis=0) for v in params.layers],
+                              list(params.layer_names))
+    _, _, _, inputs = net.loss_and_gradients(stacked, batch, LossKind("shot_im"),
+                                             layers=[frozenset()] * runs)
+    moved = ModelParameters([v.copy() for v in stacked.layers], list(params.layer_names))
+    for r, s in enumerate(starts):
+        for i in range(s, len(net.specs)):
+            moved.layers[i][r] += rng.normal(scale=0.1, size=moved.layers[i].shape[1])
+    rows = []
+    layer_forward = Network._layer_forward
+    net._layer_forward = lambda i, x, vec, stats: rows.append((i, len(x))) or layer_forward(
+        net, i, x, vec, stats)
+    probs = net.forward(moved, batch, starts, inputs)
+    del net._layer_forward
+    for i in range(len(net.specs)):
+        assert sum(k for j, k in rows if j == i) == sum(s <= i for s in starts), i
+    for r in range(runs):
+        alone = net.forward(moved.run(r), batch)
+        assert probs[r].tobytes() == alone.tobytes(), r
+    moved.layers[4][6, 0] = np.inf
+    with pytest.raises(NumericsError, match="layer 4") as info:
+        net.forward(moved, batch, starts, inputs)
+    assert info.value.runs == [6]
+
 
 def separable_blobs(rng, n=400):
     half = n // 2
