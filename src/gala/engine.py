@@ -115,11 +115,8 @@ def build_grouping(
     if not 1 <= num_blocks <= n:
         raise ConfigurationError(f"cannot split {n} layers into {num_blocks} blocks")
     pieces = np.array_split(np.arange(n), num_blocks)
-    return ParameterGrouping(
-        [f"B{k}" for k in range(num_blocks)],
-        [[int(i) for i in piece] for piece in pieces],
-        list(layer_sizes),
-    )
+    return ParameterGrouping([f"B{k}" for k in range(num_blocks)],
+                             [[int(i) for i in piece] for piece in pieces], list(layer_sizes))
 
 
 @dataclass
@@ -145,6 +142,8 @@ def group_dot(a: list[np.ndarray], b: list[np.ndarray], members: list[int]) -> f
     """Dot product over the layers ``members`` of two per-layer lists: one
     ``ndarray.dot`` per slice of at most ``DOT_CHUNK`` entries, summed in
     layer and slice order from the first term; 0.0 for no entries."""
+    if len(members) == 1 and a[members[0]].size <= DOT_CHUNK:  # the one ndarray.dot
+        return a[members[0]].dot(b[members[0]])
     total = None
     for i in members:
         x, y = a[i], b[i]
@@ -214,15 +213,21 @@ def decide(
     A group's cosine is that of u and r = (live - anchor) + u over its
     layers, by ``group_dot``: on one layer, the same operations in the
     same order as ``cosine_alignment``, so it matches that bit for bit.
+    After its checks it runs ``_decide``, which ``GalaPolicy`` calls
+    directly, as its pass checked the parameters' shapes once.
     """
     if not len(u) == len(live) == len(anchor):
         raise ConfigurationError("layer count mismatch in decide")
-    r = []
-    for ui, g, a in zip(u, live, anchor):
-        if not ui.shape == g.shape == a.shape:
-            raise ConfigurationError("layer shape mismatch in decide")
-        r.append(g - a)
-        r[-1] += ui
+    if any(not ui.shape == g.shape == a.shape for ui, g, a in zip(u, live, anchor)):
+        raise ConfigurationError("layer shape mismatch in decide")
+    return _decide(u, live, anchor, members, first, cfg)
+
+
+def _decide(u, live, anchor, members, first, cfg) -> SelectionDecision:
+    """``decide`` after its checks."""
+    r = [g - a for g, a in zip(live, anchor)]
+    for ri, ui in zip(r, u):
+        ri += ui
     eps = cfg.epsilon
     cosines = []
     for group in members:
@@ -287,8 +292,8 @@ class GalaPolicy:
         j = self.steps % self.cfg.window_size  # x % inf is x: one endless window
         if j == 0:
             self.anchor = [v.copy() for v in params.layers]
-        decision = decide(u, params.layers, self.anchor, self.grouping.members, j == 0,
-                          self.cfg)
+        decision = _decide(u, params.layers, self.anchor, self.grouping.members, j == 0,
+                           self.cfg)
         decision.warmup = warmup_scale(self.cfg, j + 1)
         decision.reset = j + 1 == self.cfg.window_size
         self.steps += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
@@ -178,9 +178,10 @@ def _act_grad(name: str, a: np.ndarray) -> np.ndarray | float:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: the classes."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)  # in place on its own temporary: the same bytes
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
@@ -268,15 +269,6 @@ def _backward_plan(wanted: tuple[frozenset[int], ...], n: int) -> tuple:
     return tuple(plan)
 
 
-def _run_inputs(inputs: np.ndarray, runs: int) -> np.ndarray:
-    """The batch's inputs on the run axis: per-run batches as they are, and
-    a shared batch as the input of every run, with no copy (broadcast_to
-    costs microseconds, which a single run saves)."""
-    if inputs.ndim == 3:
-        return inputs
-    return inputs[None] if runs == 1 else np.broadcast_to(inputs, (runs,) + inputs.shape)
-
-
 def _all_finite(x: np.ndarray) -> bool:
     # x . x is finite only when every entry is, and one BLAS call is cheaper
     # than isfinite and all; a sum of squares that overflows is checked in full
@@ -322,9 +314,7 @@ class Network:
         # for single-sample batches where batch statistics are undefined.
         self.norm_stats: dict[int, tuple[np.ndarray, np.ndarray]] = {
             i: (np.zeros(s.output_dim), np.ones(s.output_dim))
-            for i, s in enumerate(self.specs)
-            if s.kind == "normalization"
-        }
+            for i, s in enumerate(self.specs) if s.kind == "normalization"}
 
     @property
     def input_dim(self) -> int:
@@ -361,15 +351,15 @@ class Network:
                 )
 
     def _stacked(self, params: ModelParameters,
-                 batch: Batch) -> tuple[list[np.ndarray], int, bool]:
+                 batch: Batch | None) -> tuple[list[np.ndarray], int, bool]:
         """The layer arrays on a run axis, the number of runs, and whether
-        the results drop the run axis: one model on a shared batch. One
-        model with a per-run batch keeps its single row, which the layers
-        broadcast over the runs."""
+        the results drop the run axis: one model on a shared batch (None
+        stands for shared batches). One model with a per-run batch keeps
+        its single row, which the layers broadcast over the runs."""
         self._check_params(params)
         one = params.layers[0].ndim == 1
         layers = [v[None] for v in params.layers] if one else params.layers
-        if batch.inputs.ndim == 2:
+        if batch is None or batch.inputs.ndim == 2:
             return layers, len(layers[0]), one
         runs = len(batch.inputs)
         if not one and len(layers[0]) != runs:
@@ -425,6 +415,16 @@ class Network:
                 f"input_dim {self.specs[i].input_dim}"
             )
 
+    def _inputs(self, inputs: np.ndarray, runs: int) -> np.ndarray:
+        """A batch's inputs, checked, on the run axis: a shared batch as every
+        run's input, with no copy (broadcast_to costs microseconds)."""
+        self._check_input(inputs, 0)
+        if inputs.ndim == 2:
+            return inputs[None] if runs == 1 else np.broadcast_to(inputs, (runs,) + inputs.shape)
+        if len(inputs) != runs:
+            raise ConfigurationError(f"{len(inputs)} batches for {runs} runs")
+        return inputs
+
     def _nonfinite(self, x: np.ndarray, i: int, live: Sequence[int]) -> NumericsError:
         """The error for layer i's output x, naming the runs among ``live``
         (x's rows) that went non-finite. It reports overflow, so the passes
@@ -433,20 +433,18 @@ class Network:
                              [live[b] for b in _bad_runs(x)])
 
     def _forward_cached(self, layers: list[np.ndarray], x: np.ndarray, update_stats=False):
-        """The loss pass: every stacked model whose parameters are ``layers``
-        runs every layer on its row of the inputs x (R, B, d). Returns the
-        logits, one backward cache per layer and the activations (``acts[i]``
-        is the input of layer i, ``acts[-1]`` the logits), runs on axis 0."""
-        self._check_input(x, 0)
+        """The loss pass's forward: every stacked model whose parameters are
+        ``layers`` runs every layer on its row of the inputs x (R, B, d).
+        Returns the logits, one backward cache per layer and the activations
+        (``acts[i]`` is the input of layer i, ``acts[-1]`` the logits)."""
         live = range(len(x))
         caches, acts = [], [x]
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(len(self.specs)):
-                x, cache = self._layer_forward(i, x, layers[i], update_stats)
-                if not _all_finite(x):
-                    raise self._nonfinite(x, i, live)
-                caches.append(cache)
-                acts.append(x)
+        for i in range(len(self.specs)):
+            x, cache = self._layer_forward(i, x, layers[i], update_stats)
+            if not _all_finite(x):
+                raise self._nonfinite(x, i, live)
+            caches.append(cache)
+            acts.append(x)
         return x, caches, acts
 
     def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
@@ -466,36 +464,42 @@ class Network:
         """
         layers, runs, one = self._stacked(params, batch)
         starts = (start,) * runs if isinstance(start, (int, np.integer)) else tuple(start)
-        n = len(self.specs)
-        if min(starts) and acts is None:
-            raise ValueError(f"forward from layer {min(starts)} needs that layer's input")
+        first = min(starts)
+        if first and acts is None:
+            raise ValueError(f"forward from layer {first} needs that layer's input")
         if acts is None:
-            acts = [_run_inputs(batch.inputs, runs)]
+            acts = [self._inputs(batch.inputs, runs)]
         elif one:
             acts = [a[None] for a in acts]
-        first, rows, steps = _forward_plan(starts, n)
-        x = acts[first][rows]
-        if first < n:
-            self._check_input(x, first)
+        if first < len(self.specs):
+            self._check_input(acts[first], first)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, live, spans, join in steps:
-                vec = layers[i]
-                if len(vec) == 1:  # one row that every run shares
-                    x = self._layer_forward(i, x, vec, False)[0]
-                elif len(spans) == 1:
-                    x = self._layer_forward(i, x, vec[spans[0][2]:spans[0][3]], False)[0]
-                else:
-                    x = np.concatenate([self._layer_forward(i, x[a:b], vec[lo:hi], False)[0]
-                                        for a, b, lo, hi in spans])
-                if not _all_finite(x):
-                    raise self._nonfinite(x, i, live)
-                if join:
-                    rows, order = join
-                    x = np.concatenate([x, acts[i + 1][rows]])
-                    if order:
-                        x = x[order]
-        probs = softmax(x)
+            probs = self._restart(layers, acts, starts)
         return probs[0] if one else probs
+
+    def _restart(self, layers: list[np.ndarray], acts: list[np.ndarray],
+                 starts: tuple[int, ...]) -> np.ndarray:
+        """``forward`` after its checks, on a run axis: run r of ``layers``
+        from layer ``starts[r]``, on the activations ``acts``."""
+        first, rows, steps = _forward_plan(starts, len(self.specs))
+        x = acts[first][rows]
+        for i, live, spans, join in steps:
+            vec = layers[i]
+            if len(vec) == 1:  # one row that every run shares
+                x = self._layer_forward(i, x, vec, False)[0]
+            elif len(spans) == 1:
+                x = self._layer_forward(i, x, vec[spans[0][2]:spans[0][3]], False)[0]
+            else:
+                x = np.concatenate([self._layer_forward(i, x[a:b], vec[lo:hi], False)[0]
+                                    for a, b, lo, hi in spans])
+            if not _all_finite(x):
+                raise self._nonfinite(x, i, live)
+            if join:
+                rows, order = join
+                x = np.concatenate([x, acts[i + 1][rows]])
+                if order:
+                    x = x[order]
+        return softmax(x)
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         return np.argmax(self.forward(params, batch), axis=1)
@@ -507,15 +511,16 @@ class Network:
         rows, classes = p.shape
         n = rows // runs  # batch size
         idx = np.arange(rows)
-        # the ndarray methods and np.zeros skip wrappers that cost microseconds
+        # the ndarray methods skip wrappers that cost microseconds
         y = (p.argmax(axis=1) if labels is None else labels.reshape(-1) if labels.ndim == 2
              else np.concatenate([labels] * runs))
-        onehot = np.zeros(p.shape)
-        onehot[idx, y] = 1.0
+        p_onehot = p.copy()
+        p_onehot[idx, y] -= 1.0  # p - onehot, as p - 0.0 is p
         # means over each run's rows are sums over n: the same bytes as mean()
         nll = -_safe_log(p[idx, y]).reshape(runs, n).sum(axis=1) / n
         if loss.variant != "shot_im":
-            return nll, (p - onehot) / n
+            p_onehot /= n
+            return nll, p_onehot
         # shot_im: mean per-sample entropy, minus entropy of the mean
         # prediction, plus a weighted hard pseudo-label term.
         logp = _safe_log(p)
@@ -530,7 +535,7 @@ class Network:
         # d/dlogits of -H(pbar); see the per-sample chain through pbar.
         logpbar = logpbar[:, None, :]
         d_div = p3 * (logpbar - (p3 * logpbar).sum(axis=2, keepdims=True)) / n
-        d_pl = loss.shot_pl_weight * (p - onehot) / n
+        d_pl = loss.shot_pl_weight * p_onehot / n
         return value, d_ent + d_div.reshape(rows, classes) + d_pl
 
     def loss_and_gradients(
@@ -565,50 +570,77 @@ class Network:
         same params and batch, so they match it bit for bit; the
         activations let ``forward`` restart above layers that did not
         change. Unsupervised losses refuse labeled batches so adaptation
-        code cannot accidentally leak labels into the update path.
+        code cannot accidentally leak labels into the update path. After its
+        checks it runs ``_loss_pass``, which an adaptation pass calls directly.
         """
-        if loss.supervised and batch.labels is None:
+        stacked, runs, one, plan = self._checked(params, batch, loss, layers, update_norm_stats)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, grads, probs, acts = self._loss_pass(
+                stacked, self._inputs(batch.inputs, runs), batch.labels, loss, plan,
+                update_norm_stats)
+        if one:
+            return values[0], grads[0], probs[0], [a[0] for a in acts]
+        return values, grads, probs, acts
+
+    def _checked(self, params: ModelParameters, batch: Batch | None, loss: LossKind, layers,
+                 update_norm_stats: bool = False) -> tuple:
+        """``loss_and_gradients``' checks but ``_inputs``', and the layer arrays
+        on a run axis, the run count, whether the results drop the run axis
+        and the backward plan. None stands for unlabeled shared batches."""
+        labels = None if batch is None else batch.labels
+        if loss.supervised and labels is None:
             raise ValueError("cross_entropy requires labels")
-        if not loss.supervised and batch.labels is not None:
+        if not loss.supervised and labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
         stacked, runs, one = self._stacked(params, batch)
-        n = len(self.specs)
         if update_norm_stats and runs > 1:
             raise ValueError("running statistics are updated from one model only")
         wanted = ((self._every_layer,) * runs if layers is None
                   else (frozenset(layers),) if one else tuple(map(frozenset, layers)))
         if len(wanted) != runs:
             raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
-        logits, caches, acts = self._forward_cached(
-            stacked, _run_inputs(batch.inputs, runs), update_norm_stats)
+        return stacked, runs, one, _backward_plan(wanted, len(self.specs))
+
+    def _loss_pass(self, layers: list[np.ndarray], x: np.ndarray, labels: np.ndarray | None,
+                   loss: LossKind, plan: tuple, update_stats: bool = False) -> tuple:
+        """``loss_and_gradients`` after its checks, on inputs x (R, B, d) and
+        the plan of ``_checked``, keeping the run axis. A run's gradient of
+        layer i is a row of one (k, P_i) array per span of runs."""
+        n = len(self.specs)
+        runs = len(x)
+        logits, caches, acts = self._forward_cached(layers, x, update_stats)
         probs = softmax(logits)
         shape = probs.shape
-        values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), batch.labels, loss,
-                                            runs)
+        values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), labels, loss, runs)
         values = values.tolist()
         if not all(map(math.isfinite, values)):
             raise NumericsError("non-finite loss value",
                                 [r for r, v in enumerate(values) if not math.isfinite(v)])
         dx = dx.reshape(shape)
         grads: list[list[np.ndarray | None]] = [[None] * n for _ in range(runs)]
-        for i, k, spans, below in _backward_plan(wanted, n):
+        for i, k, spans, below in plan:
             kind, arrays = caches[i]
             caches[i] = None  # free each cache once consumed
             out = acts[i + 1]
             if k < runs:  # the later runs stopped above this layer
                 arrays, out = [v[:k] for v in arrays], out[:k]
-            dact = _act_grad(self.specs[i].activation, out)
+            spec = self.specs[i]
+            dact = _act_grad(spec.activation, out)
             if not isinstance(dact, float):  # identity's 1.0 would only copy dx
                 dx = dx * dact  # d loss / d affine output
             del dact  # a (k, B, d) array: free it before the layer's products
+            m = self._param_counts[i] - spec.output_dim  # weights or scale, then bias or offset
             for lo, hi in spans:
                 d, src = (dx, arrays[0]) if hi - lo == k else (dx[lo:hi], arrays[0][lo:hi])
-                if kind == "dense":  # weights, then bias
-                    parts = d.swapaxes(-1, -2) @ src, d.sum(axis=1)
-                else:  # scale, then offset
-                    parts = (d * src).sum(axis=1), d.sum(axis=1)
+                g = np.empty((hi - lo, self._param_counts[i]))
+                if kind == "dense":
+                    np.matmul(d.swapaxes(-1, -2), src,
+                              out=g[:, :m].reshape(hi - lo, spec.output_dim, spec.input_dim))
+                else:
+                    np.add.reduce(d * src, axis=1, out=g[:, :m])
+                np.add.reduce(d, axis=1, out=g[:, m:])
                 for r in range(lo, hi):
-                    grads[r][i] = np.concatenate([parts[0][r - lo].ravel(), parts[1][r - lo]])
+                    grads[r][i] = g[r - lo]
             if not below:
                 continue
             if below < k:
@@ -619,17 +651,11 @@ class Network:
                 xhat, inv_std, gamma = arrays
                 nb = xhat.shape[1]
                 dxhat = dx * gamma
-                dx = (
-                    inv_std
-                    / nb
-                    * (nb * dxhat - dxhat.sum(axis=1, keepdims=True)
-                       - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
-                )
+                dx = inv_std / nb * (nb * dxhat - dxhat.sum(axis=1, keepdims=True)
+                                     - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
             else:  # norm_frozen
                 _, inv_std, gamma = arrays
                 dx = dx * gamma * inv_std
-        if one:
-            return values[0], grads[0], probs[0], [a[0] for a in acts]
         return values, grads, probs, acts
 
 
@@ -666,13 +692,8 @@ class PretrainResult:
     seed: int
 
 
-def pretrain_erm(
-    layer_specs: list[LayerSpec],
-    train_stream: Iterable[Batch],
-    val: Batch,
-    opt: OptimizerConfig,
-    seed: int = 0,
-) -> PretrainResult:
+def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], val: Batch,
+                 opt: OptimizerConfig, seed: int = 0) -> PretrainResult:
     """Supervised SGD pretraining over a finite labeled batch stream.
 
     Deterministic given the seed and the stream; an exhausted (empty)
@@ -701,26 +722,13 @@ def pretrain_erm(
     return PretrainResult(network, params, accuracy(network, params, val), step, seed)
 
 
-def save_checkpoint(
-    path: str | Path,
-    network: Network,
-    params: ModelParameters,
-    seed: int,
-    metadata: dict | None = None,
-) -> None:
+def save_checkpoint(path: str | Path, network: Network, params: ModelParameters, seed: int,
+                    metadata: dict | None = None) -> None:
     """Write a versioned JSON checkpoint (exact float round-trip via repr)."""
     payload = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
-        "layer_specs": [
-            {
-                "kind": s.kind,
-                "input_dim": s.input_dim,
-                "output_dim": s.output_dim,
-                "activation": s.activation,
-            }
-            for s in network.specs
-        ],
+        "layer_specs": [asdict(s) for s in network.specs],  # in field order
         "layer_names": list(params.layer_names),
         "params": [v.tolist() for v in params.layers],
         "norm_stats": {
@@ -749,14 +757,10 @@ def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, di
         specs = [LayerSpec(**s) for s in payload["layer_specs"]]
         network = Network(specs)
         for key, stats in payload["norm_stats"].items():
-            network.norm_stats[int(key)] = (
-                np.asarray(stats["mean"], dtype=np.float64),
-                np.asarray(stats["var"], dtype=np.float64),
-            )
-        params = ModelParameters(
-            [np.asarray(v, dtype=np.float64) for v in payload["params"]],
-            list(payload["layer_names"]),
-        )
+            network.norm_stats[int(key)] = (np.asarray(stats["mean"], dtype=np.float64),
+                                            np.asarray(stats["var"], dtype=np.float64))
+        params = ModelParameters([np.asarray(v, dtype=np.float64) for v in payload["params"]],
+                                 list(payload["layer_names"]))
         if params.layer_names != network.layer_names:
             raise ConfigurationError(f"layer_names {params.layer_names} do not match the "
                                      f"layers {network.layer_names}")

@@ -80,11 +80,22 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
     parameters on the same batch. When no run moves, it reports the loss
     pass's probabilities and runs no second forward pass. Either way each
     run's results match a full backward and a full forward of that run
-    alone bit for bit.
+    alone bit for bit. It makes every check of ``Network.loss_and_gradients``, then
+    runs ``_step``, the body ``adapt`` steps through after checking once.
     """
+    _, runs, _, plan = network._checked(params, batch, loss,
+                                        [policy.grad_layers for policy in policies])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(network, params, network._inputs(batch.inputs, runs), batch.labels,
+                     loss, opt, policies, plan)
+
+
+def _step(network: Network, params: ModelParameters, x: np.ndarray, labels, loss: LossKind,
+          opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
+    """``adapt_step`` after its checks, on run-axis inputs x and the plan of
+    ``Network._checked``, inside the caller's ``np.errstate``."""
     lr = opt.learning_rate
-    losses, grads, probs, acts = network.loss_and_gradients(
-        params, batch, loss, layers=[policy.grad_layers for policy in policies])
+    losses, grads, probs, acts = network._loss_pass(params.layers, x, labels, loss, plan)
     n = len(params.layers)
     copied: set[int] = set()
     starts, decisions = [], []
@@ -104,7 +115,7 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
         starts.append(start)
         decisions.append(decision)
     if copied:
-        probs = network.forward(params, batch, starts, acts)
+        probs = network._restart(params.layers, acts, tuple(starts))
     return StepResult(decisions, probs, losses)
 
 
@@ -119,7 +130,8 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
     the policies come in. A run with no ``grad_layers`` never moves, so no
     batch depends on the one before: it is evaluated first, in chunks (see
     ``_frozen_record``), and its record equals that of stepping it. A
-    NumericsError names the runs by their index in ``policies``.
+    NumericsError names the runs by their index in ``policies``. The
+    stepping runs are checked once, with ``adapt_step``'s errors.
     """
     moving = sorted((r for r, policy in enumerate(policies) if policy.grad_layers),
                     key=lambda r: min(policies[r].grad_layers))
@@ -140,13 +152,19 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
 
 def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream,
               loss: LossKind, opt: OptimizerConfig, policies) -> list[RunRecord]:
-    """``adapt`` for runs that step: one ``adapt_step`` per batch."""
+    """``adapt`` for runs that step: ``adapt_step``'s checks once, for
+    unlabeled shared batches, then its body once per batch, checking only
+    the batch's inputs; one ``np.errstate`` covers the pass."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
+    _, runs, _, plan = network._checked(params, None, loss,
+                                        [policy.grad_layers for policy in policies])
     steps = []  # per step: hits, decisions, losses; each by run
-    for batch in stream.adapt_batches:
-        res = adapt_step(network, params, Batch(batch.inputs), loss, opt, policies)
-        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in stream.adapt_batches:
+            res = _step(network, params, network._inputs(batch.inputs, runs), None, loss,
+                        opt, policies, plan)
+            steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
     return [RunRecord(list(policy.grouping.names),
                       *([step[field][r] for step in steps] for field in range(3)),
                       params.run(r))
@@ -205,14 +223,8 @@ class OracleSweepResult:
     records: list[RunRecord]
 
 
-def oracle_sweep(
-    network: Network,
-    pretrained: ModelParameters,
-    stream,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    grouping: ParameterGrouping,
-) -> OracleSweepResult:
+def oracle_sweep(network: Network, pretrained: ModelParameters, stream, loss: LossKind,
+                 opt: OptimizerConfig, grouping: ParameterGrouping) -> OracleSweepResult:
     """Brute-force single-group adaptation quality.
 
     One trial per group adapts only that group from the pretrained
@@ -225,16 +237,10 @@ def oracle_sweep(
     return run_selector(network, pretrained, stream, loss, opt, None, 0, grouping)[1]
 
 
-def run_selector(
-    network: Network,
-    pretrained: ModelParameters,
-    stream: ShiftStream,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    selector: GalaConfig | SelectorKind | None,
-    seed: int,
-    trials: ParameterGrouping | None,
-) -> tuple[RunRecord | None, OracleSweepResult | None]:
+def run_selector(network: Network, pretrained: ModelParameters, stream: ShiftStream,
+                 loss: LossKind, opt: OptimizerConfig, selector: GalaConfig | SelectorKind | None,
+                 seed: int, trials: ParameterGrouping | None,
+                 ) -> tuple[RunRecord | None, OracleSweepResult | None]:
     """Adapt with gala or a baseline over one stream, and with ``trials``
     sweep its groups, in one pass: the selector's record, which carries
     ``seed``, the stream's seed, and the oracle sweep over ``trials``.
@@ -246,9 +252,8 @@ def run_selector(
     no run: it takes the record of the best or worst trial of ``trials``,
     or, when that is None, of a sweep over its own grouping, run here. A
     ``selector`` of None runs the sweep alone and gives no record (see
-    ``oracle_sweep``). A run that
-    goes non-finite stops the pass with a NumericsError naming the
-    selector's run, the trials' groups, or both.
+    ``oracle_sweep``). A run that goes non-finite stops the pass with a
+    NumericsError naming the selector's run, the trials' groups, or both.
     """
     policies, name = [], None
     if selector is not None:
@@ -291,30 +296,16 @@ def run_selector(
     return replace(record, seed=seed), sweep
 
 
-def run_gala(
-    network: Network,
-    pretrained: ModelParameters,
-    stream: ShiftStream,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    cfg: GalaConfig,
-    seed: int = 0,
-) -> RunRecord:
+def run_gala(network: Network, pretrained: ModelParameters, stream: ShiftStream,
+             loss: LossKind, opt: OptimizerConfig, cfg: GalaConfig, seed: int = 0) -> RunRecord:
     """Adapt with aligned layer selection over one stream."""
     return run_selector(network, pretrained, stream, loss, opt, cfg, seed, None)[0]
 
 
-def run_baseline(
-    network: Network,
-    pretrained: ModelParameters,
-    stream: ShiftStream,
-    kind: SelectorKind,
-    loss: LossKind,
-    opt: OptimizerConfig,
-    granularity: str | None = None,
-    num_blocks: int | None = None,
-    seed: int = 0,
-) -> RunRecord:
+def run_baseline(network: Network, pretrained: ModelParameters, stream: ShiftStream,
+                 kind: SelectorKind, loss: LossKind, opt: OptimizerConfig,
+                 granularity: str | None = None, num_blocks: int | None = None,
+                 seed: int = 0) -> RunRecord:
     """Adapt with a comparison selector over one stream.
 
     ``granularity`` and ``num_blocks``, when given, replace the kind's.

@@ -729,9 +729,10 @@ def test_oracle_seed_file_equals_separate_sweep_and_run(workspace, tmp_path):
     assert (out / "oracle" / "seed1.json").read_text() == json.dumps(reference, indent=1)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
     """A sweep whose trial on one group goes non-finite exits 1 with an
-    error naming that group, and no traceback."""
+    error naming that group, and no traceback or numpy warning."""
     net, params = diverging_relu_net()
     out = tmp_path / "out"
     (out / "pretrain").mkdir(parents=True)
@@ -745,6 +746,7 @@ def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "oracle trial on L1_dense diverged" in err and "Traceback" not in err
+    assert "RuntimeWarning" not in err
 
 
 @pytest.mark.parametrize("selector, diverged", [
@@ -753,10 +755,11 @@ def test_oracle_divergence_exits_1_naming_the_group(tmp_path, capsys):
     ({"baseline": {"variant": "oracle_best", "fixed_group": "L0_dense"}},
      "error: oracle trial on L1_dense"),
 ], ids=["gala", "all_layers", "pinned_oracle_best"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_oracle_selector_divergence_exits_1_naming_it(tmp_path, capsys, selector, diverged):
     """A selector whose run goes non-finite in the pass it shares with the
     sweep's trials exits 1 naming it beside the trial that did too, with no
-    traceback; a selector that stays finite is not named."""
+    traceback or numpy warning; a selector that stays finite is not named."""
     net, params = diverging_relu_net()
     out = tmp_path / "out"
     (out / "pretrain").mkdir(parents=True)
@@ -770,7 +773,7 @@ def test_oracle_selector_divergence_exits_1_naming_it(tmp_path, capsys, selector
     assert main(["oracle", "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"{diverged} diverged: non-finite activation at layer 1" in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
 
 
 def test_erm_divergence_exits_1(tmp_path, capsys):

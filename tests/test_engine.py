@@ -346,24 +346,25 @@ def test_gala_step_predictions_use_post_update_parameters():
 def test_skipped_step_reuses_loss_pass_predictions(monkeypatch):
     """A step that moves no layer reports the loss pass's probabilities,
     bit for bit, and runs no second forward; a step that moves one runs
-    exactly one."""
+    exactly one. The step runs the network's internal bodies, so those
+    are what is counted: the loss pass and the restarted forward."""
     net, params, _ = scenarios.collapse_setup()
     stream = build_stream(scenarios.COLLAPSE_TASK, scenarios.COLLAPSE_SHIFTS,
                           mode="continual", batch_size=1, seed=0)
-    loss_pass, forward = Network.loss_and_gradients, Network.forward
+    loss_pass, restart, forward = Network._loss_pass, Network._restart, Network.forward
     loss_probs, forward_calls = [], []
 
     def counted_loss_pass(self, *args, **kwargs):
         out = loss_pass(self, *args, **kwargs)
-        loss_probs.append(out[2].copy())
+        loss_probs.append(out[2][0].copy())
         return out
 
-    def counted_forward(self, *args, **kwargs):
+    def counted_restart(self, *args, **kwargs):
         forward_calls.append(1)
-        return forward(self, *args, **kwargs)
+        return restart(self, *args, **kwargs)
 
-    monkeypatch.setattr(Network, "loss_and_gradients", counted_loss_pass)
-    monkeypatch.setattr(Network, "forward", counted_forward)
+    monkeypatch.setattr(Network, "_loss_pass", counted_loss_pass)
+    monkeypatch.setattr(Network, "_restart", counted_restart)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
     policy = GalaPolicy(GalaConfig(), grouping)
     opt = OptimizerConfig(scenarios.COLLAPSE_LR)

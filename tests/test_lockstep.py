@@ -24,7 +24,7 @@ from gala import (
     oracle_sweep,
     tta_accuracy,
 )
-from gala.runner import adapt, run_selector
+from gala.runner import _lockstep, adapt, run_selector
 from helpers import _min_relu_margin, finite_difference_grads, gradient_relative_error
 
 NORM_EPS = 1e-5
@@ -312,3 +312,73 @@ def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
                  for make in makers]
         assert together == {key: sum(w[key] for w in alone) for key in rows}
         assert together["backward"] > 0
+
+
+@pytest.mark.parametrize("batch_size", [1, 5])
+def test_public_step_equals_the_pass_step(batch_size):
+    """adapt_step, which checks everything it is given, and the pass that
+    checks once and then steps through the same body give the same bytes
+    step by step: R mixed policies in their unsorted order, compared on
+    hits, losses, cosines, masks, flags and final parameters."""
+    net, params = mixed_net()
+    stream = stream_of(batch_size, steps=30)
+    loss, opt = LossKind("shot_im"), OptimizerConfig(0.4)
+    makers = mixed_policy_makers(net, params)
+    policies = [make() for make in makers]
+    stacked = ModelParameters([np.repeat(v[None], len(makers), axis=0) for v in params.layers],
+                              params.layer_names)
+    steps = []
+    for batch in stream.adapt_batches:
+        res = adapt_step(net, stacked, Batch(batch.inputs), loss, opt, policies)
+        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
+    records = _lockstep(net, params, stream, loss, opt, [make() for make in makers])
+    for r, record in enumerate(records):
+        assert [c.tobytes() for c in record.correct] == [s[0][r].tobytes() for s in steps], r
+        assert record.losses == [s[2][r] for s in steps], r
+        for got, (_, decisions, _) in zip(record.decisions, steps):
+            want = decisions[r]
+            assert got.cosines.tobytes() == want.cosines.tobytes(), r
+            assert got.mask.tobytes() == want.mask.tobytes(), r
+            assert ((got.first_sample, got.warmup, got.reset)
+                    == (want.first_sample, want.warmup, want.reset)), r
+        for a, b in zip(record.final_params.layers, stacked.run(r).layers):
+            assert a.tobytes() == b.tobytes(), r
+
+
+def bad_stream(shape):
+    rng = np.random.default_rng(74)
+    return SimpleNamespace(adapt_batches=[
+        Batch(rng.normal(size=shape), rng.integers(0, 3, shape[:-1])) for _ in range(3)])
+
+
+@pytest.mark.parametrize("case, error, message", [
+    ("params", gala.ConfigurationError, "layer 2 expects 28 parameters, got shape ({}, 27)"),
+    ("loss", ValueError, "cross_entropy requires labels"),
+    ("width", gala.ConfigurationError,
+     "batch input_dim 4 does not match layer 0 input_dim 3"),
+    ("runs", gala.ConfigurationError, "2 batches for {} runs"),
+])
+def test_pass_refuses_bad_input_before_any_step(case, error, message):
+    """A pass that checks once raises the error each step used to raise,
+    with its message, before any policy steps: parameters of the wrong
+    shape, a supervised loss (a pass strips the labels), a stream batch of
+    the wrong width and per-run stream batches for another number of runs,
+    through adapt (5 runs) and through run_gala (1)."""
+    net, params = mixed_net()
+    stream, loss = stream_of(2), LossKind("pseudo_label")
+    if case == "params":
+        params.layers[2] = params.layers[2][:-1]
+    elif case == "loss":
+        loss = LossKind("cross_entropy")
+    else:
+        stream = bad_stream((2, 4) if case == "width" else (2, 2, 3))
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              "single_layer")
+    policies = [GalaPolicy(GalaConfig(), grouping), *oracle_policies(grouping)]
+    with pytest.raises(error) as raised:
+        adapt(net, params, stream, loss, OptimizerConfig(0.5), policies)
+    assert str(raised.value) == message.format(len(policies))
+    assert policies[0].steps == 0
+    with pytest.raises(error) as raised:
+        gala.run_gala(net, params, stream, loss, OptimizerConfig(0.5), GalaConfig())
+    assert str(raised.value) == message.format(1)
