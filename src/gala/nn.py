@@ -584,9 +584,9 @@ class Network:
 
     def _checked(self, params: ModelParameters, batch: Batch | None, loss: LossKind, layers,
                  update_norm_stats: bool = False) -> tuple:
-        """``loss_and_gradients``' checks but ``_inputs``', and the layer arrays
-        on a run axis, the run count, whether the results drop the run axis
-        and the backward plan. None stands for unlabeled shared batches."""
+        """``loss_and_gradients``' checks of all but the inputs (``_inputs``), and the layer
+        arrays on a run axis, the run count, whether the results drop the run axis and the
+        backward plan. A batch of None stands for unlabeled shared batches."""
         labels = None if batch is None else batch.labels
         if loss.supervised and labels is None:
             raise ValueError("cross_entropy requires labels")
