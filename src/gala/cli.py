@@ -304,6 +304,17 @@ _COMMANDS = {
 }
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer, like each of the config's seeds."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gala",
@@ -322,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", default=None,
                        help="path to the experiment JSON")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed, default=None,
                        help="run only this seed, overriding the config list")
         p.add_argument("--out", default=None,
                        help="output root (overrides config and environment)")

@@ -534,6 +534,20 @@ def test_trace_switch_is_adapts_no_trace_only(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["adapt", "oracle", "sweep"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, command):
+    """A negative --seed exits 2 naming --seed, before any output is made,
+    as the config's seeds list refuses one."""
+    cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "out"))
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(cfg_path), "--seed", "-1"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed: must be a nonnegative integer, got '-1'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_adapt_missing_checkpoint_names_path(tmp_path, capsys):
     cfg_path = write_config(tmp_path, output_dir=str(tmp_path / "empty"))
     assert main(["adapt", "--config", str(cfg_path)]) == 2

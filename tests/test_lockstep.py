@@ -2,10 +2,13 @@
 oracle sweep equals an independent per-trial loop written here in plain
 2-D numpy."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gala.nn
 from gala import (
@@ -152,6 +155,143 @@ def reference_trial(net, params, stream, variant, lr, members):
         logits, _ = ref_forward(net, layers, batch.inputs)
         correct.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
     return correct, layers
+
+
+def ref_loss(p, variant):
+    """The loss value of probabilities p under hard pseudo-labels."""
+    n = len(p)
+    logp = np.log(np.maximum(p, LOG_FLOOR))
+    nll = -logp[np.arange(n), p.argmax(axis=1)].mean()
+    if variant == "pseudo_label":
+        return nll
+    pbar = p.mean(axis=0)
+    ent_mean_pred = -(pbar * np.log(np.maximum(pbar, LOG_FLOOR))).sum()
+    return -(p * logp).sum(axis=1).mean() - ent_mean_pred + SHOT_PL_WEIGHT * nll
+
+
+def ref_dot(a, b, members):
+    """The dot of two per-layer lists over a group's layers: per layer, in
+    slices of at most 8192 entries, summed from the first term."""
+    terms = [np.dot(a[i][s:s + 8192], b[i][s:s + 8192])
+             for i in members for s in range(0, a[i].size, 8192)]
+    total = terms[0]
+    for t in terms[1:]:
+        total = total + t
+    return total
+
+
+def reference_gala(net, params, stream, variant, lr, cfg, members):
+    """Gala, one step per batch, from the paper's rule: the proposal
+    u = -lr * g from a full backward; the anchor a copy of the parameters,
+    retaken every ``window_size`` steps; r = (live - anchor) + u; per group
+    the cosine of u and r, nan below epsilon; every group on a window's
+    first step, then the groups whose cosine clears the threshold (every
+    one in multi_layer, else the highest, ties to the lowest group); the
+    update scaled by the j / warmup_len ramp; hits from a full forward
+    after it. A cfg of None is all_layers: every group, scale 1, every
+    step. Returns hits, losses, cosines, masks and the final layers."""
+    layers = [v.copy() for v in params.layers]
+    hits, losses, cosines, masks = [], [], [], []
+    anchor = None
+    for step, batch in enumerate(stream.adapt_batches):
+        window = math.inf if cfg is None else cfg.window_size
+        j = step if window == math.inf else step % window
+        if j == 0:
+            anchor = [v.copy() for v in layers]
+        logits, caches = ref_forward(net, layers, batch.inputs)
+        p = ref_softmax(logits)
+        losses.append(float(ref_loss(p, variant)))
+        grads = ref_backward(net, caches, ref_dlogits(p, variant))
+        u = [-lr * g for g in grads]
+        r = [(v - a) + ui for v, a, ui in zip(layers, anchor, u)]
+        cos = [math.nan] * len(members)
+        passing, ramp = list(range(len(members))), 1.0
+        if cfg is not None:
+            for k, group in enumerate(members):
+                nu = math.sqrt(ref_dot(u, u, group))
+                nr = math.sqrt(ref_dot(r, r, group))
+                if nu >= cfg.epsilon and nr >= cfg.epsilon:
+                    cos[k] = float(np.clip(ref_dot(u, r, group) / (nu * nr), -1.0, 1.0))
+            passing = [k for k, c in enumerate(cos) if j == 0 or c > cfg.threshold]
+            if j and passing and cfg.granularity != "multi_layer":
+                best = passing[0]
+                for k in passing[1:]:
+                    if cos[k] > cos[best]:
+                        best = k
+                passing = [best]
+            if j + 1 <= cfg.warmup_len:
+                ramp = (j + 1) / cfg.warmup_len
+        mask = np.zeros(len(members), dtype=np.int64)
+        mask[passing] = 1
+        for k in passing:
+            for i in members[k]:
+                layers[i] = layers[i] + (mask[k] * ramp) * u[i]
+        logits, _ = ref_forward(net, layers, batch.inputs)
+        hits.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
+        cosines.append(np.array(cos))
+        masks.append(mask)
+    return hits, losses, cosines, masks, layers
+
+
+@st.composite
+def gala_cases(draw):
+    """A small net of dense and normalization layers, a stream, a loss and
+    a gala config drawn over every knob the criterion has."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    dims = [3]
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["dense", "normalization"]))
+        out = dims[-1] if kind == "normalization" else draw(st.integers(2, 5))
+        specs.append(LayerSpec(kind, dims[-1], out,
+                               draw(st.sampled_from(["relu", "tanh", "identity"]))))
+        dims.append(out)
+    classes = draw(st.integers(2, 4))
+    specs.append(LayerSpec("dense", dims[-1], classes,
+                           draw(st.sampled_from(["tanh", "identity"]))))
+    net = Network(specs)
+    params = net.init_params(int(rng.integers(100)))
+    for i in net.norm_stats:
+        params.layers[i] += rng.normal(scale=0.3, size=params.layers[i].size)
+        d = specs[i].output_dim
+        net.norm_stats[i] = (rng.normal(size=d), rng.uniform(0.5, 2.0, size=d))
+    batch_size = draw(st.sampled_from([1, 1, 2, 4]))
+    stream = SimpleNamespace(adapt_batches=[
+        Batch(rng.normal(size=(batch_size, 3)) * 1.5, rng.integers(0, classes, batch_size))
+        for _ in range(draw(st.integers(1, 9)))])
+    granularity = draw(st.sampled_from(["single_layer", "multi_layer", "block"]))
+    cfg = GalaConfig(threshold=draw(st.sampled_from([-1.0, 0.0, 0.5, 0.9, 1.0])),
+                     window_size=draw(st.sampled_from([1, 2, 3, 5, math.inf])),
+                     granularity=granularity, warmup_len=draw(st.integers(0, 3)),
+                     num_blocks=draw(st.integers(1, len(specs))))
+    return net, params, stream, draw(st.sampled_from(["pseudo_label", "shot_im"])), cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=gala_cases(), lr=st.sampled_from([0.05, 0.3, 0.8]))
+def test_gala_and_all_layers_equal_the_reference_run(case, lr):
+    """run_gala and run_baseline(all_layers) give the bytes of the paper's
+    rule run one step at a time with full passes: hits, losses, cosines,
+    masks and final parameters, over drawn nets, granularities, windows,
+    thresholds, warm-ups, losses and batch sizes."""
+    net, params, stream, variant, cfg = case
+    loss, opt = LossKind(variant, SHOT_PL_WEIGHT), OptimizerConfig(lr)
+    grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
+                              cfg.granularity, cfg.num_blocks)
+    every = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
+    runs = [(gala.run_gala(net, params, stream, loss, opt, cfg), cfg, grouping),
+            (gala.run_baseline(net, params, stream, SelectorKind("all_layers"), loss, opt),
+             None, every)]
+    for record, rule, groups in runs:
+        hits, losses, cosines, masks, layers = reference_gala(
+            net, params, stream, variant, lr, rule, groups.members)
+        assert [c.tobytes() for c in record.correct] == [h.tobytes() for h in hits]
+        assert record.losses == losses
+        assert [d.mask.tobytes() for d in record.decisions] == [m.tobytes() for m in masks]
+        assert ([d.cosines.tobytes() for d in record.decisions]
+                == [c.tobytes() for c in cosines])
+        for got, want in zip(record.final_params.layers, layers):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
