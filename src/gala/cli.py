@@ -304,15 +304,10 @@ _COMMANDS = {
 }
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a nonnegative integer, like each of the config's seeds."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
+def _seed(text: str) -> int:  # a nonnegative integer, like each of the config's seeds
+    if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return seed
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:

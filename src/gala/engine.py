@@ -19,7 +19,8 @@ adaptation step in ``runner``: per group, the binary mask times the
 warm-up factor. It counts its steps and copies the anchor per layer
 from the parameters it is shown on the first step of each window: a
 step's pre-update parameters are the previous step's post-update ones.
-Every dot is a ``group_dot``, summed in one order at any thread count.
+Every dot is summed as ``group_dot`` sums it, in one order at any thread
+count.
 """
 
 from __future__ import annotations
@@ -98,9 +99,8 @@ class ParameterGrouping:
         return frozenset(range(len(self.layer_sizes)))
 
 
-def build_grouping(
-    layer_names: list[str], layer_sizes: list[int], granularity: str, num_blocks: int = 4
-) -> ParameterGrouping:
+def build_grouping(layer_names: list[str], layer_sizes: list[int], granularity: str,
+                   num_blocks: int = 4) -> ParameterGrouping:
     """Build the parameter grouping for a granularity mode.
 
     single_layer and multi_layer give one group per layer (named after
@@ -142,8 +142,6 @@ def group_dot(a: list[np.ndarray], b: list[np.ndarray], members: list[int]) -> f
     """Dot product over the layers ``members`` of two per-layer lists: one
     ``ndarray.dot`` per slice of at most ``DOT_CHUNK`` entries, summed in
     layer and slice order from the first term; 0.0 for no entries."""
-    if len(members) == 1 and a[members[0]].size <= DOT_CHUNK:  # the one ndarray.dot
-        return a[members[0]].dot(b[members[0]])
     total = None
     for i in members:
         x, y = a[i], b[i]
@@ -191,14 +189,8 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(group_dot(a, b, [0]) / (na * nb), -1.0, 1.0)))
 
 
-def decide(
-    u: list[np.ndarray],
-    live: list[np.ndarray],
-    anchor: list[np.ndarray],
-    members: list[list[int]],
-    first: bool,
-    cfg: GalaConfig,
-) -> SelectionDecision:
+def decide(u: list[np.ndarray], live: list[np.ndarray], anchor: list[np.ndarray],
+           members: list[list[int]], first: bool, cfg: GalaConfig) -> SelectionDecision:
     """Choose which groups the current sample may update.
 
     ``u`` holds the per-layer proposed updates (-lr * gradient), ``live``
@@ -211,44 +203,57 @@ def decide(
     clears it. A sample whose every group fails is skipped.
 
     A group's cosine is that of u and r = (live - anchor) + u over its
-    layers, by ``group_dot``: on one layer, the same operations in the
-    same order as ``cosine_alignment``, so it matches that bit for bit.
-    After its checks it runs ``_decide``, which ``GalaPolicy`` calls
-    directly, as its pass checked the parameters' shapes once.
+    layers, each dot summed as ``group_dot`` sums it: on one layer, the
+    same operations in the same order as ``cosine_alignment``, so it
+    matches that bit for bit. After its checks it runs ``_decide``, which
+    ``GalaPolicy`` calls directly.
     """
     if not len(u) == len(live) == len(anchor):
         raise ConfigurationError("layer count mismatch in decide")
     if any(not ui.shape == g.shape == a.shape for ui, g, a in zip(u, live, anchor)):
         raise ConfigurationError("layer shape mismatch in decide")
-    return _decide(u, live, anchor, members, first, cfg)
+    # u is 1.0 * u, bit for bit
+    return SelectionDecision(*_decide(u, 1.0, live, anchor,
+                                      _pieces(members, [v.size for v in u]), first, cfg), first)
 
 
-def _decide(u, live, anchor, members, first, cfg) -> SelectionDecision:
-    """``decide`` after its checks."""
-    r = [g - a for g, a in zip(live, anchor)]
-    for ri, ui in zip(r, u):
-        ri += ui
+def _pieces(members: list[list[int]], sizes: list[int]) -> list[list[tuple]]:
+    """Per group, ``group_dot``'s (layer, slice or None: whole) dot pieces, in order."""
+    return [[(i, None if sizes[i] <= DOT_CHUNK else slice(s, s + DOT_CHUNK))
+             for i in group for s in range(0, sizes[i], DOT_CHUNK)]
+            for group in members]
+
+
+def _decide(grads, scale, live, anchor, pieces, first, cfg) -> tuple[np.ndarray, np.ndarray]:
+    """``decide`` after its checks, on u = scale * grads and the groups'
+    ``_pieces``: the cosines and the mask. It forms u and r piece by
+    piece, so it holds no more than one piece of each."""
     eps = cfg.epsilon
     cosines = []
-    for group in members:
-        nu = math.sqrt(group_dot(u, u, group))
-        nr = math.sqrt(group_dot(r, r, group))
+    for group in pieces:
+        uu = rr = ur = 0.0  # for no entries
+        for n, (i, s) in enumerate(group):
+            g, v, a = ((grads[i], live[i], anchor[i]) if s is None
+                       else (grads[i][s], live[i][s], anchor[i][s]))
+            u = scale * g
+            r = v - a
+            r += u
+            # summed from the first term, as group_dot sums
+            uu, rr, ur = ((uu + u.dot(u), rr + r.dot(r), ur + u.dot(r)) if n
+                          else (u.dot(u), r.dot(r), u.dot(r)))
+        nu, nr = math.sqrt(uu), math.sqrt(rr)
         if nu < eps or nr < eps:
             cosines.append(math.nan)
         else:
-            c = group_dot(u, r, group) / (nu * nr)
+            c = ur / (nu * nr)
             cosines.append(1.0 if c > 1.0 else -1.0 if c < -1.0 else c)
-    n = len(cosines)
-    if first:
-        picked = list(range(n))
-    else:
-        # nan never clears the threshold
-        picked = [k for k, c in enumerate(cosines) if c > cfg.threshold]
-        if picked and cfg.granularity != "multi_layer":
-            picked = [max(picked, key=cosines.__getitem__)]
-    mask = np.zeros(n, dtype=np.int64)
+    mask = np.zeros(len(cosines), dtype=np.int64)
+    # nan never clears the threshold
+    picked = [k for k, c in enumerate(cosines) if first or c > cfg.threshold]
+    if picked and not first and cfg.granularity != "multi_layer":
+        picked = [max(picked, key=cosines.__getitem__)]
     mask[picked] = 1
-    return SelectionDecision(np.array(cosines, dtype=np.float64), mask, first)
+    return np.array(cosines, dtype=np.float64), mask
 
 
 def warmup_scale(cfg: GalaConfig, j: int) -> float:
@@ -285,16 +290,18 @@ class GalaPolicy:
         self.grad_layers = grouping.all_layers
         self.anchor: list[np.ndarray] = []
         self.steps = 0
+        self._pieces = _pieces(grouping.members, grouping.layer_sizes)
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
                lr: float) -> tuple[np.ndarray, SelectionDecision]:
-        u = [-lr * g for g in grads]
-        j = self.steps % self.cfg.window_size  # x % inf is x: one endless window
-        if j == 0:
-            self.anchor = [v.copy() for v in params.layers]
-        decision = _decide(u, params.layers, self.anchor, self.grouping.members, j == 0,
-                           self.cfg)
-        decision.warmup = warmup_scale(self.cfg, j + 1)
-        decision.reset = j + 1 == self.cfg.window_size
+        """``decide``'s body on u = -lr * grads, times ``warmup_scale``'s ramp."""
+        cfg = self.cfg
+        j = self.steps % cfg.window_size  # x % inf is x: one endless window
         self.steps += 1
-        return decision.mask * decision.warmup, decision
+        live = params.layers
+        if j == 0:
+            self.anchor = [v.copy() for v in live]
+        cosines, mask = _decide(grads, -lr, live, self.anchor, self._pieces, j == 0, cfg)
+        warmup = (j + 1) / cfg.warmup_len if j < cfg.warmup_len else 1.0
+        return mask if warmup == 1.0 else mask * warmup, SelectionDecision(
+            cosines, mask, j == 0, warmup, j + 1 == cfg.window_size)

@@ -18,6 +18,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -144,8 +145,10 @@ class ModelParameters:
     layer_names: list[str]
 
     def run(self, r: int) -> "ModelParameters":
-        """Run r of stacked parameters, as views of its rows."""
-        return ModelParameters([v[r] for v in self.layers], self.layer_names)
+        """Run r of stacked parameters, as views of its rows; run 0 of one
+        model, with no run axis, is its layers."""
+        return ModelParameters([v.reshape(-1, v.shape[-1])[r] for v in self.layers],
+                               self.layer_names)
 
     def copy(self) -> "ModelParameters":
         return ModelParameters([v.copy() for v in self.layers], list(self.layer_names))
@@ -158,44 +161,35 @@ class ModelParameters:
         return all(np.all(np.isfinite(v)) for v in self.layers)
 
 
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _act_grad(name: str, a: np.ndarray) -> np.ndarray | float:
-    # from the activation's output alone (relu's is positive exactly where its
-    # input is), so no backward cache holds the pre-activation
-    if name == "relu":
-        return (a > 0.0).astype(np.float64)
-    if name == "tanh":
-        return 1.0 - a * a
-    return 1.0
+# Per activation: act(z, z) applies it in place to a layer's affine output, and
+# dact(dx, a) its derivative, from the output a alone (no cache holds the input;
+# relu's is positive where a is, a bool factor being 1.0 or 0.0) to d loss / da.
+_ACTIVATIONS = {
+    "relu": (lambda z, out: np.maximum(z, 0.0, out=out),
+             lambda dx, a: np.multiply(dx, a > 0.0, out=dx)),
+    "tanh": (np.tanh, lambda dx, a: np.multiply(dx, 1.0 - a * a, out=dx)),
+    "identity": (None, None),
+}
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis: the classes."""
-    e = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(e, out=e)  # in place on its own temporary: the same bytes
-    e /= e.sum(axis=-1, keepdims=True)
+    # the ufuncs' reduce is what the ndarray methods call, past their wrappers
+    e = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    np.exp(e, e)  # in place on its own temporary: the same bytes
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
 def _safe_log(p: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(p, _LOG_FLOOR))
+    out = np.maximum(p, _LOG_FLOOR)
+    return np.log(out, out)
 
 
 def _suffix_min(starts) -> list[int]:
     """starts[r] lowered to the least start of runs r and after: nondecreasing,
     so the runs that reach any one layer are a prefix of the run axis."""
-    out = list(starts)
-    for r in range(len(out) - 2, -1, -1):
-        if out[r] > out[r + 1]:
-            out[r] = out[r + 1]
-    return out
+    return list(accumulate(reversed(starts), min))[::-1]
 
 
 def _spans(runs) -> list[tuple[int, int]]:
@@ -219,11 +213,12 @@ def _rows(runs: list[int]):
 def _forward_plan(starts: tuple[int, ...], n: int) -> tuple:
     """How a forward pass runs when run r joins at layer ``starts[r]``:
     (first, rows, steps). The pass starts at layer ``first`` on the input
-    rows ``rows`` of the runs that start there. Each step, bottom up, is
-    (layer, live, spans, join): ``live`` lists the runs the layer runs
-    for, ascending, in the order x stacks their rows; ``spans`` splits them
-    into maximal ranges of the run axis, one layer call each, as (a, b,
-    lo, hi): rows [a, b) of x are runs [lo, hi); ``join`` is None or
+    rows ``rows`` of the runs that start there (None: every run, the whole
+    input). Each step, bottom up, is (layer, live, spans, join): ``live``
+    lists the runs the layer runs for, ascending, in the order x stacks
+    their rows; ``spans`` is None when they are every run, else splits
+    them into maximal ranges of the run axis, one layer call each, as (a,
+    b, lo, hi): rows [a, b) of x are runs [lo, hi); ``join`` is None or
     (rows, order), the next layer's input rows of the runs that join
     there, appended to x, and the permutation of x that restores run
     order (None when they join at the end). A step's starts come from a
@@ -231,7 +226,7 @@ def _forward_plan(starts: tuple[int, ...], n: int) -> tuple:
     """
     first = min(starts)
     live = [r for r, s in enumerate(starts) if s == first]
-    rows, steps = _rows(live), []
+    rows, steps = None if len(live) == len(starts) else _rows(live), []
     for i in range(first, n):
         spans, a = [], 0
         for lo, hi in _spans(live):
@@ -243,7 +238,7 @@ def _forward_plan(starts: tuple[int, ...], n: int) -> tuple:
             runs = live + joining
             order = None if live[-1] < joining[0] else [int(k) for k in np.argsort(runs)]
             join = _rows(joining), order
-        steps.append((i, tuple(live), tuple(spans), join))
+        steps.append((i, tuple(live), tuple(spans) if len(live) < len(starts) else None, join))
         if joining:
             live = sorted(runs)
     return first, rows, tuple(steps)
@@ -275,10 +270,6 @@ def _all_finite(x: np.ndarray) -> bool:
     return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
 
 
-def _bad_runs(x: np.ndarray) -> list[int]:
-    return np.flatnonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1)).tolist()
-
-
 class Network:
     """A feedforward classifier defined by a list of :class:`LayerSpec`.
 
@@ -289,12 +280,13 @@ class Network:
     statistic updates are explicitly requested by the pretraining loop.
 
     Both take one model (1-D layer vectors) or R models stacked on a
-    leading run axis ((R, P_i) layer arrays) that see the same batch; the
-    one code path runs on the run axis, and one model is R = 1 with the
-    axis dropped from the results. Activations are (R, B, d) arrays.
-    Given a per-run batch ((R, B, d) inputs), run r sees batch r: R
-    stacked models, or one model that every run shares, broadcast on the
-    run axis rather than copied. The results then keep the run axis.
+    leading run axis ((R, P_i) layer arrays) that see the same batch,
+    through one code path: layers index their parameters with ``...`` and
+    reduce the batch on axis -2, so one model keeps no run axis, with
+    (B, d) activations, and R models have (R, B, d) ones. Given a per-run
+    batch ((R, B, d) inputs), run r sees batch r: R stacked models, or one
+    model that every run shares, broadcast on the run axis rather than
+    copied. The results then keep the run axis.
     """
 
     def __init__(self, layer_specs: Iterable[LayerSpec]):
@@ -304,11 +296,17 @@ class Network:
         for prev, cur in zip(self.specs, self.specs[1:]):
             if prev.output_dim != cur.input_dim:
                 raise ConfigurationError(
-                    f"layer dims do not chain: {prev.output_dim} -> {cur.input_dim}"
-                )
+                    f"layer dims do not chain: {prev.output_dim} -> {cur.input_dim}")
         self.layer_names = [f"L{i}_{s.kind}" for i, s in enumerate(self.specs)]
         self._param_counts = [s.param_count for s in self.specs]
         self._every_layer = frozenset(range(len(self.specs)))
+        self._classes = np.arange(self.specs[-1].output_dim)
+        # Per layer, bound once: whether it is dense, its weight or scale
+        # count m (the bias or offset follows), a dense weight's shape, and
+        # its activation and derivative (see _ACTIVATIONS).
+        self._kernels = [(s.kind == "dense", c - s.output_dim, (s.output_dim, s.input_dim),
+                          *_ACTIVATIONS[s.activation])
+                         for s, c in zip(self.specs, self._param_counts)]
         # Per normalization layer: running (mean, var), initialized to the
         # standardized defaults and refreshed during pretraining. Used only
         # for single-sample batches where batch statistics are undefined.
@@ -332,120 +330,113 @@ class Network:
             if spec.kind == "dense":
                 limit = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
                 w = rng.uniform(-limit, limit, size=(spec.output_dim, spec.input_dim))
-                b = np.zeros(spec.output_dim)
-                vecs.append(np.concatenate([w.ravel(), b]))
+                vecs.append(np.concatenate([w.ravel(), np.zeros(spec.output_dim)]))
             else:
                 vecs.append(np.concatenate([np.ones(spec.output_dim), np.zeros(spec.output_dim)]))
         return ModelParameters(vecs, list(self.layer_names))
 
     def _check_params(self, params: ModelParameters):
         if len(params.layers) != len(self.specs):
-            raise ConfigurationError(
-                f"expected {len(self.specs)} parameter vectors, got {len(params.layers)}"
-            )
+            raise ConfigurationError(f"expected {len(self.specs)} parameter vectors, "
+                                     f"got {len(params.layers)}")
         runs = params.layers[0].shape[:-1]
         for i, (vec, count) in enumerate(zip(params.layers, self._param_counts)):
             if vec.shape != (*runs, count):
-                raise ConfigurationError(
-                    f"layer {i} expects {count} parameters, got shape {vec.shape}"
-                )
+                raise ConfigurationError(f"layer {i} expects {count} parameters, "
+                                         f"got shape {vec.shape}")
 
     def _stacked(self, params: ModelParameters,
-                 batch: Batch | None) -> tuple[list[np.ndarray], int, bool]:
-        """The layer arrays on a run axis, the number of runs, and whether
-        the results drop the run axis: one model on a shared batch (None
-        stands for shared batches). One model with a per-run batch keeps
-        its single row, which the layers broadcast over the runs."""
+                 batch: Batch | None) -> tuple[list[np.ndarray], tuple[int, ...]]:
+        """The layer arrays a pass runs and its run axis: none, (), for one
+        model on a shared batch (None stands for shared batches), else
+        (R,). One model on a per-run batch gets a run axis of one row."""
         self._check_params(params)
         one = params.layers[0].ndim == 1
-        layers = [v[None] for v in params.layers] if one else params.layers
         if batch is None or batch.inputs.ndim == 2:
-            return layers, len(layers[0]), one
+            return params.layers, () if one else (len(params.layers[0]),)
         runs = len(batch.inputs)
-        if not one and len(layers[0]) != runs:
-            raise ConfigurationError(f"{runs} batches for {len(layers[0])} runs")
-        return layers, runs, False
+        if not one and len(params.layers[0]) != runs:
+            raise ConfigurationError(f"{runs} batches for {len(params.layers[0])} runs")
+        return [v[None] for v in params.layers] if one else params.layers, (runs,)
 
-    def _layer_forward(self, i: int, x: np.ndarray, vec: np.ndarray, update_stats: bool):
-        """Layer i on x (k, B, d), the inputs of k runs whose parameters are
-        the rows of ``vec``, or one row of ``vec`` that they share.
+    def _views(self, layers: list[np.ndarray]) -> list[tuple]:
+        return [self._view(i, vec) for i, vec in enumerate(layers)]
 
-        Returns the layer's output, its affine map activated, and its
-        backward cache: the kind and the arrays (src, ...), src being the
-        dense layer's input or normalization's standardized input. Every
-        cached array leads with a run axis. The backward reads the output
-        from the pass's activations, so no cache holds it."""
-        spec = self.specs[i]
-        if spec.kind == "dense":
-            n = spec.output_dim * spec.input_dim
-            w = vec[:, :n].reshape(-1, spec.output_dim, spec.input_dim)
-            z = x @ w.swapaxes(-1, -2)
-            z += vec[:, None, n:]  # in place: one temporary fewer, same bytes
-            kind, src, rest = "dense", x, (w,)
+    def _view(self, i: int, vec: np.ndarray) -> tuple:
+        """The views of layer i's parameters ``vec`` that a pass reads: a
+        dense layer's transposed weight, bias and weight, a normalization
+        layer's scale and offset, each with vec's run axis, if any, and one
+        to broadcast over the batch. A pass takes them once per layer array."""
+        dense, m, shape, _, _ = self._kernels[i]
+        if dense:
+            w = vec[..., :m].reshape(*vec.shape[:-1], *shape)
+            return w.swapaxes(-1, -2), vec[..., None, m:], w
+        return vec[..., None, :m], vec[..., None, m:]
+
+    def _layer_forward(self, i: int, x: np.ndarray, view: tuple, update_stats: bool):
+        """Layer i on x (..., B, d) with its parameter views ``view``, one
+        model's, k runs' on the inputs of k runs, or one row they share.
+
+        Returns the layer's output, its affine map activated in place, and
+        its backward cache: (src, w) for a dense layer, src being its input,
+        and (src, inv_std, gamma) for normalization, src being the
+        standardized input, each with x's run axis or a broadcast one. The
+        backward reads the output from the pass's activations."""
+        dense, _, _, act, _ = self._kernels[i]
+        if dense:
+            wt, b, w = view
+            z = x @ wt
+            z += b  # in place: one temporary fewer, same bytes
+            cache = x, w
         else:
-            gamma = vec[:, None, : spec.output_dim]
-            if x.shape[1] >= 2:
-                kind = "norm_batch"
-                mu = x.mean(axis=1, keepdims=True)
-                var = x.var(axis=1, keepdims=True)
+            gamma, beta = view
+            if x.shape[-2] >= 2:
+                mu = x.mean(axis=-2, keepdims=True)
+                var = x.var(axis=-2, keepdims=True)
                 if update_stats:  # one model (loss_and_gradients checks)
                     m = _NORM_MOMENTUM
                     rm, rv = self.norm_stats[i]
-                    self.norm_stats[i] = ((1 - m) * rm + m * mu[0, 0],
-                                          (1 - m) * rv + m * var[0, 0])
+                    self.norm_stats[i] = ((1 - m) * rm + m * mu.reshape(-1),
+                                          (1 - m) * rv + m * var.reshape(-1))
                 inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
                 src = x - mu
             else:
                 # Single-sample batches fall back to frozen statistics, shared
                 # by every run: the layer degrades to a fixed affine transform.
-                kind = "norm_frozen"
                 rm, rv = self.norm_stats[i]
-                inv_std = (1.0 / np.sqrt(rv + _NORM_EPS))[None, None]
+                inv_std = (1.0 / np.sqrt(rv + _NORM_EPS))[None]
                 src = x - rm
             src *= inv_std
             z = gamma * src
-            z += vec[:, None, spec.output_dim :]
-            rest = inv_std, gamma
-        return _act(spec.activation, z), (kind, (src, *rest))
+            z += beta
+            cache = src, inv_std, gamma
+        if act is not None:
+            act(z, z)
+        return z, cache
 
     def _check_input(self, x: np.ndarray, i: int):
         if x.shape[-1] != self.specs[i].input_dim:
-            raise ConfigurationError(
-                f"batch input_dim {x.shape[-1]} does not match layer {i} "
-                f"input_dim {self.specs[i].input_dim}"
-            )
+            raise ConfigurationError(f"batch input_dim {x.shape[-1]} does not match layer {i} "
+                                     f"input_dim {self.specs[i].input_dim}")
 
-    def _inputs(self, inputs: np.ndarray, runs: int) -> np.ndarray:
-        """A batch's inputs, checked, on the run axis: a shared batch as every
-        run's input, with no copy (broadcast_to costs microseconds)."""
+    def _inputs(self, inputs: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+        """A batch's inputs, checked, on the pass's run axis ``lead``: a
+        shared batch broadcast as every run's input, with no copy."""
         self._check_input(inputs, 0)
         if inputs.ndim == 2:
-            return inputs[None] if runs == 1 else np.broadcast_to(inputs, (runs,) + inputs.shape)
+            return np.broadcast_to(inputs, lead + inputs.shape) if lead else inputs
+        runs = lead[0] if lead else 1
         if len(inputs) != runs:
             raise ConfigurationError(f"{len(inputs)} batches for {runs} runs")
         return inputs
 
     def _nonfinite(self, x: np.ndarray, i: int, live: Sequence[int]) -> NumericsError:
         """The error for layer i's output x, naming the runs among ``live``
-        (x's rows) that went non-finite. It reports overflow, so the passes
-        silence numpy's own warning for it."""
+        (x's rows; x with no run axis is run 0's) that went non-finite. It
+        reports overflow, so the passes silence numpy's own warning for it."""
+        bad = ~np.isfinite(x.reshape(*x.shape[:-2], -1)).all(axis=-1)
         return NumericsError(f"non-finite activation at layer {i} ({self.layer_names[i]})",
-                             [live[b] for b in _bad_runs(x)])
-
-    def _forward_cached(self, layers: list[np.ndarray], x: np.ndarray, update_stats=False):
-        """The loss pass's forward: every stacked model whose parameters are
-        ``layers`` runs every layer on its row of the inputs x (R, B, d).
-        Returns the logits, one backward cache per layer and the activations
-        (``acts[i]`` is the input of layer i, ``acts[-1]`` the logits)."""
-        live = range(len(x))
-        caches, acts = [], [x]
-        for i in range(len(self.specs)):
-            x, cache = self._layer_forward(i, x, layers[i], update_stats)
-            if not _all_finite(x):
-                raise self._nonfinite(x, i, live)
-            caches.append(cache)
-            acts.append(x)
-        return x, caches, acts
+                             [live[b] for b in np.flatnonzero(bad)])
 
     def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
                 acts: list[np.ndarray] | None = None) -> np.ndarray:
@@ -462,35 +453,35 @@ class Network:
         the pass behind ``acts``, its result equals a full forward bit for
         bit.
         """
-        layers, runs, one = self._stacked(params, batch)
+        layers, lead = self._stacked(params, batch)
+        runs = lead[0] if lead else 1
         starts = (start,) * runs if isinstance(start, (int, np.integer)) else tuple(start)
         first = min(starts)
         if first and acts is None:
             raise ValueError(f"forward from layer {first} needs that layer's input")
         if acts is None:
-            acts = [self._inputs(batch.inputs, runs)]
-        elif one:
-            acts = [a[None] for a in acts]
+            acts = [self._inputs(batch.inputs, lead)]
         if first < len(self.specs):
             self._check_input(acts[first], first)
         with np.errstate(over="ignore", invalid="ignore"):
-            probs = self._restart(layers, acts, starts)
-        return probs[0] if one else probs
+            return self._restart(self._views(layers), acts, starts)
 
-    def _restart(self, layers: list[np.ndarray], acts: list[np.ndarray],
+    def _restart(self, views: list[tuple], acts: list[np.ndarray],
                  starts: tuple[int, ...]) -> np.ndarray:
-        """``forward`` after its checks, on a run axis: run r of ``layers``
-        from layer ``starts[r]``, on the activations ``acts``."""
+        """``forward`` after its checks: run r of the parameter views
+        ``views`` from layer ``starts[r]``, on the activations ``acts``."""
         first, rows, steps = _forward_plan(starts, len(self.specs))
-        x = acts[first][rows]
+        x = acts[first] if rows is None else acts[first][rows]
         for i, live, spans, join in steps:
-            vec = layers[i]
-            if len(vec) == 1:  # one row that every run shares
-                x = self._layer_forward(i, x, vec, False)[0]
+            view = views[i]
+            if spans is None or len(view[0]) == 1:  # every run, or one row they share
+                x = self._layer_forward(i, x, view, False)[0]
             elif len(spans) == 1:
-                x = self._layer_forward(i, x, vec[spans[0][2]:spans[0][3]], False)[0]
+                lo, hi = spans[0][2:]
+                x = self._layer_forward(i, x, [v[lo:hi] for v in view], False)[0]
             else:
-                x = np.concatenate([self._layer_forward(i, x[a:b], vec[lo:hi], False)[0]
+                x = np.concatenate([self._layer_forward(i, x[a:b], [v[lo:hi] for v in view],
+                                                        False)[0]
                                     for a, b, lo, hi in spans])
             if not _all_finite(x):
                 raise self._nonfinite(x, i, live)
@@ -504,156 +495,151 @@ class Network:
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         return np.argmax(self.forward(params, batch), axis=1)
 
-    def _loss_and_dlogits(self, p: np.ndarray, labels: np.ndarray | None, loss: LossKind,
-                          runs: int):
-        """Per-run loss values and d loss / d logits for ``p``, the
-        probability rows of every run's batch one after another."""
-        rows, classes = p.shape
-        n = rows // runs  # batch size
-        idx = np.arange(rows)
-        # the ndarray methods skip wrappers that cost microseconds
-        y = (p.argmax(axis=1) if labels is None else labels.reshape(-1) if labels.ndim == 2
-             else np.concatenate([labels] * runs))
-        p_onehot = p.copy()
-        p_onehot[idx, y] -= 1.0  # p - onehot, as p - 0.0 is p
-        # means over each run's rows are sums over n: the same bytes as mean()
-        nll = -_safe_log(p[idx, y]).reshape(runs, n).sum(axis=1) / n
+    def _loss_and_dlogits(self, p: np.ndarray, labels: np.ndarray | None, loss: LossKind):
+        """Per-run loss values and d loss / d logits for the probabilities
+        p (..., B, C) of each run's batch; labels of None take the argmax."""
+        n = p.shape[-2]  # batch size
+        onehot = (p.argmax(axis=-1) if labels is None else labels)[..., None] == self._classes
+        dlogits = p - onehot  # p - 1.0 at the label, p - 0.0, which is p, elsewhere
+        # the argmax's probability is the row's max; means over a batch are
+        # sums over n: the same bytes as mean()
+        picked = np.maximum.reduce(p, axis=-1) if labels is None else (p * onehot).sum(axis=-1)
+        nll = -np.add.reduce(_safe_log(picked), axis=-1) / n
         if loss.variant != "shot_im":
-            p_onehot /= n
-            return nll, p_onehot
+            dlogits /= n
+            return nll, dlogits
         # shot_im: mean per-sample entropy, minus entropy of the mean
         # prediction, plus a weighted hard pseudo-label term.
         logp = _safe_log(p)
-        ent = -(p * logp).sum(axis=1)
-        p3 = p.reshape(runs, n, classes)
-        pbar = p3.sum(axis=1) / n
+        ent = -(p * logp).sum(axis=-1)
+        pbar = p.sum(axis=-2) / n
         logpbar = _safe_log(pbar)
-        ent_mean_pred = -(pbar * logpbar).sum(axis=1)
-        value = ent.reshape(runs, n).sum(axis=1) / n - ent_mean_pred + loss.shot_pl_weight * nll
+        ent_mean_pred = -(pbar * logpbar).sum(axis=-1)
+        value = ent.sum(axis=-1) / n - ent_mean_pred + loss.shot_pl_weight * nll
 
-        d_ent = -p * (logp + ent[:, None]) / n
+        d_ent = -p * (logp + ent[..., None]) / n
         # d/dlogits of -H(pbar); see the per-sample chain through pbar.
-        logpbar = logpbar[:, None, :]
-        d_div = p3 * (logpbar - (p3 * logpbar).sum(axis=2, keepdims=True)) / n
-        d_pl = loss.shot_pl_weight * p_onehot / n
-        return value, d_ent + d_div.reshape(rows, classes) + d_pl
+        logpbar = logpbar[..., None, :]
+        d_div = p * (logpbar - (p * logpbar).sum(axis=-1, keepdims=True)) / n
+        d_pl = loss.shot_pl_weight * dlogits / n
+        return value, d_ent + d_div + d_pl
 
-    def loss_and_gradients(
-        self,
-        params: ModelParameters,
-        batch: Batch,
-        loss: LossKind,
-        update_norm_stats: bool = False,
-        layers: Collection[int] | Sequence[Collection[int]] | None = None,
-    ) -> tuple:
+    def loss_and_gradients(self, params: ModelParameters, batch: Batch, loss: LossKind,
+                           update_norm_stats: bool = False,
+                           layers: Collection[int] | Sequence[Collection[int]] | None = None,
+                           ) -> tuple:
         """Loss value, per-layer gradients, the class probabilities of the
         loss pass and its activations.
 
         For one model: a float, one gradient per layer, (B, C)
         probabilities and the activations with B leading. For R stacked
         models or R per-run batches: a list of R floats, one gradient list
-        per run, (R, B, C) probabilities and (R, B, d) activations. ``acts[i]`` is the input
-        layer i saw and ``acts[-1]`` the logits.
+        per run, (R, B, C) probabilities and (R, B, d) activations.
+        ``acts[i]`` is the input layer i saw and ``acts[-1]`` the logits.
 
         ``layers`` holds the indices of the layers whose gradients are
-        wanted (None: every layer), one collection per run when the
-        results keep the run axis.
-        The backward pass stops at the lowest of them: it forms a layer's
-        parameter gradient only for the runs that want it, and carries a
-        run's input gradient down only while a lower layer is wanted, by
-        it or by a later run (order runs by lowest wanted layer, and none
-        carries more than it needs). An empty set runs no backward at
-        all. Every other entry of a gradient list is None. Wanted
-        gradients equal those of a full backward bit for bit.
+        wanted (None: every layer), one collection per run when the results
+        keep the run axis. The backward pass stops at the lowest of them:
+        it forms a layer's parameter gradient only for the runs that want
+        it, and carries a run's input gradient down only while a lower
+        layer is wanted, by it or by a later run (order runs by lowest
+        wanted layer, and none carries more than it needs). An empty set
+        runs no backward at all. Every other entry of a gradient list is
+        None. Wanted gradients equal those of a full backward bit for bit.
 
         The probabilities are the same computation as ``forward`` on the
         same params and batch, so they match it bit for bit; the
         activations let ``forward`` restart above layers that did not
         change. Unsupervised losses refuse labeled batches so adaptation
-        code cannot accidentally leak labels into the update path. After its
-        checks it runs ``_loss_pass``, which an adaptation pass calls directly.
+        code cannot accidentally leak labels into the update path. After
+        its checks it runs ``_loss_pass``, which a pass calls directly.
         """
-        stacked, runs, one, plan = self._checked(params, batch, loss, layers, update_norm_stats)
+        stacked, lead, plan = self._checked(params, batch, loss, layers, update_norm_stats)
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads, probs, acts = self._loss_pass(
-                stacked, self._inputs(batch.inputs, runs), batch.labels, loss, plan,
-                update_norm_stats)
-        if one:
-            return values[0], grads[0], probs[0], [a[0] for a in acts]
+                self._views(stacked), self._inputs(batch.inputs, lead), batch.labels, loss,
+                plan, update_norm_stats)
+        if not lead:
+            return values[0], grads[0], probs, acts
         return values, grads, probs, acts
 
     def _checked(self, params: ModelParameters, batch: Batch | None, loss: LossKind, layers,
                  update_norm_stats: bool = False) -> tuple:
         """``loss_and_gradients``' checks of all but the inputs (``_inputs``), and the layer
-        arrays on a run axis, the run count, whether the results drop the run axis and the
-        backward plan. A batch of None stands for unlabeled shared batches."""
+        arrays, the run axis (see ``_stacked``) and the backward plan. A batch of None
+        stands for unlabeled shared batches."""
         labels = None if batch is None else batch.labels
         if loss.supervised and labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        stacked, runs, one = self._stacked(params, batch)
+        stacked, lead = self._stacked(params, batch)
+        runs = lead[0] if lead else 1
         if update_norm_stats and runs > 1:
             raise ValueError("running statistics are updated from one model only")
         wanted = ((self._every_layer,) * runs if layers is None
-                  else (frozenset(layers),) if one else tuple(map(frozenset, layers)))
+                  else tuple(map(frozenset, layers)) if lead else (frozenset(layers),))
         if len(wanted) != runs:
             raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
-        return stacked, runs, one, _backward_plan(wanted, len(self.specs))
+        return stacked, lead, _backward_plan(wanted, len(self.specs))
 
-    def _loss_pass(self, layers: list[np.ndarray], x: np.ndarray, labels: np.ndarray | None,
+    def _loss_pass(self, views: list[tuple], x: np.ndarray, labels: np.ndarray | None,
                    loss: LossKind, plan: tuple, update_stats: bool = False) -> tuple:
-        """``loss_and_gradients`` after its checks, on inputs x (R, B, d) and
-        the plan of ``_checked``, keeping the run axis. A run's gradient of
-        layer i is a row of one (k, P_i) array per span of runs."""
-        n = len(self.specs)
-        runs = len(x)
-        logits, caches, acts = self._forward_cached(layers, x, update_stats)
-        probs = softmax(logits)
-        shape = probs.shape
-        values, dx = self._loss_and_dlogits(probs.reshape(-1, shape[-1]), labels, loss, runs)
-        values = values.tolist()
+        """``loss_and_gradients`` after its checks, on inputs x (..., B, d),
+        the parameter views ``views`` and the plan of ``_checked``: a list
+        of values and one of gradients per run, and the probabilities and
+        activations on x's run axis, if any. A run's gradient of layer i is
+        a row of one (k, P_i) array per span of runs; one model's is one
+        (P_i,) array."""
+        caches, acts = [], [x]
+        for i, view in enumerate(views):
+            x, cache = self._layer_forward(i, x, view, update_stats)
+            if not _all_finite(x):
+                raise self._nonfinite(x, i, range(len(x)))
+            caches.append(cache)
+            acts.append(x)
+        probs = softmax(x)
+        values, dx = self._loss_and_dlogits(probs, labels, loss)
+        values = values.reshape(-1).tolist()
         if not all(map(math.isfinite, values)):
             raise NumericsError("non-finite loss value",
                                 [r for r, v in enumerate(values) if not math.isfinite(v)])
-        dx = dx.reshape(shape)
-        grads: list[list[np.ndarray | None]] = [[None] * n for _ in range(runs)]
+        runs = len(values)
+        grads: list[list[np.ndarray | None]] = [[None] * len(views) for _ in range(runs)]
         for i, k, spans, below in plan:
-            kind, arrays = caches[i]
+            arrays, out = caches[i], acts[i + 1]
             caches[i] = None  # free each cache once consumed
-            out = acts[i + 1]
             if k < runs:  # the later runs stopped above this layer
                 arrays, out = [v[:k] for v in arrays], out[:k]
-            spec = self.specs[i]
-            dact = _act_grad(spec.activation, out)
-            if not isinstance(dact, float):  # identity's 1.0 would only copy dx
-                dx = dx * dact  # d loss / d affine output
-            del dact  # a (k, B, d) array: free it before the layer's products
-            m = self._param_counts[i] - spec.output_dim  # weights or scale, then bias or offset
+            dense, m, shape, _, dact = self._kernels[i]
+            size = self._param_counts[i]
+            if dact is not None:
+                dact(dx, out)  # now d loss / d affine output
+            src = arrays[0]
             for lo, hi in spans:
-                d, src = (dx, arrays[0]) if hi - lo == k else (dx[lo:hi], arrays[0][lo:hi])
-                g = np.empty((hi - lo, self._param_counts[i]))
-                if kind == "dense":
-                    np.matmul(d.swapaxes(-1, -2), src,
-                              out=g[:, :m].reshape(hi - lo, spec.output_dim, spec.input_dim))
+                d, s = (dx, src) if hi - lo == k else (dx[lo:hi], src[lo:hi])
+                lead = d.shape[:-2]
+                g = np.empty(lead + (size,))  # weights or scale, then bias or offset
+                if dense:
+                    np.matmul(d.swapaxes(-1, -2), s, out=g[..., :m].reshape(lead + shape))
                 else:
-                    np.add.reduce(d * src, axis=1, out=g[:, :m])
-                np.add.reduce(d, axis=1, out=g[:, m:])
-                for r in range(lo, hi):
-                    grads[r][i] = g[r - lo]
+                    np.add.reduce(d * s, axis=-2, out=g[..., :m])
+                np.add.reduce(d, axis=-2, out=g[..., m:])
+                for r, row in zip(range(lo, hi), g if lead else (g,)):
+                    grads[r][i] = row
             if not below:
                 continue
             if below < k:
                 dx, arrays = dx[:below], [v[:below] for v in arrays]
-            if kind == "dense":
+            if dense:
                 dx = dx @ arrays[1]
-            elif kind == "norm_batch":
+            elif src.shape[-2] >= 2:  # batch statistics
                 xhat, inv_std, gamma = arrays
-                nb = xhat.shape[1]
+                nb = xhat.shape[-2]
                 dxhat = dx * gamma
-                dx = inv_std / nb * (nb * dxhat - dxhat.sum(axis=1, keepdims=True)
-                                     - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
-            else:  # norm_frozen
+                dx = inv_std / nb * (nb * dxhat - dxhat.sum(axis=-2, keepdims=True)
+                                     - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))
+            else:  # frozen statistics
                 _, inv_std, gamma = arrays
                 dx = dx * gamma * inv_std
         return values, grads, probs, acts
@@ -701,17 +687,14 @@ def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], va
     """
     network = Network(layer_specs)
     params = network.init_params(seed)
-    # the model as the one run of a run axis: rows are views, so each update
-    # lands in params, and no step adds and drops the axis
-    run = ModelParameters([v[None] for v in params.layers], params.layer_names)
     loss = LossKind("cross_entropy")
     step = 0
     for batch in train_stream:
         if batch.labels is None:
             raise ValueError("pretraining requires labeled batches")
         try:
-            _, (grads,), _, _ = network.loss_and_gradients(run, batch, loss,
-                                                           update_norm_stats=True)
+            _, grads, _, _ = network.loss_and_gradients(params, batch, loss,
+                                                        update_norm_stats=True)
         except NumericsError as exc:
             raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
         for vec, g in zip(params.layers, grads):

@@ -15,9 +15,11 @@ by s * (-lr * grad) and leaves every other layer's array as it is.
 The step and the loop advance R runs in lockstep over the same batches,
 one policy per run. Each run's parameters are one row of the (R, P_i)
 layer arrays, and a policy sees only its own run's gradients and
-parameters. A single run is R = 1. A run whose policy has no
-``grad_layers`` never moves, so the loop evaluates its stream in chunks
-instead, with the steps of a chunk on the run axis of one loss pass.
+parameters. The loop steps a single run with no run axis: 1-D layer
+vectors and (B, d) activations, through the same code. A run whose
+policy has no ``grad_layers`` never moves, so the loop evaluates its
+stream in chunks instead, with the steps of a chunk on the run axis of
+one loss pass.
 
 Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
@@ -65,7 +67,7 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
 
     ``params`` stacks the runs' parameters on a run axis ((R, P_i) per
     layer) and ``policies`` holds one policy per run, which sees its own
-    run's rows as ``params.run(r)``; every run sees the same batch.
+    run's rows; every run sees the same batch.
 
     The loss pass backpropagates each run only down to the lowest layer
     in its ``policy.grad_layers``, the layers whose gradients the policy
@@ -83,39 +85,47 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
     alone bit for bit. It makes every check of ``Network.loss_and_gradients``, then
     runs ``_step``, the body ``adapt`` steps through after checking once.
     """
-    _, runs, _, plan = network._checked(params, batch, loss,
-                                        [policy.grad_layers for policy in policies])
+    _, lead, plan = network._checked(params, batch, loss,
+                                     [policy.grad_layers for policy in policies])
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(network, params, network._inputs(batch.inputs, runs), batch.labels,
-                     loss, opt, policies, plan)
+        return _step(network, params, network._views(params.layers),
+                     [params.run(r) for r in range(len(policies))],
+                     network._inputs(batch.inputs, lead), batch.labels, loss, opt, policies,
+                     plan)
 
 
-def _step(network: Network, params: ModelParameters, x: np.ndarray, labels, loss: LossKind,
-          opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
-    """``adapt_step`` after its checks, on run-axis inputs x and the plan of
-    ``Network._checked``, inside the caller's ``np.errstate``."""
+def _step(network: Network, params: ModelParameters, views: list, runs: list, x: np.ndarray,
+          labels, loss: LossKind, opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
+    """``adapt_step`` after its checks, inside the caller's ``np.errstate``, on
+    inputs x, ``Network._views``, each run's ``params.run(r)`` and the plan of
+    ``Network._checked``. A moved layer's copy replaces its array, views and
+    rows there, so a pass keeps them for its next step."""
     lr = opt.learning_rate
-    losses, grads, probs, acts = network._loss_pass(params.layers, x, labels, loss, plan)
-    n = len(params.layers)
+    losses, grads, probs, acts = network._loss_pass(views, x, labels, loss, plan)
+    n = len(views)
     copied: set[int] = set()
     starts, decisions = [], []
-    for r, policy in enumerate(policies):
-        g = grads[r]
-        scales, decision = policy.select(g, params.run(r), lr)
+    for policy, run, g in zip(policies, runs, grads):
+        scales, decision = policy.select(g, run, lr)
         start = n
         for members, s in zip(policy.grouping.members, scales):
             if s:
                 for i in members:
                     if i not in copied:
-                        params.layers[i] = params.layers[i].copy()
+                        v = params.layers[i] = params.layers[i].copy()
+                        views[i] = network._view(i, v)
+                        for other, row in zip(runs, v.reshape(len(runs), -1)):
+                            other.layers[i] = row
                         copied.add(i)
-                    row = params.layers[i][r]
-                    row += s * (-lr * g[i])
-                    start = min(start, i)
+                    u = -lr * g[i]
+                    row = run.layers[i]
+                    row += u if s == 1.0 else s * u  # 1.0 * u is u
+                    if i < start:
+                        start = i
         starts.append(start)
         decisions.append(decision)
     if copied:
-        probs = network._restart(params.layers, acts, tuple(starts))
+        probs = network._restart(views, acts, tuple(starts))
     return StepResult(decisions, probs, losses)
 
 
@@ -154,21 +164,25 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
               loss: LossKind, opt: OptimizerConfig, policies) -> list[RunRecord]:
     """``adapt`` for runs that step: ``adapt_step``'s checks once, for
     unlabeled shared batches, then its body once per batch, checking only
-    the batch's inputs; one ``np.errstate`` covers the pass."""
+    the batch's inputs, on views and rows taken once; one ``np.errstate``
+    covers the pass. One run keeps no run axis."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
-    _, runs, _, plan = network._checked(params, None, loss,
-                                        [policy.grad_layers for policy in policies])
+    _, lead, plan = network._checked(params, None, loss,
+                                     [policy.grad_layers for policy in policies])
+    if lead == (1,):  # one run: the row of the checked copy, with no run axis
+        params.layers, lead = [v[0] for v in params.layers], ()
+    views, runs = network._views(params.layers), [params.run(r) for r in range(len(policies))]
     steps = []  # per step: hits, decisions, losses; each by run
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in stream.adapt_batches:
-            res = _step(network, params, network._inputs(batch.inputs, runs), None, loss,
-                        opt, policies, plan)
-            steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
+            res = _step(network, params, views, runs, network._inputs(batch.inputs, lead), None,
+                        loss, opt, policies, plan)
+            hits = res.probs.argmax(axis=-1) == batch.labels
+            steps.append((hits.reshape(len(runs), -1), res.decisions, res.losses))
     return [RunRecord(list(policy.grouping.names),
-                      *([step[field][r] for step in steps] for field in range(3)),
-                      params.run(r))
-            for r, policy in enumerate(policies)]
+                      *([step[field][r] for step in steps] for field in range(3)), run)
+            for r, (policy, run) in enumerate(zip(policies, runs))]
 
 
 def _chunks(batches):

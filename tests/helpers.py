@@ -18,6 +18,21 @@ def single_step(network, params, batch, loss, opt, policy):
                            probs=res.probs[0], loss=res.losses[0])
 
 
+def counted_kernels(network, count):
+    """``network``'s per-layer kernels with each activation derivative
+    wrapped to call ``count(i, a)`` whenever a backward pass visits layer i,
+    a being the layer's output for the rows it carries d loss through;
+    identity layers, which have no derivative to apply, are counted too."""
+    kernels = []
+    for i, (dense, m, shape, act, dact) in enumerate(network._kernels):
+        def counted(dx, a, i=i, dact=dact):
+            count(i, a)
+            if dact is not None:
+                dact(dx, a)
+        kernels.append((dense, m, shape, act, counted))
+    return kernels
+
+
 def record_digest(record) -> str:
     """Hash of everything a run observed, to compare runs bit for bit."""
     h = hashlib.sha256()

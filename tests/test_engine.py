@@ -28,7 +28,7 @@ from gala import (
     warmup_scale,
 )
 from gala.engine import DOT_CHUNK, group_dot
-from helpers import single_step
+from helpers import counted_kernels, single_step
 
 EPS = 1e-12
 
@@ -451,14 +451,8 @@ def test_backward_stops_at_lowest_layer_the_policy_moves(monkeypatch):
     """erm runs no backward at all; an oracle trial backpropagates only
     down to its group; gala reads every layer."""
     calls = []
-    act_grad = gala.nn._act_grad
-
-    def counted(*args):
-        calls.append(1)
-        return act_grad(*args)
-
-    monkeypatch.setattr(gala.nn, "_act_grad", counted)
     net, params, _ = scenarios.collapse_setup()
+    monkeypatch.setattr(net, "_kernels", counted_kernels(net, lambda i, a: calls.append(1)))
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
     batch = Batch(np.array([[0.5, -1.0], [1.5, 0.2]]))

@@ -28,7 +28,12 @@ from gala import (
     tta_accuracy,
 )
 from gala.runner import _lockstep, adapt, run_selector
-from helpers import _min_relu_margin, finite_difference_grads, gradient_relative_error
+from helpers import (
+    _min_relu_margin,
+    counted_kernels,
+    finite_difference_grads,
+    gradient_relative_error,
+)
 
 NORM_EPS = 1e-5
 LOG_FLOOR = 1e-300
@@ -415,24 +420,23 @@ def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
     order, and for gala beside the sweep's trials in run_selector's one
     pass."""
     rows = {"forward": 0, "backward": 0}
-    layer_forward, act_grad = Network._layer_forward, gala.nn._act_grad
+    layer_forward = Network._layer_forward
 
-    def counted_forward(self, i, x, vec, update_stats):
-        rows["forward"] += x.shape[0] * x.shape[1]
-        return layer_forward(self, i, x, vec, update_stats)
+    def counted_forward(self, i, x, view, update_stats):
+        rows["forward"] += x.size // x.shape[-1]  # (run, sample) rows, with a run axis or not
+        return layer_forward(self, i, x, view, update_stats)
 
-    def counted_act_grad(name, a):
-        rows["backward"] += a.shape[0] * a.shape[1]
-        return act_grad(name, a)
+    def counted_backward(i, a):
+        rows["backward"] += a.size // a.shape[-1]
 
     def work(run):
         rows.update(forward=0, backward=0)
         run()
         return dict(rows)
 
-    monkeypatch.setattr(Network, "_layer_forward", counted_forward)
-    monkeypatch.setattr(gala.nn, "_act_grad", counted_act_grad)
     net, params = mixed_net()
+    monkeypatch.setattr(Network, "_layer_forward", counted_forward)
+    monkeypatch.setattr(net, "_kernels", counted_kernels(net, counted_backward))
     stream = stream_of(5, steps=12)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")

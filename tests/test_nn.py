@@ -79,7 +79,8 @@ def test_normalization_batch_statistics():
     rng = np.random.default_rng(7)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))
     # gamma=1, beta=0 at init, so outputs are just standardized features.
-    (out_logits,), _, _ = net._forward_cached([v[None] for v in params.layers], x[None])
+    *_, (_, out_logits) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"),
+                                                 layers=())
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
 
@@ -89,7 +90,7 @@ def test_normalization_single_sample_uses_frozen_stats():
     params = ModelParameters([np.array([2.0, 0.5, 1.0, -1.0])], list(net.layer_names))
     net.norm_stats[0] = (np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     x = np.array([[3.0, 0.0]])
-    (out,), _, _ = net._forward_cached([v[None] for v in params.layers], x[None])
+    *_, (_, out) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"), layers=())
     expected = np.array([
         2.0 * (3.0 - 1.0) / math.sqrt(4.0 + 1e-5) + 1.0,
         0.5 * (0.0 + 1.0) / math.sqrt(0.25 + 1e-5) - 1.0,
