@@ -10,7 +10,6 @@ from .engine import (
     cosine_via_decomposition,
     decide,
     vector_angle,
-    warmup_scale,
 )
 from .baselines import (
     SelectorKind,

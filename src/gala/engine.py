@@ -99,8 +99,9 @@ class ParameterGrouping:
         return frozenset(range(len(self.layer_sizes)))
 
 
-def build_grouping(layer_names: list[str], layer_sizes: list[int], granularity: str,
-                   num_blocks: int = 4) -> ParameterGrouping:
+def build_grouping(
+    layer_names: list[str], layer_sizes: list[int], granularity: str, num_blocks: int = 4
+) -> ParameterGrouping:
     """Build the parameter grouping for a granularity mode.
 
     single_layer and multi_layer give one group per layer (named after
@@ -140,15 +141,14 @@ class SelectionDecision:
 
 def group_dot(a: list[np.ndarray], b: list[np.ndarray], members: list[int]) -> float:
     """Dot product over the layers ``members`` of two per-layer lists: one
-    ``ndarray.dot`` per slice of at most ``DOT_CHUNK`` entries, summed in
-    layer and slice order from the first term; 0.0 for no entries."""
-    total = None
-    for i in members:
-        x, y = a[i], b[i]
-        for s in range(0, x.size, DOT_CHUNK):  # a short layer takes no slice views
-            d = x.dot(y) if x.size <= DOT_CHUNK else x[s:s + DOT_CHUNK].dot(y[s:s + DOT_CHUNK])
-            total = d if total is None else total + d
-    return 0.0 if total is None else total
+    ``ndarray.dot`` per slice of at most ``DOT_CHUNK`` entries (``_pieces``),
+    summed in layer and slice order from the first term; 0.0 for no entries."""
+    (pieces,) = _pieces([members], {i: a[i].size for i in members})
+    total = 0.0
+    for n, (i, s) in enumerate(pieces):
+        d = a[i].dot(b[i]) if s is None else a[i][s].dot(b[i][s])
+        total = total + d if n else d
+    return total
 
 
 def cosine_alignment(u: np.ndarray, td: np.ndarray, eps: float) -> float:
@@ -217,8 +217,9 @@ def decide(u: list[np.ndarray], live: list[np.ndarray], anchor: list[np.ndarray]
                                       _pieces(members, [v.size for v in u]), first, cfg), first)
 
 
-def _pieces(members: list[list[int]], sizes: list[int]) -> list[list[tuple]]:
-    """Per group, ``group_dot``'s (layer, slice or None: whole) dot pieces, in order."""
+def _pieces(members: list[list[int]], sizes) -> list[list[tuple]]:
+    """Per group, its (layer, slice) pieces of at most ``DOT_CHUNK`` entries in
+    layer and slice order, layer i having ``sizes[i]``; None slices a whole layer."""
     return [[(i, None if sizes[i] <= DOT_CHUNK else slice(s, s + DOT_CHUNK))
              for i in group for s in range(0, sizes[i], DOT_CHUNK)]
             for group in members]
@@ -256,25 +257,11 @@ def _decide(grads, scale, live, anchor, pieces, first, cfg) -> tuple[np.ndarray,
     return np.array(cosines, dtype=np.float64), mask
 
 
-def warmup_scale(cfg: GalaConfig, j: int) -> float:
-    """Ramp factor for the j-th sample of a window (j >= 1).
-
-    The first ``warmup_len`` samples of each window are scaled by
-    j / warmup_len; everything else gets 1, so ``warmup_len`` 0 turns
-    warm-up off.
-    """
-    if cfg.warmup_len == 0:
-        return 1.0
-    if j < 1:
-        raise ConfigurationError("warmup_scale needs j >= 1")
-    if j <= cfg.warmup_len:
-        return j / cfg.warmup_len
-    return 1.0
-
-
 class GalaPolicy:
     """Gala as a scale policy: per group, the selection mask times the
-    warm-up factor. One instance per adaptation pass.
+    warm-up factor. One instance per adaptation pass. The j-th step of a
+    window (from 1) is scaled by j / warmup_len while j <= warmup_len, and
+    by 1 after, so ``warmup_len`` 0 turns warm-up off.
 
     ``steps`` counts the steps taken. On the first step of each window
     (every ``window_size`` steps; an infinite window has only the first)
@@ -294,7 +281,7 @@ class GalaPolicy:
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
                lr: float) -> tuple[np.ndarray, SelectionDecision]:
-        """``decide``'s body on u = -lr * grads, times ``warmup_scale``'s ramp."""
+        """``decide``'s body on u = -lr * grads, times the warm-up ramp."""
         cfg = self.cfg
         j = self.steps % cfg.window_size  # x % inf is x: one endless window
         self.steps += 1

@@ -87,11 +87,16 @@ def generalization(network: Network, final_params: ModelParameters, holdout: Bat
     return accuracy(network, final_params, holdout)
 
 
-def forgetting(network: Network, pretrained: ModelParameters, final_params: ModelParameters,
-               source_holdout: Batch) -> float:
+def forgetting(
+    network: Network,
+    pretrained: ModelParameters,
+    final_params: ModelParameters,
+    source_holdout: Batch,
+) -> float:
     """Source accuracy lost during adaptation; negative means a gain."""
-    return (accuracy(network, pretrained, source_holdout)
-            - accuracy(network, final_params, source_holdout))
+    return accuracy(network, pretrained, source_holdout) - accuracy(
+        network, final_params, source_holdout
+    )
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -145,8 +150,13 @@ def selection_frequency(record: RunRecord) -> dict[str, float]:
     return {g: float(c / denom) for g, c in zip(record.group_names, counts)}
 
 
-def summarize(network: Network, pretrained: ModelParameters, record: RunRecord,
-              target_holdout: Batch, source_holdout: Batch) -> MetricsSummary:
+def summarize(
+    network: Network,
+    pretrained: ModelParameters,
+    record: RunRecord,
+    target_holdout: Batch,
+    source_holdout: Batch,
+) -> MetricsSummary:
     """The run's metrics."""
     return MetricsSummary(
         tta_acc=tta_accuracy(record),

@@ -145,10 +145,11 @@ class ModelParameters:
     layer_names: list[str]
 
     def run(self, r: int) -> "ModelParameters":
-        """Run r of stacked parameters, as views of its rows; run 0 of one
-        model, with no run axis, is its layers."""
-        return ModelParameters([v.reshape(-1, v.shape[-1])[r] for v in self.layers],
-                               self.layer_names)
+        """Run r of stacked parameters, as views of its rows; one model, with
+        no run axis, is its own run."""
+        if self.layers[0].ndim == 1:
+            return self
+        return ModelParameters([v[r] for v in self.layers], self.layer_names)
 
     def copy(self) -> "ModelParameters":
         return ModelParameters([v.copy() for v in self.layers], list(self.layer_names))
@@ -337,13 +338,15 @@ class Network:
 
     def _check_params(self, params: ModelParameters):
         if len(params.layers) != len(self.specs):
-            raise ConfigurationError(f"expected {len(self.specs)} parameter vectors, "
-                                     f"got {len(params.layers)}")
+            raise ConfigurationError(
+                f"expected {len(self.specs)} parameter vectors, got {len(params.layers)}"
+            )
         runs = params.layers[0].shape[:-1]
         for i, (vec, count) in enumerate(zip(params.layers, self._param_counts)):
             if vec.shape != (*runs, count):
-                raise ConfigurationError(f"layer {i} expects {count} parameters, "
-                                         f"got shape {vec.shape}")
+                raise ConfigurationError(
+                    f"layer {i} expects {count} parameters, got shape {vec.shape}"
+                )
 
     def _stacked(self, params: ModelParameters,
                  batch: Batch | None) -> tuple[list[np.ndarray], tuple[int, ...]]:
@@ -359,18 +362,15 @@ class Network:
             raise ConfigurationError(f"{runs} batches for {len(params.layers[0])} runs")
         return [v[None] for v in params.layers] if one else params.layers, (runs,)
 
-    def _views(self, layers: list[np.ndarray]) -> list[tuple]:
-        return [self._view(i, vec) for i, vec in enumerate(layers)]
-
     def _view(self, i: int, vec: np.ndarray) -> tuple:
         """The views of layer i's parameters ``vec`` that a pass reads: a
-        dense layer's transposed weight, bias and weight, a normalization
-        layer's scale and offset, each with vec's run axis, if any, and one
-        to broadcast over the batch. A pass takes them once per layer array."""
+        dense layer's transposed weight and bias, a normalization layer's
+        scale and offset, each with vec's run axis, if any, and one to
+        broadcast over the batch. A pass takes them once per layer array."""
         dense, m, shape, _, _ = self._kernels[i]
         if dense:
-            w = vec[..., :m].reshape(*vec.shape[:-1], *shape)
-            return w.swapaxes(-1, -2), vec[..., None, m:], w
+            return (vec[..., :m].reshape(*vec.shape[:-1], *shape).swapaxes(-1, -2),
+                    vec[..., None, m:])
         return vec[..., None, :m], vec[..., None, m:]
 
     def _layer_forward(self, i: int, x: np.ndarray, view: tuple, update_stats: bool):
@@ -378,16 +378,16 @@ class Network:
         model's, k runs' on the inputs of k runs, or one row they share.
 
         Returns the layer's output, its affine map activated in place, and
-        its backward cache: (src, w) for a dense layer, src being its input,
+        its backward cache: (src, wt) for a dense layer, src being its input,
         and (src, inv_std, gamma) for normalization, src being the
         standardized input, each with x's run axis or a broadcast one. The
         backward reads the output from the pass's activations."""
         dense, _, _, act, _ = self._kernels[i]
         if dense:
-            wt, b, w = view
+            wt, b = view
             z = x @ wt
             z += b  # in place: one temporary fewer, same bytes
-            cache = x, w
+            cache = x, wt
         else:
             gamma, beta = view
             if x.shape[-2] >= 2:
@@ -416,8 +416,10 @@ class Network:
 
     def _check_input(self, x: np.ndarray, i: int):
         if x.shape[-1] != self.specs[i].input_dim:
-            raise ConfigurationError(f"batch input_dim {x.shape[-1]} does not match layer {i} "
-                                     f"input_dim {self.specs[i].input_dim}")
+            raise ConfigurationError(
+                f"batch input_dim {x.shape[-1]} does not match layer {i} "
+                f"input_dim {self.specs[i].input_dim}"
+            )
 
     def _inputs(self, inputs: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
         """A batch's inputs, checked, on the pass's run axis ``lead``: a
@@ -464,7 +466,7 @@ class Network:
         if first < len(self.specs):
             self._check_input(acts[first], first)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._restart(self._views(layers), acts, starts)
+            return self._restart([self._view(i, v) for i, v in enumerate(layers)], acts, starts)
 
     def _restart(self, views: list[tuple], acts: list[np.ndarray],
                  starts: tuple[int, ...]) -> np.ndarray:
@@ -557,8 +559,8 @@ class Network:
         stacked, lead, plan = self._checked(params, batch, loss, layers, update_norm_stats)
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads, probs, acts = self._loss_pass(
-                self._views(stacked), self._inputs(batch.inputs, lead), batch.labels, loss,
-                plan, update_norm_stats)
+                [self._view(i, v) for i, v in enumerate(stacked)],
+                self._inputs(batch.inputs, lead), batch.labels, loss, plan, update_norm_stats)
         if not lead:
             return values[0], grads[0], probs, acts
         return values, grads, probs, acts
@@ -632,7 +634,7 @@ class Network:
             if below < k:
                 dx, arrays = dx[:below], [v[:below] for v in arrays]
             if dense:
-                dx = dx @ arrays[1]
+                dx = dx @ arrays[1].swapaxes(-1, -2)
             elif src.shape[-2] >= 2:  # batch statistics
                 xhat, inv_std, gamma = arrays
                 nb = xhat.shape[-2]

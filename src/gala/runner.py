@@ -88,38 +88,37 @@ def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: Lo
     _, lead, plan = network._checked(params, batch, loss,
                                      [policy.grad_layers for policy in policies])
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(network, params, network._views(params.layers),
-                     [params.run(r) for r in range(len(policies))],
+        return _step(network, params, [network._view(i, v) for i, v in enumerate(params.layers)],
                      network._inputs(batch.inputs, lead), batch.labels, loss, opt, policies,
                      plan)
 
 
-def _step(network: Network, params: ModelParameters, views: list, runs: list, x: np.ndarray,
-          labels, loss: LossKind, opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
+def _step(network: Network, params: ModelParameters, views: list, x: np.ndarray, labels,
+          loss: LossKind, opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
     """``adapt_step`` after its checks, inside the caller's ``np.errstate``, on
-    inputs x, ``Network._views``, each run's ``params.run(r)`` and the plan of
-    ``Network._checked``. A moved layer's copy replaces its array, views and
-    rows there, so a pass keeps them for its next step."""
+    inputs x, each layer's ``Network._view`` and the plan of
+    ``Network._checked``. A moved layer's copy replaces its array and views
+    there, so a pass keeps them for its next step."""
     lr = opt.learning_rate
     losses, grads, probs, acts = network._loss_pass(views, x, labels, loss, plan)
     n = len(views)
     copied: set[int] = set()
     starts, decisions = [], []
-    for policy, run, g in zip(policies, runs, grads):
+    for r, (policy, g) in enumerate(zip(policies, grads)):
+        run = params.run(r)
         scales, decision = policy.select(g, run, lr)
         start = n
         for members, s in zip(policy.grouping.members, scales):
             if s:
                 for i in members:
                     if i not in copied:
-                        v = params.layers[i] = params.layers[i].copy()
-                        views[i] = network._view(i, v)
-                        for other, row in zip(runs, v.reshape(len(runs), -1)):
-                            other.layers[i] = row
+                        probs = None  # the restarted forward replaces them
+                        v = params.layers[i].copy()
+                        run.layers[i] = v.reshape(len(policies), -1)[r]
+                        params.layers[i], views[i] = v, network._view(i, v)
                         copied.add(i)
-                    u = -lr * g[i]
                     row = run.layers[i]
-                    row += u if s == 1.0 else s * u  # 1.0 * u is u
+                    row += -lr * g[i] if s == 1.0 else s * (-lr * g[i])  # 1.0 * u is u
                     if i < start:
                         start = i
         starts.append(start)
@@ -164,25 +163,27 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
               loss: LossKind, opt: OptimizerConfig, policies) -> list[RunRecord]:
     """``adapt`` for runs that step: ``adapt_step``'s checks once, for
     unlabeled shared batches, then its body once per batch, checking only
-    the batch's inputs, on views and rows taken once; one ``np.errstate``
+    the batch's inputs, on parameter views taken once; one ``np.errstate``
     covers the pass. One run keeps no run axis."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
-    _, lead, plan = network._checked(params, None, loss,
-                                     [policy.grad_layers for policy in policies])
+    lead, plan = network._checked(params, None, loss,
+                                  [policy.grad_layers for policy in policies])[1:]
     if lead == (1,):  # one run: the row of the checked copy, with no run axis
         params.layers, lead = [v[0] for v in params.layers], ()
-    views, runs = network._views(params.layers), [params.run(r) for r in range(len(policies))]
-    steps = []  # per step: hits, decisions, losses; each by run
+    views = [network._view(i, v) for i, v in enumerate(params.layers)]
+    hits, decisions, losses = [], [], []  # per step, each by run
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in stream.adapt_batches:
-            res = _step(network, params, views, runs, network._inputs(batch.inputs, lead), None,
-                        loss, opt, policies, plan)
-            hits = res.probs.argmax(axis=-1) == batch.labels
-            steps.append((hits.reshape(len(runs), -1), res.decisions, res.losses))
-    return [RunRecord(list(policy.grouping.names),
-                      *([step[field][r] for step in steps] for field in range(3)), run)
-            for r, (policy, run) in enumerate(zip(policies, runs))]
+            res = _step(network, params, views, network._inputs(batch.inputs, lead), None, loss,
+                        opt, policies, plan)
+            hits.append(res.probs.argmax(axis=-1) == batch.labels)
+            decisions.append(res.decisions)
+            losses.append(res.losses)
+    # one run keeps its hit arrays whole: a row view each would outweigh them
+    return [RunRecord(list(policy.grouping.names), [h[r] if lead else h for h in hits],
+                      [d[r] for d in decisions], [v[r] for v in losses], params.run(r))
+            for r, policy in enumerate(policies)]
 
 
 def _chunks(batches):

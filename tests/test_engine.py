@@ -25,7 +25,6 @@ from gala import (
     cosine_via_decomposition,
     decide,
     vector_angle,
-    warmup_scale,
 )
 from gala.engine import DOT_CHUNK, group_dot
 from helpers import counted_kernels, single_step
@@ -146,15 +145,6 @@ def test_decide_mask_implies_threshold_outside_first_sample():
         for c, m in zip(d.cosines, d.mask):
             if m:
                 assert c > cfg.threshold
-
-
-def test_warmup_scale_ramp():
-    cfg = GalaConfig(warmup_len=3)
-    assert warmup_scale(cfg, 1) == pytest.approx(1.0 / 3.0)
-    assert warmup_scale(cfg, 2) == pytest.approx(2.0 / 3.0)
-    assert warmup_scale(cfg, 3) == 1.0
-    assert warmup_scale(cfg, 4) == 1.0
-    assert warmup_scale(GalaConfig(warmup_len=0), 1) == 1.0
 
 
 class FixedScalePolicy:
