@@ -8,7 +8,6 @@ from .engine import (
     build_grouping,
     cosine_alignment,
     cosine_via_decomposition,
-    decide,
     vector_angle,
 )
 from .baselines import (
@@ -39,7 +38,6 @@ from .metrics import (
     write_trace,
 )
 from .runner import (
-    adapt_step,
     oracle_sweep,
     run_baseline,
     run_gala,

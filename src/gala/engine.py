@@ -189,34 +189,6 @@ def vector_angle(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(group_dot(a, b, [0]) / (na * nb), -1.0, 1.0)))
 
 
-def decide(u: list[np.ndarray], live: list[np.ndarray], anchor: list[np.ndarray],
-           members: list[list[int]], first: bool, cfg: GalaConfig) -> SelectionDecision:
-    """Choose which groups the current sample may update.
-
-    ``u`` holds the per-layer proposed updates (-lr * gradient), ``live``
-    the pre-update layer parameters, ``anchor`` the layer parameters at
-    the last reset and ``members[k]`` group k's layers; ``first`` marks
-    the first sample after a reset, which selects every group regardless
-    of threshold or granularity. After that, single_layer and block modes
-    select the argmax-cosine group if it clears the threshold (ties to
-    the lowest group index), while multi_layer selects every group that
-    clears it. A sample whose every group fails is skipped.
-
-    A group's cosine is that of u and r = (live - anchor) + u over its
-    layers, each dot summed as ``group_dot`` sums it: on one layer, the
-    same operations in the same order as ``cosine_alignment``, so it
-    matches that bit for bit. After its checks it runs ``_decide``, which
-    ``GalaPolicy`` calls directly.
-    """
-    if not len(u) == len(live) == len(anchor):
-        raise ConfigurationError("layer count mismatch in decide")
-    if any(not ui.shape == g.shape == a.shape for ui, g, a in zip(u, live, anchor)):
-        raise ConfigurationError("layer shape mismatch in decide")
-    # u is 1.0 * u, bit for bit
-    return SelectionDecision(*_decide(u, 1.0, live, anchor,
-                                      _pieces(members, [v.size for v in u]), first, cfg), first)
-
-
 def _pieces(members: list[list[int]], sizes) -> list[list[tuple]]:
     """Per group, its (layer, slice) pieces of at most ``DOT_CHUNK`` entries in
     layer and slice order, layer i having ``sizes[i]``; None slices a whole layer."""
@@ -226,9 +198,13 @@ def _pieces(members: list[list[int]], sizes) -> list[list[tuple]]:
 
 
 def _decide(grads, scale, live, anchor, pieces, first, cfg) -> tuple[np.ndarray, np.ndarray]:
-    """``decide`` after its checks, on u = scale * grads and the groups'
-    ``_pieces``: the cosines and the mask. It forms u and r piece by
-    piece, so it holds no more than one piece of each."""
+    """The cosines (nan where undefined) and the mask of one step, on
+    u = scale * grads, ``live`` and ``anchor`` per layer and the groups'
+    ``_pieces``; a group's cosine is that of u and r = (live - anchor) + u,
+    each dot summed as ``group_dot`` sums it. A window's ``first`` sample
+    selects every group; later, single_layer and block select the
+    argmax-cosine group if it clears the threshold (ties to the lowest index),
+    multi_layer every group that clears it. It forms u and r piece by piece."""
     eps = cfg.epsilon
     cosines = []
     for group in pieces:
@@ -281,7 +257,7 @@ class GalaPolicy:
 
     def select(self, grads: list[np.ndarray], params: ModelParameters,
                lr: float) -> tuple[np.ndarray, SelectionDecision]:
-        """``decide``'s body on u = -lr * grads, times the warm-up ramp."""
+        """``_decide`` on u = -lr * grads, times the warm-up ramp."""
         cfg = self.cfg
         j = self.steps % cfg.window_size  # x % inf is x: one endless window
         self.steps += 1

@@ -414,17 +414,12 @@ class Network:
             act(z, z)
         return z, cache
 
-    def _check_input(self, x: np.ndarray, i: int):
-        if x.shape[-1] != self.specs[i].input_dim:
-            raise ConfigurationError(
-                f"batch input_dim {x.shape[-1]} does not match layer {i} "
-                f"input_dim {self.specs[i].input_dim}"
-            )
-
     def _inputs(self, inputs: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
         """A batch's inputs, checked, on the pass's run axis ``lead``: a
         shared batch broadcast as every run's input, with no copy."""
-        self._check_input(inputs, 0)
+        if inputs.shape[-1] != self.input_dim:
+            raise ConfigurationError(f"batch input_dim {inputs.shape[-1]} does not match "
+                                     f"layer 0 input_dim {self.input_dim}")
         if inputs.ndim == 2:
             return np.broadcast_to(inputs, lead + inputs.shape) if lead else inputs
         runs = lead[0] if lead else 1
@@ -440,38 +435,21 @@ class Network:
         return NumericsError(f"non-finite activation at layer {i} ({self.layer_names[i]})",
                              [live[b] for b in np.flatnonzero(bad)])
 
-    def forward(self, params: ModelParameters, batch: Batch, start: int | Sequence[int] = 0,
-                acts: list[np.ndarray] | None = None) -> np.ndarray:
+    def forward(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         """Class probabilities, rows summing to one: (B, C) for one model,
-        (R, B, C) for R stacked ones or R per-run batches.
-
-        With ``start`` > 0 only layers ``start`` and up run, on
-        ``acts[start]``: ``acts`` is the activation list that
-        ``loss_and_gradients`` returned for the same batch. Stacked models
-        may give one start per run, in any order; a run starting at
-        ``len(specs)`` keeps the logits of ``acts``. Each layer runs for
-        exactly the runs that start at or below it, and keeps no backward
-        cache. When the layers below a run's start hold the parameters of
-        the pass behind ``acts``, its result equals a full forward bit for
-        bit.
-        """
+        (R, B, C) for R stacked ones or R per-run batches."""
         layers, lead = self._stacked(params, batch)
-        runs = lead[0] if lead else 1
-        starts = (start,) * runs if isinstance(start, (int, np.integer)) else tuple(start)
-        first = min(starts)
-        if first and acts is None:
-            raise ValueError(f"forward from layer {first} needs that layer's input")
-        if acts is None:
-            acts = [self._inputs(batch.inputs, lead)]
-        if first < len(self.specs):
-            self._check_input(acts[first], first)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._restart([self._view(i, v) for i, v in enumerate(layers)], acts, starts)
+            return self._restart([self._view(i, v) for i, v in enumerate(layers)],
+                                 [self._inputs(batch.inputs, lead)],
+                                 (0,) * (lead[0] if lead else 1))
 
     def _restart(self, views: list[tuple], acts: list[np.ndarray],
                  starts: tuple[int, ...]) -> np.ndarray:
-        """``forward`` after its checks: run r of the parameter views
-        ``views`` from layer ``starts[r]``, on the activations ``acts``."""
+        """Run r of the parameter views ``views`` from layer ``starts[r]``,
+        starts in any order, on the activations ``acts`` of a loss pass (the
+        inputs alone when every start is 0): a full forward's bytes when the
+        layers below each start hold the pass's parameters."""
         first, rows, steps = _forward_plan(starts, len(self.specs))
         x = acts[first] if rows is None else acts[first][rows]
         for i, live, spans, join in steps:
@@ -551,10 +529,11 @@ class Network:
 
         The probabilities are the same computation as ``forward`` on the
         same params and batch, so they match it bit for bit; the
-        activations let ``forward`` restart above layers that did not
-        change. Unsupervised losses refuse labeled batches so adaptation
-        code cannot accidentally leak labels into the update path. After
-        its checks it runs ``_loss_pass``, which a pass calls directly.
+        activations let a step restart the forward pass (``_restart``)
+        above layers that did not change. Unsupervised losses refuse
+        labeled batches so adaptation code cannot accidentally leak labels
+        into the update path. After its checks it runs ``_loss_pass``,
+        which a pass calls directly.
         """
         stacked, lead, plan = self._checked(params, batch, loss, layers, update_norm_stats)
         with np.errstate(over="ignore", invalid="ignore"):

@@ -51,54 +51,18 @@ from .shiftbench import ShiftStream
 FROZEN_CHUNK_ROWS = 256
 
 
-@dataclass
-class StepResult:
-    """One step of R runs in lockstep: (R, B, C) probabilities and one
-    entry per run in every list."""
-
-    decisions: list[SelectionDecision]
-    probs: np.ndarray
-    losses: list[float]
-
-
-def adapt_step(network: Network, params: ModelParameters, batch: Batch, loss: LossKind,
-               opt: OptimizerConfig, policies) -> StepResult:
-    """One online adaptation step of R runs: propose, scale, update, predict.
-
-    ``params`` stacks the runs' parameters on a run axis ((R, P_i) per
-    layer) and ``policies`` holds one policy per run, which sees its own
-    run's rows; every run sees the same batch.
-
-    The loss pass backpropagates each run only down to the lowest layer
-    in its ``policy.grad_layers``, the layers whose gradients the policy
-    can read or move; the other gradients are None. The updates are made
-    once the whole backward pass is done, and no array is written: in
-    ``params``, each layer that any run moves is replaced by an updated
-    copy, and every other layer keeps its array. So no gradient sees a
-    moved weight, and views taken before the step keep their values.
-    Predictions come from the post-update parameters: the step reruns the
-    forward pass of each run from the lowest layer it moved, on the input
-    the loss pass fed that layer, since the layers below hold the same
-    parameters on the same batch. When no run moves, it reports the loss
-    pass's probabilities and runs no second forward pass. Either way each
-    run's results match a full backward and a full forward of that run
-    alone bit for bit. It makes every check of ``Network.loss_and_gradients``, then
-    runs ``_step``, the body ``adapt`` steps through after checking once.
-    """
-    _, lead, plan = network._checked(params, batch, loss,
-                                     [policy.grad_layers for policy in policies])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _step(network, params, [network._view(i, v) for i, v in enumerate(params.layers)],
-                     network._inputs(batch.inputs, lead), batch.labels, loss, opt, policies,
-                     plan)
-
-
 def _step(network: Network, params: ModelParameters, views: list, x: np.ndarray, labels,
-          loss: LossKind, opt: OptimizerConfig, policies, plan: tuple) -> StepResult:
-    """``adapt_step`` after its checks, inside the caller's ``np.errstate``, on
-    inputs x, each layer's ``Network._view`` and the plan of
-    ``Network._checked``. A moved layer's copy replaces its array and views
-    there, so a pass keeps them for its next step."""
+          loss: LossKind, opt: OptimizerConfig, policies,
+          plan: tuple) -> tuple[list[SelectionDecision], np.ndarray, list[float]]:
+    """One adaptation step of R runs, inside the caller's ``np.errstate``, on
+    inputs x, each layer's ``Network._view`` and the plan of ``Network._checked``:
+    each run's decision, the post-update probabilities ((R, B, C), or (B, C)
+    with no run axis) and each run's loss. A run backpropagates only down to
+    its lowest ``grad_layers`` layer. A moved layer's copy replaces its array
+    and views, so no array given is written and a pass keeps them for its next
+    step. A run's forward restarts at the lowest layer it moved; with no move
+    the loss pass's probabilities stand. Either way a run's results are those
+    of a full backward and a full forward of that run alone, bit for bit."""
     lr = opt.learning_rate
     losses, grads, probs, acts = network._loss_pass(views, x, labels, loss, plan)
     n = len(views)
@@ -125,7 +89,7 @@ def _step(network: Network, params: ModelParameters, views: list, x: np.ndarray,
         decisions.append(decision)
     if copied:
         probs = network._restart(views, acts, tuple(starts))
-    return StepResult(decisions, probs, losses)
+    return decisions, probs, losses
 
 
 def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, loss: LossKind,
@@ -139,8 +103,10 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
     the policies come in. A run with no ``grad_layers`` never moves, so no
     batch depends on the one before: it is evaluated first, in chunks (see
     ``_frozen_record``), and its record equals that of stepping it. A
-    NumericsError names the runs by their index in ``policies``. The
-    stepping runs are checked once, with ``adapt_step``'s errors.
+    NumericsError names the runs by their index in ``policies``. The stepping
+    runs are checked once, with ``Network.loss_and_gradients``' errors. Each
+    run adapts a copy of ``pretrained``, which is never written and shares no
+    memory with any record's final parameters.
     """
     moving = sorted((r for r, policy in enumerate(policies) if policy.grad_layers),
                     key=lambda r: min(policies[r].grad_layers))
@@ -161,8 +127,8 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
 
 def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream,
               loss: LossKind, opt: OptimizerConfig, policies) -> list[RunRecord]:
-    """``adapt`` for runs that step: ``adapt_step``'s checks once, for
-    unlabeled shared batches, then its body once per batch, checking only
+    """``adapt`` for runs that step: ``Network._checked`` once, for
+    unlabeled shared batches, then ``_step`` once per batch, checking only
     the batch's inputs, on parameter views taken once; one ``np.errstate``
     covers the pass. One run keeps no run axis."""
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
@@ -175,11 +141,12 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
     hits, decisions, losses = [], [], []  # per step, each by run
     with np.errstate(over="ignore", invalid="ignore"):
         for batch in stream.adapt_batches:
-            res = _step(network, params, views, network._inputs(batch.inputs, lead), None, loss,
-                        opt, policies, plan)
-            hits.append(res.probs.argmax(axis=-1) == batch.labels)
-            decisions.append(res.decisions)
-            losses.append(res.losses)
+            decided, probs, values = _step(network, params, views,
+                                           network._inputs(batch.inputs, lead), None, loss,
+                                           opt, policies, plan)
+            hits.append(probs.argmax(axis=-1) == batch.labels)
+            decisions.append(decided)
+            losses.append(values)
     # one run keeps its hit arrays whole: a row view each would outweigh them
     return [RunRecord(list(policy.grouping.names), [h[r] if lead else h for h in hits],
                       [d[r] for d in decisions], [v[r] for v in losses], params.run(r))

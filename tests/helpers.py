@@ -1,21 +1,42 @@
 """Shared test utilities: independent loss recomputation, finite
-differences, a one-run adaptation step and a run's digest."""
+differences, the selection criterion on given proposals, one adaptation
+step and a run's digest."""
 
 import hashlib
 from types import SimpleNamespace
 
 import numpy as np
 
-from gala import Batch, LayerSpec, ModelParameters, Network, adapt_step
+from gala import Batch, LayerSpec, ModelParameters, Network, SelectionDecision
+from gala.engine import _decide, _pieces
+from gala.runner import _step
+
+
+def decide(u, live, anchor, members, first, cfg):
+    """The criterion on proposals ``u`` as a SelectionDecision: u is 1.0 * u."""
+    pieces = _pieces(members, [v.size for v in u])
+    return SelectionDecision(*_decide(u, 1.0, live, anchor, pieces, first, cfg), first)
+
+
+def step(network, params, batch, loss, opt, policies):
+    """``runner._step`` for R runs stacked in ``params``, after the checks of
+    ``Network._checked``: its (decisions, probs, losses). A moved layer's
+    copy replaces its array in ``params``."""
+    _, lead, plan = network._checked(params, batch, loss,
+                                     [policy.grad_layers for policy in policies])
+    views = [network._view(i, v) for i, v in enumerate(params.layers)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(network, params, views, network._inputs(batch.inputs, lead),
+                     batch.labels, loss, opt, policies, plan)
 
 
 def single_step(network, params, batch, loss, opt, policy):
-    """``adapt_step`` for one model and one policy: the run axis is added
-    to ``params`` as views and dropped from every result."""
+    """``step`` for one model and one policy: the run axis is added to
+    ``params`` as views and dropped from every result."""
     stacked = ModelParameters([v[None] for v in params.layers], params.layer_names)
-    res = adapt_step(network, stacked, batch, loss, opt, [policy])
-    return SimpleNamespace(params=stacked.run(0), decision=res.decisions[0],
-                           probs=res.probs[0], loss=res.losses[0])
+    decisions, probs, losses = step(network, stacked, batch, loss, opt, [policy])
+    return SimpleNamespace(params=stacked.run(0), decision=decisions[0], probs=probs[0],
+                           loss=losses[0])
 
 
 def counted_kernels(network, count):

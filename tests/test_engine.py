@@ -23,11 +23,10 @@ from gala import (
     build_stream,
     cosine_alignment,
     cosine_via_decomposition,
-    decide,
     vector_angle,
 )
 from gala.engine import DOT_CHUNK, group_dot
-from helpers import counted_kernels, single_step
+from helpers import counted_kernels, decide, single_step
 
 EPS = 1e-12
 
@@ -145,6 +144,10 @@ def test_decide_mask_implies_threshold_outside_first_sample():
         for c, m in zip(d.cosines, d.mask):
             if m:
                 assert c > cfg.threshold
+    for c in (-1.0, 0.0, 1.0):  # exact cosines: one equal to the threshold does not clear it
+        for gran in ("single_layer", "multi_layer"):
+            d = decision_for([c, c], GalaConfig(threshold=c, granularity=gran))
+            assert d.cosines.tolist() == [c, c] and d.skipped
 
 
 class FixedScalePolicy:

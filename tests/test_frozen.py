@@ -17,12 +17,11 @@ from gala import (
     NumericsError,
     OptimizerConfig,
     SelectorKind,
-    adapt_step,
     baseline_policy,
     build_grouping,
 )
 from gala.runner import FROZEN_CHUNK_ROWS, adapt
-from helpers import diverging_relu_net
+from helpers import diverging_relu_net, step
 from test_lockstep import mixed_net, mixed_policy_makers, stream_of
 
 
@@ -113,7 +112,7 @@ def test_frozen_run_takes_one_loss_pass_per_chunk(monkeypatch, sizes):
 @pytest.mark.parametrize("batch_size", [1, 5])
 def test_erm_in_a_mixed_pass(batch_size):
     """Among the 8 mixed policies, the erm run equals the per-step loop and
-    every moving run equals its own adapt_step loop, byte for byte."""
+    every moving run equals its own one-run step loop, byte for byte."""
     net, params = mixed_net()
     stream = stream_of(batch_size, steps=30)
     loss, opt = LossKind("shot_im"), OptimizerConfig(0.4)
@@ -129,9 +128,9 @@ def test_erm_in_a_mixed_pass(batch_size):
         single = ModelParameters([v[None].copy() for v in params.layers], params.layer_names)
         hits, losses = [], []
         for batch in stream.adapt_batches:
-            res = adapt_step(net, single, Batch(batch.inputs), loss, opt, [policy])
-            hits.append(res.probs[0].argmax(axis=1) == batch.labels)
-            losses.append(res.losses[0])
+            _, probs, values = step(net, single, Batch(batch.inputs), loss, opt, [policy])
+            hits.append(probs[0].argmax(axis=1) == batch.labels)
+            losses.append(values[0])
         assert [c.tobytes() for c in records[r].correct] == [h.tobytes() for h in hits], r
         assert records[r].losses == losses, r
         for a, b in zip(records[r].final_params.layers, single.layers):

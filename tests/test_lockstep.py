@@ -21,18 +21,18 @@ from gala import (
     Network,
     OptimizerConfig,
     SelectorKind,
-    adapt_step,
     baseline_policy,
     build_grouping,
     oracle_sweep,
     tta_accuracy,
 )
-from gala.runner import _lockstep, adapt, run_selector
+from gala.runner import adapt, run_selector
 from helpers import (
     _min_relu_margin,
     counted_kernels,
     finite_difference_grads,
     gradient_relative_error,
+    step,
 )
 
 NORM_EPS = 1e-5
@@ -194,9 +194,11 @@ def reference_gala(net, params, stream, variant, lr, cfg, members):
     one in multi_layer, else the highest, ties to the lowest group); the
     update scaled by the j / warmup_len ramp; hits from a full forward
     after it. A cfg of None is all_layers: every group, scale 1, every
-    step. Returns hits, losses, cosines, masks and the final layers."""
+    step, in no window. Returns hits, losses, cosines, masks, each step's
+    flags (a window's first step, the ramp, a window's last step) and the
+    final layers."""
     layers = [v.copy() for v in params.layers]
-    hits, losses, cosines, masks = [], [], [], []
+    hits, losses, cosines, masks, flags = [], [], [], [], []
     anchor = None
     for step, batch in enumerate(stream.adapt_batches):
         window = math.inf if cfg is None else cfg.window_size
@@ -235,7 +237,8 @@ def reference_gala(net, params, stream, variant, lr, cfg, members):
         hits.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
         cosines.append(np.array(cos))
         masks.append(mask)
-    return hits, losses, cosines, masks, layers
+        flags.append((cfg is not None and j == 0, ramp, cfg is not None and j + 1 == window))
+    return hits, losses, cosines, masks, flags, layers
 
 
 @st.composite
@@ -277,8 +280,9 @@ def gala_cases(draw):
 def test_gala_and_all_layers_equal_the_reference_run(case, lr):
     """run_gala and run_baseline(all_layers) give the bytes of the paper's
     rule run one step at a time with full passes: hits, losses, cosines,
-    masks and final parameters, over drawn nets, granularities, windows,
-    thresholds, warm-ups, losses and batch sizes."""
+    masks, first-sample, warm-up and reset flags and final parameters, over
+    drawn nets, granularities, windows, thresholds, warm-ups, losses and
+    batch sizes."""
     net, params, stream, variant, cfg = case
     loss, opt = LossKind(variant, SHOT_PL_WEIGHT), OptimizerConfig(lr)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
@@ -288,13 +292,14 @@ def test_gala_and_all_layers_equal_the_reference_run(case, lr):
             (gala.run_baseline(net, params, stream, SelectorKind("all_layers"), loss, opt),
              None, every)]
     for record, rule, groups in runs:
-        hits, losses, cosines, masks, layers = reference_gala(
+        hits, losses, cosines, masks, flags, layers = reference_gala(
             net, params, stream, variant, lr, rule, groups.members)
         assert [c.tobytes() for c in record.correct] == [h.tobytes() for h in hits]
         assert record.losses == losses
         assert [d.mask.tobytes() for d in record.decisions] == [m.tobytes() for m in masks]
         assert ([d.cosines.tobytes() for d in record.decisions]
                 == [c.tobytes() for c in cosines])
+        assert [(d.first_sample, d.warmup, d.reset) for d in record.decisions] == flags
         for got, want in zip(record.final_params.layers, layers):
             assert got.tobytes() == want.tobytes()
 
@@ -372,7 +377,7 @@ def mixed_policy_makers(net, params):
 
 @pytest.mark.parametrize("batch_size", [1, 5])
 def test_lockstep_runs_equal_single_runs(batch_size):
-    """adapt_step with R mixed policies gives, run by run and step by step,
+    """A step of R mixed policies gives, run by run and step by step,
     the bytes of R separate one-run steps: probabilities, loss, cosines,
     mask, flags, warm-up, reset and parameters; adapt's
     records match those of R separate adapt calls."""
@@ -389,12 +394,13 @@ def test_lockstep_runs_equal_single_runs(batch_size):
                for _ in makers]
     for batch in stream.adapt_batches:
         batch = Batch(batch.inputs)
-        res = adapt_step(net, stacked, batch, loss, opt, lockstep)
+        decisions, probs, losses = step(net, stacked, batch, loss, opt, lockstep)
         for r in range(runs):
-            one = adapt_step(net, singles[r], batch, loss, opt, [alone[r]])
-            assert res.probs[r].tobytes() == one.probs[0].tobytes(), r
-            assert res.losses[r] == one.losses[0], r
-            got, want = res.decisions[r], one.decisions[0]
+            (want,), one_probs, (one_loss,) = step(net, singles[r], batch, loss, opt,
+                                                   [alone[r]])
+            assert probs[r].tobytes() == one_probs[0].tobytes(), r
+            assert losses[r] == one_loss, r
+            got = decisions[r]
             assert got.cosines.tobytes() == want.cosines.tobytes(), r
             assert got.mask.tobytes() == want.mask.tobytes(), r
             assert ((got.first_sample, got.warmup, got.reset)
@@ -458,37 +464,6 @@ def test_sweep_does_no_more_layer_work_than_separate_trials(monkeypatch):
         assert together["backward"] > 0
 
 
-@pytest.mark.parametrize("batch_size", [1, 5])
-def test_public_step_equals_the_pass_step(batch_size):
-    """adapt_step, which checks everything it is given, and the pass that
-    checks once and then steps through the same body give the same bytes
-    step by step: R mixed policies in their unsorted order, compared on
-    hits, losses, cosines, masks, flags and final parameters."""
-    net, params = mixed_net()
-    stream = stream_of(batch_size, steps=30)
-    loss, opt = LossKind("shot_im"), OptimizerConfig(0.4)
-    makers = mixed_policy_makers(net, params)
-    policies = [make() for make in makers]
-    stacked = ModelParameters([np.repeat(v[None], len(makers), axis=0) for v in params.layers],
-                              params.layer_names)
-    steps = []
-    for batch in stream.adapt_batches:
-        res = adapt_step(net, stacked, Batch(batch.inputs), loss, opt, policies)
-        steps.append((res.probs.argmax(axis=2) == batch.labels, res.decisions, res.losses))
-    records = _lockstep(net, params, stream, loss, opt, [make() for make in makers])
-    for r, record in enumerate(records):
-        assert [c.tobytes() for c in record.correct] == [s[0][r].tobytes() for s in steps], r
-        assert record.losses == [s[2][r] for s in steps], r
-        for got, (_, decisions, _) in zip(record.decisions, steps):
-            want = decisions[r]
-            assert got.cosines.tobytes() == want.cosines.tobytes(), r
-            assert got.mask.tobytes() == want.mask.tobytes(), r
-            assert ((got.first_sample, got.warmup, got.reset)
-                    == (want.first_sample, want.warmup, want.reset)), r
-        for a, b in zip(record.final_params.layers, stacked.run(r).layers):
-            assert a.tobytes() == b.tobytes(), r
-
-
 def bad_stream(shape):
     rng = np.random.default_rng(74)
     return SimpleNamespace(adapt_batches=[
@@ -526,3 +501,33 @@ def test_pass_refuses_bad_input_before_any_step(case, error, message):
     with pytest.raises(error) as raised:
         gala.run_gala(net, params, stream, loss, OptimizerConfig(0.5), GalaConfig())
     assert str(raised.value) == message.format(1)
+
+
+ENTRY_POINTS = {
+    "gala": lambda net, params, stream, loss, opt: [
+        gala.run_gala(net, params, stream, loss, opt, GalaConfig(window_size=5))],
+    "all_layers": lambda net, params, stream, loss, opt: [
+        gala.run_baseline(net, params, stream, SelectorKind("all_layers"), loss, opt)],
+    "erm": lambda net, params, stream, loss, opt: [
+        gala.run_baseline(net, params, stream, SelectorKind("erm"), loss, opt)],
+    # one run whose layers below its group never move
+    "pinned_oracle": lambda net, params, stream, loss, opt: [gala.run_baseline(
+        net, params, stream, SelectorKind("oracle_best", fixed_group=net.layer_names[-1]),
+        loss, opt)],
+    "oracle_sweep": lambda net, params, stream, loss, opt: oracle_sweep(
+        net, params, stream, loss, opt, build_grouping(
+            net.layer_names, [s.param_count for s in net.specs], "single_layer")).records,
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_adapt_never_writes_pretrained(entry):
+    """Each run adapts a copy: the pretrained parameters keep their bytes,
+    and no layer of a record's final parameters shares memory with them."""
+    net, params = mixed_net()
+    before = [v.tobytes() for v in params.layers]
+    records = entry(net, params, stream_of(5), LossKind("shot_im"), OptimizerConfig(0.4))
+    assert [v.tobytes() for v in params.layers] == before
+    for record in records:
+        for got in record.final_params.layers:
+            assert not any(np.shares_memory(got, v) for v in params.layers)

@@ -228,6 +228,14 @@ def test_backward_layer_subset_matches_full_backward(variant, size):
                 assert grads[i] is None
 
 
+def restart(net, params, acts, starts):
+    """``Network._restart`` of ``params``' views from per-run ``starts`` on
+    a loss pass's ``acts``, inside the ``np.errstate`` a pass sets."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return net._restart([net._view(i, v) for i, v in enumerate(params.layers)], acts,
+                            tuple(starts))
+
+
 @pytest.mark.parametrize("size", [1, 5])
 def test_forward_restart_matches_full_forward(size):
     """Restarting at any layer from the loss pass's input to it gives a
@@ -237,23 +245,16 @@ def test_forward_restart_matches_full_forward(size):
     batch = _loss_batch(rng, "shot_im", size)
     _, _, probs, inputs = net.loss_and_gradients(params, batch, LossKind("shot_im"))
     for start in range(len(net.specs) + 1):
-        assert net.forward(params, batch, start, inputs).tobytes() == probs.tobytes()
+        assert restart(net, params, inputs, [start]).tobytes() == probs.tobytes()
         moved = ModelParameters(
             [v if i < start else v + rng.normal(scale=0.1, size=v.size)
              for i, v in enumerate(params.layers)], list(params.layer_names))
-        assert (net.forward(moved, batch, start, inputs).tobytes()
+        assert (restart(net, moved, inputs, [start]).tobytes()
                 == net.forward(moved, batch).tobytes())
-    with pytest.raises(ValueError, match="layer 3"):
-        net.forward(params, batch, 3)
-    with pytest.raises(ConfigurationError, match="layer 3"):
-        net.forward(params, batch, 3, inputs[:3] + [inputs[3][:, :4]] + inputs[4:])
-    with pytest.raises(ConfigurationError, match="layer 4 expects"):
-        net.forward(ModelParameters(params.layers[:4] + [np.zeros(3)], params.layer_names),
-                    batch, 5, inputs)
     bad = [v.copy() for v in params.layers]
     bad[4][0] = np.inf
     with pytest.raises(NumericsError, match="layer 4"):
-        net.forward(ModelParameters(bad, params.layer_names), batch, 3, inputs)
+        restart(net, ModelParameters(bad, params.layer_names), inputs, [3])
 
 @pytest.mark.parametrize("size", [1, 5])
 def test_forward_per_run_starts_in_any_order(size):
@@ -278,7 +279,7 @@ def test_forward_per_run_starts_in_any_order(size):
     layer_forward = Network._layer_forward
     net._layer_forward = lambda i, x, vec, stats: rows.append((i, len(x))) or layer_forward(
         net, i, x, vec, stats)
-    probs = net.forward(moved, batch, starts, inputs)
+    probs = restart(net, moved, inputs, starts)
     del net._layer_forward
     for i in range(len(net.specs)):
         assert sum(k for j, k in rows if j == i) == sum(s <= i for s in starts), i
@@ -287,7 +288,7 @@ def test_forward_per_run_starts_in_any_order(size):
         assert probs[r].tobytes() == alone.tobytes(), r
     moved.layers[4][6, 0] = np.inf
     with pytest.raises(NumericsError, match="layer 4") as info:
-        net.forward(moved, batch, starts, inputs)
+        restart(net, moved, inputs, starts)
     assert info.value.runs == [6]
 
 

@@ -19,9 +19,8 @@ from gala import (
     OptimizerConfig,
     build_grouping,
     cosine_alignment,
-    decide,
 )
-from helpers import single_step
+from helpers import decide, single_step
 
 EPS = 1e-12
 
