@@ -98,6 +98,17 @@ class Batch:
         return self.inputs.shape[-2]
 
 
+def _cut(inputs: np.ndarray, labels: np.ndarray | None, rows) -> Batch:
+    """Rows ``rows`` (a nonempty slice or index array) of a checked shared
+    batch's inputs and labels, as a Batch that skips ``Batch``'s checks:
+    rows of checked arrays need none. A pass that cuts many batches from
+    one source checks the source once and cuts through here."""
+    batch = object.__new__(Batch)
+    batch.inputs = inputs[rows]
+    batch.labels = None if labels is None else labels[rows]
+    return batch
+
+
 @dataclass(frozen=True)
 class LossKind:
     """Which loss to optimize.
@@ -157,9 +168,6 @@ class ModelParameters:
     @property
     def total_count(self) -> int:
         return int(sum(v.size for v in self.layers))
-
-    def allfinite(self) -> bool:
-        return all(np.all(np.isfinite(v)) for v in self.layers)
 
 
 # Per activation: act(z, z) applies it in place to a layer's affine output, and
@@ -392,14 +400,15 @@ class Network:
             gamma, beta = view
             if x.shape[-2] >= 2:
                 mu = x.mean(axis=-2, keepdims=True)
-                var = x.var(axis=-2, keepdims=True)
-                if update_stats:  # one model (loss_and_gradients checks)
+                src = x - mu
+                # x.var's own arithmetic, on the deviations it would form again
+                var = np.add.reduce(src * src, axis=-2, keepdims=True) / x.shape[-2]
+                if update_stats:  # one model (its callers check)
                     m = _NORM_MOMENTUM
                     rm, rv = self.norm_stats[i]
                     self.norm_stats[i] = ((1 - m) * rm + m * mu.reshape(-1),
                                           (1 - m) * rv + m * var.reshape(-1))
                 inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
-                src = x - mu
             else:
                 # Single-sample batches fall back to frozen statistics, shared
                 # by every run: the layer degrades to a fixed affine transform.
@@ -533,7 +542,7 @@ class Network:
         above layers that did not change. Unsupervised losses refuse
         labeled batches so adaptation code cannot accidentally leak labels
         into the update path. After its checks it runs ``_loss_pass``,
-        which a pass calls directly.
+        which a pass and ``pretrain_erm`` call directly.
         """
         stacked, lead, plan = self._checked(params, batch, loss, layers, update_norm_stats)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -634,7 +643,16 @@ def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
 
 
 def minibatches(data: Batch, batch_size: int, num_steps: int, seed: int = 0) -> Iterator[Batch]:
-    """Deterministic shuffled minibatch stream, cycling epochs as needed."""
+    """Deterministic shuffled minibatch stream from a shared (B, d) batch.
+
+    Each epoch cuts a fresh permutation of ``data`` into full batches of
+    ``batch_size`` (a last partial one is dropped), cycling epochs until
+    ``num_steps`` batches are out. ``data`` is checked once; its batches
+    are its rows (``_cut``) and need no checks of their own.
+    """
+    data = Batch(data.inputs, data.labels)  # no copy of checked arrays
+    if data.inputs.ndim != 2:
+        raise ConfigurationError("minibatches cuts a shared (B, d) batch")
     if batch_size < 1 or batch_size > data.size:
         raise ConfigurationError("batch_size must be in [1, dataset size]")
     rng = np.random.default_rng(seed)
@@ -644,9 +662,7 @@ def minibatches(data: Batch, batch_size: int, num_steps: int, seed: int = 0) -> 
         for start in range(0, data.size - batch_size + 1, batch_size):
             if produced >= num_steps:
                 return
-            idx = order[start : start + batch_size]
-            labels = None if data.labels is None else data.labels[idx]
-            yield Batch(data.inputs[idx], labels)
+            yield _cut(data.inputs, data.labels, order[start : start + batch_size])
             produced += 1
 
 
@@ -664,25 +680,45 @@ def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], va
     """Supervised SGD pretraining over a finite labeled batch stream.
 
     Deterministic given the seed and the stream; an exhausted (empty)
-    stream returns the initialization untouched.
+    stream returns the initialization untouched. Each batch is a labeled,
+    shared (B, d) batch; a batch of two or more samples also moves the
+    normalization layers' running statistics.
+
+    Each step has the bytes of ``loss_and_gradients(params, batch,
+    cross_entropy, update_norm_stats=True)`` and ``vec -= lr * g`` per
+    layer, but the checks that cannot vary run once: the parameters, the
+    loss and the full backward plan. The update is in place, so the layer
+    views taken once stay valid. Per batch it checks the labels, the
+    batch's shape and its input_dim (``Network._inputs``), runs
+    ``Network._loss_pass`` and checks every layer for finite values after
+    the update. A non-finite activation, loss or parameter raises a
+    TrainingError that names the step.
     """
     network = Network(layer_specs)
     params = network.init_params(seed)
-    loss = LossKind("cross_entropy")
+    network._check_params(params)
+    layers, loss, lr = params.layers, LossKind("cross_entropy"), opt.learning_rate
+    plan = _backward_plan((network._every_layer,), len(layers))
+    views = [network._view(i, v) for i, v in enumerate(layers)]
     step = 0
-    for batch in train_stream:
-        if batch.labels is None:
-            raise ValueError("pretraining requires labeled batches")
-        try:
-            _, grads, _, _ = network.loss_and_gradients(params, batch, loss,
-                                                        update_norm_stats=True)
-        except NumericsError as exc:
-            raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
-        for vec, g in zip(params.layers, grads):
-            vec -= opt.learning_rate * g
-        if not params.allfinite():
-            raise TrainingError(f"parameters diverged at step {step}")
-        step += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for batch in train_stream:
+            if batch.labels is None:
+                raise ValueError("pretraining requires labeled batches")
+            if batch.inputs.ndim != 2:
+                raise ValueError("pretraining takes shared (B, d) batches: running "
+                                 "statistics are updated from one model only")
+            x = network._inputs(batch.inputs, ())
+            try:
+                grads = network._loss_pass(views, x, batch.labels, loss, plan, True)[1][0]
+            except NumericsError as exc:
+                raise TrainingError(f"pretraining diverged at step {step}: {exc}") from exc
+            for vec, g in zip(layers, grads):
+                g *= lr  # the pass's own array: the bytes of vec -= lr * g
+                vec -= g
+            if not all(map(_all_finite, layers)):
+                raise TrainingError(f"parameters diverged at step {step}")
+            step += 1
     return PretrainResult(network, params, accuracy(network, params, val), step, seed)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .nn import Batch
+from .nn import Batch, _cut
 
 GEOMETRIES = ("gaussian_blobs", "moons", "rings")
 STREAM_MODES = ("single", "continual")
@@ -146,11 +146,15 @@ def _sample(spec: TaskSpec, n: int, rng) -> Batch:
 
 
 def generate_task(spec: TaskSpec) -> TaskData:
-    """Labeled source train pool and a disjoint source holdout."""
+    """Labeled source train pool and a disjoint source holdout, each from
+    its own random stream of the task seed."""
     train = _sample(spec, spec.samples_per_domain, np.random.default_rng([spec.seed, 0]))
-    holdout_n = max(2 * spec.num_classes, spec.samples_per_domain // 5)
-    holdout = _sample(spec, holdout_n, np.random.default_rng([spec.seed, 1]))
-    return TaskData(train, holdout)
+    return TaskData(train, _source_holdout(spec))
+
+
+def _source_holdout(spec: TaskSpec) -> Batch:
+    n = max(2 * spec.num_classes, spec.samples_per_domain // 5)
+    return _sample(spec, n, np.random.default_rng([spec.seed, 1]))
 
 
 def apply_shift(batch: Batch, shift: ShiftSpec) -> Batch:
@@ -230,8 +234,13 @@ def build_stream(
 
     Each shift gets a fresh draw from the source distribution, is
     corrupted whole, shuffled, and split 80/20 into adaptation batches
-    and pooled target holdout. ``single`` mode takes exactly one shift;
-    ``continual`` concatenates the segments in order.
+    and pooled target holdout; the last adaptation batch of a segment
+    holds what is left when ``batch_size`` does not divide its share.
+    ``single`` mode takes exactly one shift; ``continual`` concatenates
+    the segments in order. The source holdout is ``generate_task``'s,
+    drawn alone. Each segment's arrays are checked once, as a Batch, and
+    its adaptation batches are rows of them, views cut with no checks of
+    their own.
     """
     if mode not in STREAM_MODES:
         raise ConfigurationError(f"unknown stream mode {mode!r}")
@@ -247,21 +256,17 @@ def build_stream(
         )
     adapt_batches: list[Batch] = []
     segment_of_batch: list[int] = []
-    holdout_parts: list[Batch] = []
+    held_x, held_y = [], []
     for i, shift in enumerate(shifts):
         rng = np.random.default_rng([task.seed, seed, i])
         base = _sample(task, n, rng)
         shifted = apply_shift(base, _effective_shift(shift, task.seed, seed, i))
         order = rng.permutation(n)
         x, y = shifted.inputs[order], shifted.labels[order]
-        for start in range(0, n_adapt, batch_size):
-            stop = min(start + batch_size, n_adapt)
-            adapt_batches.append(Batch(x[start:stop], y[start:stop]))
-            segment_of_batch.append(i)
-        holdout_parts.append(Batch(x[n_adapt:], y[n_adapt:]))
-    target_holdout = Batch(
-        np.concatenate([b.inputs for b in holdout_parts]),
-        np.concatenate([b.labels for b in holdout_parts]),
-    )
-    source_holdout = generate_task(task).source_holdout
-    return ShiftStream(adapt_batches, segment_of_batch, target_holdout, source_holdout)
+        starts = range(0, n_adapt, batch_size)
+        adapt_batches += [_cut(x, y, slice(s, min(s + batch_size, n_adapt))) for s in starts]
+        segment_of_batch += [i] * len(starts)
+        held_x.append(x[n_adapt:])
+        held_y.append(y[n_adapt:])
+    target_holdout = Batch(np.concatenate(held_x), np.concatenate(held_y))
+    return ShiftStream(adapt_batches, segment_of_batch, target_holdout, _source_holdout(task))

@@ -1,4 +1,6 @@
-"""Hand-made mutants of the selection rule, and the tests that must kill them.
+"""Hand-made mutants of the selection rule, the pretraining loop, the
+normalization kernel and the stream builder, and the tests that must kill
+them.
 
 Run from anywhere with ``python tests/mutants.py``; pytest does not collect
 this file. Each mutant is a file, an exact old text that occurs in it
@@ -66,6 +68,31 @@ MUTANTS = (
            ("tests/test_engine.py::test_anchor_owns_its_data",
             "tests/test_lockstep.py::test_lockstep_runs_equal_single_runs[1]",
             "tests/test_frozen.py::test_erm_in_a_mixed_pass[1]")),
+    Mutant("the pretraining update skips a layer", "src/gala/nn.py",
+           "for vec, g in zip(layers, grads):",
+           "for vec, g in zip(layers[1:], grads[1:]):",
+           ("tests/test_nn.py::test_pretrain_equals_the_public_entry_per_batch[norm-b2]",
+            "tests/test_nn.py::test_pretrain_equals_the_public_entry_per_batch[quickstart]")),
+    Mutant("the parameter finite check is dropped", "src/gala/nn.py",
+           "if not all(map(_all_finite, layers)):",
+           "if False:",
+           ("tests/test_nn.py::test_pretrain_divergence_names_the_step",)),
+    Mutant("the normalization variance divides by n - 1", "src/gala/nn.py",
+           "keepdims=True) / x.shape[-2]",
+           "keepdims=True) / (x.shape[-2] - 1)",
+           ("tests/test_nn.py::test_normalization_variance_has_the_bytes_of_numpy_var"
+            "[no-run-axis-1.0]",
+            "tests/test_nn.py::test_normalization_variance_has_the_bytes_of_numpy_var"
+            "[run-axis-1.0]")),
+    Mutant("build_stream drops the last partial batch", "src/gala/shiftbench.py",
+           "starts = range(0, n_adapt, batch_size)",
+           "starts = range(0, n_adapt - batch_size + 1, batch_size)",
+           ("tests/test_shiftbench.py::test_stream_equals_checked_batches[8-single]",
+            "tests/test_shiftbench.py::test_stream_equals_checked_batches[64-continual]")),
+    Mutant("the source holdout is drawn from random stream 0", "src/gala/shiftbench.py",
+           "np.random.default_rng([spec.seed, 1])",
+           "np.random.default_rng([spec.seed, 0])",
+           ("tests/test_shiftbench.py::test_generate_task_train_holdout_disjoint",)),
 )
 
 

@@ -351,7 +351,7 @@ def test_oracle_sweep_divergence_names_the_group():
                 adapt(net, params, stream, loss, opt, [policy])
         else:
             (record,) = adapt(net, params, stream, loss, opt, [policy])
-            assert record.final_params.allfinite()
+            assert all(np.isfinite(v).all() for v in record.final_params.layers)
 
 
 def test_head_only_shift_analytically_fixable():

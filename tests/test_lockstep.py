@@ -5,6 +5,7 @@ oracle sweep equals an independent per-trial loop written here in plain
 import math
 from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -275,6 +276,8 @@ def gala_cases(draw):
     return net, params, stream, draw(st.sampled_from(["pseudo_label", "shot_im"])), cfg
 
 
+# seed pins the cases, over derandomize's seed from this test's source
+@hypothesis.seed(0)
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=gala_cases(), lr=st.sampled_from([0.05, 0.3, 0.8]))
 def test_gala_and_all_layers_equal_the_reference_run(case, lr):

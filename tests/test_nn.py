@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,13 +17,17 @@ from gala import (
     OptimizerConfig,
     TrainingError,
     accuracy,
+    generate_task,
     load_checkpoint,
+    load_config,
     minibatches,
     pretrain_erm,
     save_checkpoint,
 )
-from gala.nn import LAYER_KINDS
+from gala.nn import _NORM_EPS, _NORM_MOMENTUM, LAYER_KINDS
 from helpers import finite_difference_grads, gradient_relative_error, random_small_net
+
+QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "configs" / "quickstart.json"
 
 
 def dense_params(net, w, b):
@@ -83,6 +89,30 @@ def test_normalization_batch_statistics():
                                                  layers=())
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("runs", [(), (3,)], ids=["no-run-axis", "run-axis"])
+def test_normalization_variance_has_the_bytes_of_numpy_var(scale, runs):
+    """The batch variance of a normalization layer has the bytes of
+    x.var(axis=-2), with and without a run axis: seen through the inverse
+    standard deviation and standardized input it caches and, for one
+    model, the running variance it moves."""
+    rng = np.random.default_rng(59)
+    net = Network([LayerSpec("normalization", 6, 6)])
+    x = rng.normal(loc=10.0 * scale, scale=scale, size=runs + (9, 6))
+    view = rng.normal(size=runs + (1, 6)), rng.normal(size=runs + (1, 6))
+    mu = x.mean(axis=-2, keepdims=True)
+    var = x.var(axis=-2, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + _NORM_EPS)
+    running = net.norm_stats[0][1]
+    _, (src, got, _) = net._layer_forward(0, x, view, update_stats=not runs)
+    assert got.tobytes() == inv_std.tobytes()
+    assert src.tobytes() == ((x - mu) * inv_std).tobytes()
+    if not runs:
+        m = _NORM_MOMENTUM
+        want = (1 - m) * running + m * var.reshape(-1)
+        assert net.norm_stats[0][1].tobytes() == want.tobytes()
 
 
 def test_normalization_single_sample_uses_frozen_stats():
@@ -351,6 +381,109 @@ def test_pretrain_divergence_reports_step():
     with pytest.raises(TrainingError, match="step"):
         pretrain_erm(specs, minibatches(train, 64, 200, seed=1), val,
                      OptimizerConfig(1e12), seed=1)
+
+
+def reference_pretrain(specs, batches, lr, seed):
+    """Pretraining as the public entry runs it, one checked call per
+    batch: ``loss_and_gradients`` with statistic updates, then
+    ``vec -= lr * g``."""
+    net = Network(specs)
+    params = net.init_params(seed)
+    for batch in batches:
+        _, grads, _, _ = net.loss_and_gradients(params, batch, LossKind("cross_entropy"),
+                                                update_norm_stats=True)
+        for vec, g in zip(params.layers, grads):
+            vec -= lr * g
+    return net, params
+
+
+def norm_net_case(batch_size):
+    rng = np.random.default_rng(61)
+    specs = [LayerSpec("dense", 4, 10, "tanh"), LayerSpec("normalization", 10, 10, "relu"),
+             LayerSpec("dense", 10, 10, "tanh"), LayerSpec("normalization", 10, 10),
+             LayerSpec("dense", 10, 3)]
+    data = Batch(rng.normal(size=(120, 4)), rng.integers(0, 3, size=120))
+    return specs, data, batch_size, 60, 0.2, 3
+
+
+def quickstart_case():
+    cfg = load_config(QUICKSTART)
+    pre = cfg.pretrain
+    return (cfg.model, generate_task(cfg.task).train, pre.batch_size, pre.steps,
+            pre.learning_rate, pre.seed)
+
+
+@pytest.mark.parametrize("case", ["norm-b2", "norm-b16", "quickstart"])
+def test_pretrain_equals_the_public_entry_per_batch(case):
+    """pretrain_erm's parameters, running statistics and step count equal
+    the checked public entry called once per batch, byte for byte: on a
+    net with normalization layers at batch sizes of two and more, and on
+    the quickstart net."""
+    specs, data, batch_size, steps, lr, seed = (
+        quickstart_case() if case == "quickstart" else norm_net_case(int(case[6:])))
+    val = Batch(data.inputs[:20], data.labels[:20])
+    result = pretrain_erm(specs, minibatches(data, batch_size, steps, seed=5), val,
+                          OptimizerConfig(lr), seed=seed)
+    net, params = reference_pretrain(specs, minibatches(data, batch_size, steps, seed=5),
+                                     lr, seed)
+    assert result.num_steps == steps
+    for got, want in zip(result.params.layers, params.layers):
+        assert got.tobytes() == want.tobytes()
+    assert result.network.norm_stats.keys() == net.norm_stats.keys()
+    for i, (mean, var) in net.norm_stats.items():
+        got_mean, got_var = result.network.norm_stats[i]
+        assert got_mean.tobytes() == mean.tobytes() and got_var.tobytes() == var.tobytes()
+    if case != "quickstart":
+        assert any(not np.array_equal(var, np.ones(10)) for _, var in net.norm_stats.values())
+    assert result.val_accuracy == accuracy(net, params, val)
+
+
+def pretrain_on(batches, lr=0.1, specs=None):
+    """pretrain_erm over ``batches``, with any RuntimeWarning an error."""
+    specs = specs or [LayerSpec("dense", 2, 4, "tanh"), LayerSpec("dense", 4, 2)]
+    val = Batch(np.zeros((2, 2)), np.zeros(2, dtype=int))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return pretrain_erm(specs, iter(batches), val, OptimizerConfig(lr), seed=1)
+
+
+def test_pretrain_checks_every_batch():
+    """A bad batch after good ones raises what the public entry raises,
+    with no RuntimeWarning: an unlabeled batch and a per-run batch, of two
+    runs or of one, raise ValueError, a wrong input_dim raises
+    ConfigurationError."""
+    rng = np.random.default_rng(67)
+    good = Batch(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
+    with pytest.raises(ValueError, match="labeled"):
+        pretrain_on([good, Batch(good.inputs)])
+    with pytest.raises(ConfigurationError, match="input_dim 3"):
+        pretrain_on([good, good, Batch(rng.normal(size=(5, 3)), good.labels)])
+    for runs in (2, 1):
+        per_run = Batch(np.stack([good.inputs] * runs), np.stack([good.labels] * runs))
+        with pytest.raises(ValueError, match="one model only"):
+            pretrain_on([good, per_run])
+    assert pretrain_on([good, good]).num_steps == 2
+
+
+def test_pretrain_divergence_names_the_step():
+    """A non-finite activation, and parameters that overflow in the update
+    itself, raise a TrainingError that names their step, with no
+    RuntimeWarning."""
+    specs = [LayerSpec("dense", 2, 2)]
+    labels = np.array([0, 1])
+    # zero inputs with one sample per class: uniform predictions, and a
+    # gradient of exactly zero, so the parameters stay as they were
+    still = Batch(np.zeros((2, 2)), labels)
+    good = Batch(np.array([[0.5, -1.0], [1.0, 0.25]]), labels)
+    huge = Batch(np.full((2, 2), 1e120), labels)
+    # step 1 moves the weights to about 1e199: step 2's logits overflow
+    with pytest.raises(TrainingError, match="pretraining diverged at step 2: non-finite "
+                                            "activation at layer 0"):
+        pretrain_on([still, good, huge, good], lr=1e200, specs=specs)
+    # finite logits of about 1e120, but lr * g of about 1e320
+    with pytest.raises(TrainingError, match="parameters diverged at step 2"):
+        pretrain_on([still, still, huge, good], lr=1e200, specs=specs)
+    assert pretrain_on([still, still], lr=1e200, specs=specs).num_steps == 2
 
 
 def test_init_params_bounds():

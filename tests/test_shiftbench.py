@@ -13,6 +13,8 @@ from gala import (
 from gala.shiftbench import (
     ShiftSpec,
     TaskSpec,
+    _effective_shift,
+    _sample,
     apply_shift,
     build_stream,
     generate_task,
@@ -174,6 +176,58 @@ def test_stream_adapt_holdout_disjoint():
     adapt_rows = {tuple(r) for b in stream.adapt_batches for r in b.inputs}
     holdout_rows = {tuple(r) for r in stream.target_holdout.inputs}
     assert not adapt_rows & holdout_rows
+
+
+def reference_stream(task, shifts, batch_size, seed):
+    """build_stream's construction with every batch a checked Batch(...):
+    per segment, a fresh source draw corrupted whole, shuffled, cut into
+    adaptation batches (the last one partial) and a pooled target
+    holdout; the source holdout is generate_task's, whole."""
+    n, n_adapt = task.samples_per_domain, task.adapt_samples
+    batches, segments, held = [], [], []
+    for i, shift in enumerate(shifts):
+        rng = np.random.default_rng([task.seed, seed, i])
+        base = _sample(task, n, rng)
+        shifted = apply_shift(base, _effective_shift(shift, task.seed, seed, i))
+        order = rng.permutation(n)
+        x, y = shifted.inputs[order], shifted.labels[order]
+        for start in range(0, n_adapt, batch_size):
+            stop = min(start + batch_size, n_adapt)
+            batches.append(Batch(x[start:stop], y[start:stop]))
+            segments.append(i)
+        held.append(Batch(x[n_adapt:], y[n_adapt:]))
+    target = Batch(np.concatenate([b.inputs for b in held]),
+                   np.concatenate([b.labels for b in held]))
+    return batches, segments, target, generate_task(task).source_holdout
+
+
+def same_batch(a, b):
+    return (a.inputs.dtype == b.inputs.dtype and a.labels.dtype == b.labels.dtype
+            and a.inputs.tobytes() == b.inputs.tobytes() and a.inputs.shape == b.inputs.shape
+            and a.labels.tobytes() == b.labels.tobytes() and a.labels.shape == b.labels.shape)
+
+
+@pytest.mark.parametrize("mode", ["single", "continual"])
+@pytest.mark.parametrize("batch_size", [1, 8, 64])
+def test_stream_equals_checked_batches(mode, batch_size):
+    """build_stream's adaptation batches, segments and both holdouts equal
+    a reference built from checked Batch(...) slices, byte for byte, and
+    every adaptation batch holds float64 inputs and int64 labels. 140
+    adaptation samples per segment leave a partial last batch at sizes 8
+    and 64."""
+    task = TaskSpec(num_classes=3, input_dim=4, samples_per_domain=175, seed=12)
+    shifts = [ShiftSpec("additive_noise", 2), ShiftSpec("rotation", 4),
+              ShiftSpec("label_conditional_noise", 3, {"target_class": 2, "toward_class": 0})]
+    shifts = shifts[:1] if mode == "single" else shifts
+    stream = build_stream(task, shifts, mode=mode, batch_size=batch_size, seed=3)
+    batches, segments, target, source = reference_stream(task, shifts, batch_size, seed=3)
+    assert len(stream.adapt_batches) == len(batches) == len(shifts) * -(-140 // batch_size)
+    for got, want in zip(stream.adapt_batches, batches):
+        assert got.inputs.dtype == np.float64 and got.labels.dtype == np.int64
+        assert same_batch(got, want)
+    assert stream.segment_of_batch == segments
+    assert same_batch(stream.target_holdout, target)
+    assert same_batch(stream.source_holdout, source)
 
 
 def test_stream_mode_and_size_validation():
