@@ -238,9 +238,8 @@ def build_stream(
     holds what is left when ``batch_size`` does not divide its share.
     ``single`` mode takes exactly one shift; ``continual`` concatenates
     the segments in order. The source holdout is ``generate_task``'s,
-    drawn alone. Each segment's arrays are checked once, as a Batch, and
-    its adaptation batches are rows of them, views cut with no checks of
-    their own.
+    drawn alone. Adaptation batches are views of their segment's checked
+    arrays and are not checked again.
     """
     if mode not in STREAM_MODES:
         raise ConfigurationError(f"unknown stream mode {mode!r}")
