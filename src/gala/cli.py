@@ -33,6 +33,7 @@ from .config import ExperimentConfig, load_config
 from .engine import build_grouping
 from .errors import ConfigurationError, GalaError
 from .metrics import (
+    MetricsSummary,
     config_fingerprint,
     selection_frequency,
     spearman_rank_correlation,
@@ -108,6 +109,22 @@ def _seeded_selector(cfg: ExperimentConfig, seed: int):
     return cfg.selector
 
 
+def _adapt_seed(network, params, cfg: ExperimentConfig, seed: int) -> tuple:
+    """The configured selector run on seed ``seed``'s stream: (selector, record, summary)."""
+    stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode, cfg.batch_size, seed=seed)
+    selector = _seeded_selector(cfg, seed)
+    record, _ = run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector,
+                             seed, None)
+    return selector, record, summarize(network, params, record, stream.target_holdout,
+                                       stream.source_holdout)
+
+
+def _scores(summary: MetricsSummary) -> dict:
+    """A summary's columns of an aggregate table, in column order."""
+    return {"tta_acc": summary.tta_acc, "generalization": summary.generalization,
+            "forgetting": summary.forgetting}
+
+
 def cmd_pretrain(cfg: ExperimentConfig, args) -> int:
     root = _output_root(cfg, args.out)
     outdir = root / "pretrain"
@@ -139,13 +156,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
     for seed in _seeds(cfg, args):
         rundir = outdir / f"seed{seed}"
         rundir.mkdir(parents=True, exist_ok=True)
-        stream = build_stream(cfg.task, cfg.shifts, cfg.shift_mode,
-                              cfg.batch_size, seed=seed)
-        selector = _seeded_selector(cfg, seed)
-        record, _ = run_selector(network, params, stream, cfg.loss, cfg.optimizer, selector,
-                                 seed, None)
-        summary = summarize(network, params, record, stream.target_holdout,
-                            stream.source_holdout)
+        selector, record, summary = _adapt_seed(network, params, cfg, seed)
         if not args.no_trace:
             write_trace(rundir / "trace.tsv", record)
         # every field of the run's settings, so a new one cannot be left out
@@ -153,9 +164,7 @@ def cmd_adapt(cfg: ExperimentConfig, args) -> int:
                                           "loss": asdict(cfg.loss),
                                           "optimizer": asdict(cfg.optimizer), "seed": seed})
         write_summary(rundir / "summary.json", summary, fingerprint=fingerprint, seed=seed)
-        rows.append({"seed": seed, "tta_acc": summary.tta_acc,
-                     "generalization": summary.generalization,
-                     "forgetting": summary.forgetting})
+        rows.append({"seed": seed, **_scores(summary)})
         print(f"adapt seed {seed}: tta {summary.tta_acc:.2f} "
               f"gen {summary.generalization:.2f} forget {summary.forgetting:.2f}")
     write_aggregate_csv(outdir / "aggregate.csv", rows)
@@ -225,16 +234,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     for value in cfg.sweep.values:
         point = _apply_axis(cfg, axis, value)
         for seed in _seeds(cfg, args):
-            stream = build_stream(point.task, point.shifts, point.shift_mode,
-                                  point.batch_size, seed=seed)
-            record, _ = run_selector(network, params, stream, point.loss, point.optimizer,
-                                     _seeded_selector(point, seed), seed, None)
-            summary = summarize(network, params, record, stream.target_holdout,
-                                stream.source_holdout)
+            summary = _adapt_seed(network, params, point, seed)[2]
             shown = "inf" if value == math.inf else value
-            rows.append({axis: shown, "seed": seed, "tta_acc": summary.tta_acc,
-                         "generalization": summary.generalization,
-                         "forgetting": summary.forgetting})
+            rows.append({axis: shown, "seed": seed, **_scores(summary)})
             print(f"sweep {axis}={shown} seed {seed}: tta {summary.tta_acc:.2f}")
     write_aggregate_csv(outdir / "sweep.csv", rows)
     _write_manifest(outdir, "sweep", cfg, _seeds(cfg, args))
@@ -285,10 +287,7 @@ def cmd_report(cfg: ExperimentConfig, args) -> int:
 
     rows = []
     for seed, path in runs:
-        summary, _ = parse_summary(path)
-        rows.append({"seed": seed, "tta_acc": summary.tta_acc,
-                     "generalization": summary.generalization,
-                     "forgetting": summary.forgetting})
+        rows.append({"seed": seed, **_scores(parse_summary(path)[0])})
     write_aggregate_csv(outdir / "aggregate.csv", rows)
     print(f"report: {len(rows)} run(s) -> {outdir / 'aggregate.csv'}")
     return 0

@@ -4,7 +4,7 @@ Everything is float64 numpy. A network is described by an ordered list of
 :class:`LayerSpec`; trainable state lives in :class:`ModelParameters` as one
 flat vector per layer, so optimizer-side code can treat layers as opaque
 vectors, or as one (R, P_i) array per layer for R models that step in
-lockstep over the same batches; a batch may also hold one batch per run.
+lockstep over the same batches.
 Every layer is an affine map with parameters, followed by its elementwise
 activation. Three losses are supported: supervised cross-entropy for
 pretraining, and two unsupervised adaptation losses (hard pseudo-labeling
@@ -71,35 +71,30 @@ class LayerSpec:
 
 @dataclass
 class Batch:
-    """A batch of inputs with optional integer class labels.
-
-    (B, d) inputs with (B,) labels are one batch, shared by every run of a
-    pass; (R, B, d) inputs with (R, B) labels are one batch per run.
-    """
+    """A batch of (B, d) inputs with optional (B,) integer class labels,
+    shared by every run of a pass."""
 
     inputs: np.ndarray
     labels: np.ndarray | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        if self.inputs.ndim not in (2, 3):
-            raise ConfigurationError("batch inputs must be 2-D (batch_size x input_dim) "
-                                     "or 3-D (runs x batch_size x input_dim)")
-        if 0 in self.inputs.shape[:-1]:
+        if self.inputs.ndim != 2:
+            raise ConfigurationError("batch inputs must be 2-D (batch_size x input_dim)")
+        if not len(self.inputs):
             raise ConfigurationError("batch needs at least one sample")
         if self.labels is not None:
             self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != self.inputs.shape[:-1]:
-                raise ConfigurationError("labels must match the batch's leading axes")
+            if self.labels.shape != self.inputs.shape[:1]:
+                raise ConfigurationError("labels must be 1-D and match batch size")
 
     @property
     def size(self) -> int:
-        """Samples per run."""
-        return self.inputs.shape[-2]
+        return len(self.inputs)
 
 
 def _cut(inputs: np.ndarray, labels: np.ndarray | None, rows) -> Batch:
-    """Rows ``rows`` (a nonempty slice or index array) of a checked shared
+    """Rows ``rows`` (a nonempty slice or index array) of a checked
     batch's inputs and labels, as a Batch that skips ``Batch``'s checks:
     rows of checked arrays need none. A pass that cuts many batches from
     one source checks the source once and cuts through here."""
@@ -292,10 +287,7 @@ class Network:
     leading run axis ((R, P_i) layer arrays) that see the same batch,
     through one code path: layers index their parameters with ``...`` and
     reduce the batch on axis -2, so one model keeps no run axis, with
-    (B, d) activations, and R models have (R, B, d) ones. Given a per-run
-    batch ((R, B, d) inputs), run r sees batch r: R stacked models, or one
-    model that every run shares, broadcast on the run axis rather than
-    copied. The results then keep the run axis.
+    (B, d) activations, and R models have (R, B, d) ones.
     """
 
     def __init__(self, layer_specs: Iterable[LayerSpec]):
@@ -344,31 +336,19 @@ class Network:
                 vecs.append(np.concatenate([np.ones(spec.output_dim), np.zeros(spec.output_dim)]))
         return ModelParameters(vecs, list(self.layer_names))
 
-    def _check_params(self, params: ModelParameters):
+    def _check_params(self, params: ModelParameters) -> tuple[int, ...]:
+        """The parameters' run axis, () or (R,), once their shapes check out."""
         if len(params.layers) != len(self.specs):
             raise ConfigurationError(
                 f"expected {len(self.specs)} parameter vectors, got {len(params.layers)}"
             )
-        runs = params.layers[0].shape[:-1]
+        runs = params.layers[0].shape[:-1][:1]  # one run axis at most
         for i, (vec, count) in enumerate(zip(params.layers, self._param_counts)):
             if vec.shape != (*runs, count):
                 raise ConfigurationError(
                     f"layer {i} expects {count} parameters, got shape {vec.shape}"
                 )
-
-    def _stacked(self, params: ModelParameters,
-                 batch: Batch | None) -> tuple[list[np.ndarray], tuple[int, ...]]:
-        """The layer arrays a pass runs and its run axis: none, (), for one
-        model on a shared batch (None stands for shared batches), else
-        (R,). One model on a per-run batch gets a run axis of one row."""
-        self._check_params(params)
-        one = params.layers[0].ndim == 1
-        if batch is None or batch.inputs.ndim == 2:
-            return params.layers, () if one else (len(params.layers[0]),)
-        runs = len(batch.inputs)
-        if not one and len(params.layers[0]) != runs:
-            raise ConfigurationError(f"{runs} batches for {len(params.layers[0])} runs")
-        return [v[None] for v in params.layers] if one else params.layers, (runs,)
+        return runs
 
     def _view(self, i: int, vec: np.ndarray) -> tuple:
         """The views of layer i's parameters ``vec`` that a pass reads: a
@@ -383,7 +363,7 @@ class Network:
 
     def _layer_forward(self, i: int, x: np.ndarray, view: tuple, update_stats: bool):
         """Layer i on x (..., B, d) with its parameter views ``view``, one
-        model's, k runs' on the inputs of k runs, or one row they share.
+        model's, or k runs' on the inputs of k runs.
 
         Returns the layer's output, its affine map activated in place, and
         its backward cache: (src, wt) for a dense layer, src being its input,
@@ -424,17 +404,12 @@ class Network:
         return z, cache
 
     def _inputs(self, inputs: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-        """A batch's inputs, checked, on the pass's run axis ``lead``: a
-        shared batch broadcast as every run's input, with no copy."""
+        """A batch's inputs, their width checked, on the pass's run axis
+        ``lead``: broadcast as every run's input, with no copy."""
         if inputs.shape[-1] != self.input_dim:
             raise ConfigurationError(f"batch input_dim {inputs.shape[-1]} does not match "
                                      f"layer 0 input_dim {self.input_dim}")
-        if inputs.ndim == 2:
-            return np.broadcast_to(inputs, lead + inputs.shape) if lead else inputs
-        runs = lead[0] if lead else 1
-        if len(inputs) != runs:
-            raise ConfigurationError(f"{len(inputs)} batches for {runs} runs")
-        return inputs
+        return np.broadcast_to(inputs, lead + inputs.shape) if lead else inputs
 
     def _nonfinite(self, x: np.ndarray, i: int, live: Sequence[int]) -> NumericsError:
         """The error for layer i's output x, naming the runs among ``live``
@@ -446,10 +421,10 @@ class Network:
 
     def forward(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         """Class probabilities, rows summing to one: (B, C) for one model,
-        (R, B, C) for R stacked ones or R per-run batches."""
-        layers, lead = self._stacked(params, batch)
+        (R, B, C) for R stacked ones."""
+        lead = self._check_params(params)
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._restart([self._view(i, v) for i, v in enumerate(layers)],
+            return self._restart([self._view(i, v) for i, v in enumerate(params.layers)],
                                  [self._inputs(batch.inputs, lead)],
                                  (0,) * (lead[0] if lead else 1))
 
@@ -463,7 +438,7 @@ class Network:
         x = acts[first] if rows is None else acts[first][rows]
         for i, live, spans, join in steps:
             view = views[i]
-            if spans is None or len(view[0]) == 1:  # every run, or one row they share
+            if spans is None:  # every run
                 x = self._layer_forward(i, x, view, False)[0]
             elif len(spans) == 1:
                 lo, hi = spans[0][2:]
@@ -482,7 +457,8 @@ class Network:
         return softmax(x)
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
-        return np.argmax(self.forward(params, batch), axis=1)
+        """Argmax classes: (B,) for one model, (R, B) for R stacked ones."""
+        return np.argmax(self.forward(params, batch), axis=-1)
 
     def _loss_and_dlogits(self, p: np.ndarray, labels: np.ndarray | None, loss: LossKind):
         """Per-run loss values and d loss / d logits for the probabilities
@@ -522,13 +498,13 @@ class Network:
 
         For one model: a float, one gradient per layer, (B, C)
         probabilities and the activations with B leading. For R stacked
-        models or R per-run batches: a list of R floats, one gradient list
-        per run, (R, B, C) probabilities and (R, B, d) activations.
+        models: a list of R floats, one gradient list per run, (R, B, C)
+        probabilities and (R, B, d) activations.
         ``acts[i]`` is the input layer i saw and ``acts[-1]`` the logits.
 
         ``layers`` holds the indices of the layers whose gradients are
-        wanted (None: every layer), one collection per run when the results
-        keep the run axis. The backward pass stops at the lowest of them:
+        wanted (None: every layer), one collection per run for R stacked
+        models. The backward pass stops at the lowest of them:
         it forms a layer's parameter gradient only for the runs that want
         it, and carries a run's input gradient down only while a lower
         layer is wanted, by it or by a later run (order runs by lowest
@@ -542,28 +518,25 @@ class Network:
         above layers that did not change. Unsupervised losses refuse
         labeled batches so adaptation code cannot accidentally leak labels
         into the update path. After its checks it runs ``_loss_pass``,
-        which a pass and ``pretrain_erm`` call directly.
+        which a pass, a frozen run and ``pretrain_erm`` call directly.
         """
-        stacked, lead, plan = self._checked(params, batch, loss, layers, update_norm_stats)
+        lead, plan = self._checked(params, batch.labels, loss, layers, update_norm_stats)
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads, probs, acts = self._loss_pass(
-                [self._view(i, v) for i, v in enumerate(stacked)],
+                [self._view(i, v) for i, v in enumerate(params.layers)],
                 self._inputs(batch.inputs, lead), batch.labels, loss, plan, update_norm_stats)
-        if not lead:
-            return values[0], grads[0], probs, acts
-        return values, grads, probs, acts
+        return (values, grads, probs, acts) if lead else (values[0], grads[0], probs, acts)
 
-    def _checked(self, params: ModelParameters, batch: Batch | None, loss: LossKind, layers,
-                 update_norm_stats: bool = False) -> tuple:
-        """``loss_and_gradients``' checks of all but the inputs (``_inputs``), and the layer
-        arrays, the run axis (see ``_stacked``) and the backward plan. A batch of None
-        stands for unlabeled shared batches."""
-        labels = None if batch is None else batch.labels
+    def _checked(self, params: ModelParameters, labels: np.ndarray | None, loss: LossKind,
+                 layers, update_norm_stats: bool = False) -> tuple:
+        """``loss_and_gradients``' checks of all but the inputs (``_inputs``), for
+        batches with ``labels`` (None: unlabeled ones), and the run axis (see
+        ``_check_params``) and the backward plan."""
         if loss.supervised and labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        stacked, lead = self._stacked(params, batch)
+        lead = self._check_params(params)
         runs = lead[0] if lead else 1
         if update_norm_stats and runs > 1:
             raise ValueError("running statistics are updated from one model only")
@@ -571,16 +544,17 @@ class Network:
                   else tuple(map(frozenset, layers)) if lead else (frozenset(layers),))
         if len(wanted) != runs:
             raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
-        return stacked, lead, _backward_plan(wanted, len(self.specs))
+        return lead, _backward_plan(wanted, len(self.specs))
 
     def _loss_pass(self, views: list[tuple], x: np.ndarray, labels: np.ndarray | None,
                    loss: LossKind, plan: tuple, update_stats: bool = False) -> tuple:
         """``loss_and_gradients`` after its checks, on inputs x (..., B, d),
         the parameter views ``views`` and the plan of ``_checked``: a list
         of values and one of gradients per run, and the probabilities and
-        activations on x's run axis, if any. A run's gradient of layer i is
-        a row of one (k, P_i) array per span of runs; one model's is one
-        (P_i,) array."""
+        activations on x's run axis, if any; one model may take batches
+        stacked on a steps axis instead, a value per batch. A run's gradient
+        of layer i is a row of one (k, P_i) array per span of runs; one
+        model's is one (P_i,) array."""
         caches, acts = [], [x]
         for i, view in enumerate(views):
             x, cache = self._layer_forward(i, x, view, update_stats)
@@ -636,14 +610,16 @@ class Network:
 
 
 def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
-    """Fraction of correct argmax predictions, in percent."""
+    """Fraction of one model's correct argmax predictions, in percent."""
     if batch.labels is None:
         raise ValueError("accuracy requires labels")
+    if params.layers[0].ndim != 1:
+        raise ConfigurationError(f"accuracy scores one model, got shape {params.layers[0].shape}")
     return float(np.mean(network.predict(params, batch) == batch.labels) * 100.0)
 
 
 def minibatches(data: Batch, batch_size: int, num_steps: int, seed: int = 0) -> Iterator[Batch]:
-    """Deterministic shuffled minibatch stream from a shared (B, d) batch.
+    """Deterministic shuffled minibatch stream from a (B, d) batch.
 
     Each epoch cuts a fresh permutation of ``data`` into full batches of
     ``batch_size`` (a last partial one is dropped), cycling epochs until
@@ -651,8 +627,6 @@ def minibatches(data: Batch, batch_size: int, num_steps: int, seed: int = 0) -> 
     are its rows (``_cut``) and need no checks of their own.
     """
     data = Batch(data.inputs, data.labels)  # no copy of checked arrays
-    if data.inputs.ndim != 2:
-        raise ConfigurationError("minibatches cuts a shared (B, d) batch")
     if batch_size < 1 or batch_size > data.size:
         raise ConfigurationError("batch_size must be in [1, dataset size]")
     rng = np.random.default_rng(seed)
@@ -680,16 +654,16 @@ def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], va
     """Supervised SGD pretraining over a finite labeled batch stream.
 
     Deterministic given the seed and the stream; an exhausted (empty)
-    stream returns the initialization untouched. Each batch is a labeled,
-    shared (B, d) batch; a batch of two or more samples also moves the
+    stream returns the initialization untouched. Each batch is a labeled
+    (B, d) batch; a batch of two or more samples also moves the
     normalization layers' running statistics.
 
     Each step has the bytes of ``loss_and_gradients(params, batch,
     cross_entropy, update_norm_stats=True)`` and ``vec -= lr * g`` per
     layer, but the checks that cannot vary run once: the parameters, the
     loss and the full backward plan. The update is in place, so the layer
-    views taken once stay valid. Per batch it checks the labels, the
-    batch's shape and its input_dim (``Network._inputs``), runs
+    views taken once stay valid. Per batch it checks the labels and the
+    batch's input_dim (``Network._inputs``), runs
     ``Network._loss_pass`` and checks every layer for finite values after
     the update. A non-finite activation, loss or parameter raises a
     TrainingError that names the step.
@@ -705,9 +679,6 @@ def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], va
         for batch in train_stream:
             if batch.labels is None:
                 raise ValueError("pretraining requires labeled batches")
-            if batch.inputs.ndim != 2:
-                raise ValueError("pretraining takes shared (B, d) batches: running "
-                                 "statistics are updated from one model only")
             x = network._inputs(batch.inputs, ())
             try:
                 grads = network._loss_pass(views, x, batch.labels, loss, plan, True)[1][0]

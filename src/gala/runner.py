@@ -18,8 +18,8 @@ layer arrays, and a policy sees only its own run's gradients and
 parameters. The loop steps a single run with no run axis: 1-D layer
 vectors and (B, d) activations, through the same code. A run whose
 policy has no ``grad_layers`` never moves, so the loop evaluates its
-stream in chunks instead, with the steps of a chunk on the run axis of
-one loss pass.
+stream in chunks instead, each chunk's batches stacked on a leading steps
+axis of one loss pass with no backward.
 
 Labels ride along in the stream for evaluation; the loop strips them
 before the loss sees a batch, so unsupervised adaptation cannot leak
@@ -43,7 +43,7 @@ from .engine import (
 )
 from .errors import ConfigurationError, NumericsError
 from .metrics import RunRecord, tta_accuracy
-from .nn import Batch, LossKind, ModelParameters, Network, OptimizerConfig
+from .nn import LossKind, ModelParameters, Network, OptimizerConfig
 from .shiftbench import ShiftStream
 
 # The most rows (steps x batch size) a frozen run's loss pass holds: the
@@ -104,9 +104,10 @@ def adapt(network: Network, pretrained: ModelParameters, stream: ShiftStream, lo
     batch depends on the one before: it is evaluated first, in chunks (see
     ``_frozen_record``), and its record equals that of stepping it. A
     NumericsError names the runs by their index in ``policies``. The stepping
-    runs are checked once, with ``Network.loss_and_gradients``' errors. Each
-    run adapts a copy of ``pretrained``, which is never written and shares no
-    memory with any record's final parameters.
+    runs, and each frozen run, are checked once, with
+    ``Network.loss_and_gradients``' errors. Each run adapts a copy of
+    ``pretrained``, which is never written and shares no memory with any
+    record's final parameters.
     """
     moving = sorted((r for r, policy in enumerate(policies) if policy.grad_layers),
                     key=lambda r: min(policies[r].grad_layers))
@@ -134,7 +135,7 @@ def _lockstep(network: Network, pretrained: ModelParameters, stream: ShiftStream
     params = ModelParameters([np.repeat(v[None], len(policies), axis=0)
                               for v in pretrained.layers], list(pretrained.layer_names))
     lead, plan = network._checked(params, None, loss,
-                                  [policy.grad_layers for policy in policies])[1:]
+                                  [policy.grad_layers for policy in policies])
     if lead == (1,):  # one run: the row of the checked copy, with no run axis
         params.layers, lead = [v[0] for v in params.layers], ()
     views = [network._view(i, v) for i, v in enumerate(params.layers)]
@@ -167,30 +168,34 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
                    loss: LossKind, opt: OptimizerConfig, policy, r: int) -> RunRecord:
     """The record of run r, whose policy has no ``grad_layers``.
 
-    Each chunk of the stream is one loss pass of the pretrained model over
-    a per-run batch, one run per step, with no backward; the pass's
+    Checked once, like ``_lockstep``; then each chunk of the stream is one
+    ``Network._loss_pass`` over the chunk's batches stacked as (steps, B, d)
+    inputs, each reduced on its own, with views of a copy of ``pretrained``
+    taken once and an empty backward plan. The pass's
     probabilities are the post-update ones, since nothing moves. The
     policy's ``select`` is called once per step, in step order, with no
     gradients; a nonzero scale raises a ValueError.
     """
     params = pretrained.copy()
+    plan = network._checked(params, None, loss, ())[1]
+    views = [network._view(i, v) for i, v in enumerate(params.layers)]
     no_grads = [None] * len(params.layers)
     hits, decisions, losses = [], [], []
-    for chunk in _chunks(stream.adapt_batches):
-        try:
-            values, _, probs, _ = network.loss_and_gradients(
-                params, Batch(np.stack([b.inputs for b in chunk])), loss,
-                layers=[frozenset()] * len(chunk))
-        except NumericsError as e:
-            e.runs = [r]
-            raise
-        hits.extend(probs.argmax(axis=2) == np.stack([b.labels for b in chunk]))
-        losses.extend(values)
-        for _ in chunk:
-            scales, decision = policy.select(no_grads, params, opt.learning_rate)
-            if np.count_nonzero(scales):
-                raise ValueError(f"run {r} has no gradient layers but scales {list(scales)}")
-            decisions.append(decision)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in _chunks(stream.adapt_batches):
+            x = network._inputs(np.stack([b.inputs for b in chunk]), ())
+            try:
+                values, _, probs, _ = network._loss_pass(views, x, None, loss, plan)
+            except NumericsError as e:
+                e.runs = [r]
+                raise
+            hits.extend(probs.argmax(axis=-1) == np.stack([b.labels for b in chunk]))
+            losses.extend(values)
+            for _ in chunk:
+                scales, decision = policy.select(no_grads, params, opt.learning_rate)
+                if np.count_nonzero(scales):
+                    raise ValueError(f"run {r} has no gradient layers but scales {list(scales)}")
+                decisions.append(decision)
     return RunRecord(list(policy.grouping.names), hits, decisions, losses, params)
 
 

@@ -22,8 +22,8 @@ def step(network, params, batch, loss, opt, policies):
     """``runner._step`` for R runs stacked in ``params``, after the checks of
     ``Network._checked``: its (decisions, probs, losses). A moved layer's
     copy replaces its array in ``params``."""
-    _, lead, plan = network._checked(params, batch, loss,
-                                     [policy.grad_layers for policy in policies])
+    lead, plan = network._checked(params, batch.labels, loss,
+                                  [policy.grad_layers for policy in policies])
     views = [network._view(i, v) for i, v in enumerate(params.layers)]
     with np.errstate(over="ignore", invalid="ignore"):
         return _step(network, params, views, network._inputs(batch.inputs, lead),

@@ -1,6 +1,6 @@
 """Hand-made mutants of the selection rule, the pretraining loop, the
-normalization kernel and the stream builder, and the tests that must kill
-them.
+normalization kernel, the stream builder and the adaptation loop, and the
+tests that must kill them.
 
 Run from anywhere with ``python tests/mutants.py``; pytest does not collect
 this file. Each mutant is a file, an exact old text that occurs in it
@@ -93,6 +93,25 @@ MUTANTS = (
            "np.random.default_rng([spec.seed, 1])",
            "np.random.default_rng([spec.seed, 0])",
            ("tests/test_shiftbench.py::test_generate_task_train_holdout_disjoint",)),
+    Mutant("a frozen chunk spans a batch-size change", "src/gala/runner.py",
+           "groupby(batches, key=lambda batch: batch.size)",
+           "groupby(batches, key=lambda batch: batches[0].size)",
+           ("tests/test_frozen.py::test_frozen_run_equals_per_step_loop[shot_im-b5_short]",
+            "tests/test_frozen.py::test_frozen_run_takes_one_loss_pass_per_chunk[b5_long]")),
+    Mutant("a one-run pass steps views of pretrained, not a copy", "src/gala/runner.py",
+           "params.layers, lead = [v[0] for v in params.layers], ()",
+           "params.layers, lead = [v[:] for v in pretrained.layers], ()",
+           ("tests/test_lockstep.py::test_adapt_never_writes_pretrained[pinned_oracle]",)),
+    Mutant("the restarted forward starts one layer too high", "src/gala/runner.py",
+           "if i < start:\n                        start = i\n",
+           "if i < start:\n                        start = i + 1\n",
+           ("tests/test_engine.py::test_gala_step_predictions_use_post_update_parameters",
+            "tests/test_engine.py::test_adapt_step_matches_full_passes_reference[4]")),
+    Mutant("the loss pass's probabilities are kept after a move", "src/gala/runner.py",
+           "probs = network._restart(views, acts, tuple(starts))",
+           "probs = network._restart(views, acts, (n,) * len(starts))",
+           ("tests/test_engine.py::test_gala_step_predictions_use_post_update_parameters",
+            REFERENCE)),
 )
 
 

@@ -85,18 +85,20 @@ def test_frozen_run_equals_per_step_loop(sizes, variant):
 @pytest.mark.parametrize("sizes", STREAMS.values(), ids=STREAMS.keys())
 def test_frozen_run_takes_one_loss_pass_per_chunk(monkeypatch, sizes):
     """A frozen run's stream goes through one loss pass per chunk of
-    consecutive same-size batches, at most FROZEN_CHUNK_ROWS rows each,
-    with no backward and no forward pass."""
+    consecutive same-size batches, stacked as (steps, B, d) inputs, at most
+    FROZEN_CHUNK_ROWS rows each, with no backward and no forward pass, and
+    no per-chunk checks of the public entry."""
     shapes, forwards = [], []
-    loss_and_gradients, forward = Network.loss_and_gradients, Network.forward
+    loss_pass, restart = Network._loss_pass, Network._restart
 
-    def counted(self, params, batch, loss, update_norm_stats=False, layers=None):
-        shapes.append(batch.inputs.shape[:-1])
-        assert all(not w for w in layers)
-        return loss_and_gradients(self, params, batch, loss, update_norm_stats, layers)
+    def counted(self, views, x, labels, loss, plan, update_stats=False):
+        shapes.append(x.shape[:-1])
+        assert plan == () and labels is None and not update_stats
+        return loss_pass(self, views, x, labels, loss, plan, update_stats)
 
-    monkeypatch.setattr(Network, "loss_and_gradients", counted)
-    monkeypatch.setattr(Network, "forward", lambda *a, **k: forwards.append(1) or forward(*a, **k))
+    monkeypatch.setattr(Network, "_loss_pass", counted)
+    monkeypatch.setattr(Network, "_restart", lambda *a: forwards.append(1) or restart(*a))
+    monkeypatch.setattr(Network, "loss_and_gradients", None)
     net, params = mixed_net()
     adapt(net, params, sized_stream(sizes), LossKind("pseudo_label"), OptimizerConfig(0.5),
           [erm(net)])

@@ -474,18 +474,17 @@ def bad_stream(shape):
 
 
 @pytest.mark.parametrize("case, error, message", [
-    ("params", gala.ConfigurationError, "layer 2 expects 28 parameters, got shape ({}, 27)"),
+    ("params", gala.ConfigurationError, "layer 2 expects 28 parameters, got shape {}"),
     ("loss", ValueError, "cross_entropy requires labels"),
     ("width", gala.ConfigurationError,
      "batch input_dim 4 does not match layer 0 input_dim 3"),
-    ("runs", gala.ConfigurationError, "2 batches for {} runs"),
 ])
 def test_pass_refuses_bad_input_before_any_step(case, error, message):
     """A pass that checks once raises the error each step used to raise,
     with its message, before any policy steps: parameters of the wrong
-    shape, a supervised loss (a pass strips the labels), a stream batch of
-    the wrong width and per-run stream batches for another number of runs,
-    through adapt (5 runs) and through run_gala (1)."""
+    shape, a supervised loss (a pass strips the labels) and a stream batch
+    of the wrong width, through adapt (5 runs), through run_gala (1) and
+    through erm's frozen run (one model, with no run axis)."""
     net, params = mixed_net()
     stream, loss = stream_of(2), LossKind("pseudo_label")
     if case == "params":
@@ -493,17 +492,21 @@ def test_pass_refuses_bad_input_before_any_step(case, error, message):
     elif case == "loss":
         loss = LossKind("cross_entropy")
     else:
-        stream = bad_stream((2, 4) if case == "width" else (2, 2, 3))
+        stream = bad_stream((2, 4))
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               "single_layer")
     policies = [GalaPolicy(GalaConfig(), grouping), *oracle_policies(grouping)]
+    opt = OptimizerConfig(0.5)
     with pytest.raises(error) as raised:
-        adapt(net, params, stream, loss, OptimizerConfig(0.5), policies)
-    assert str(raised.value) == message.format(len(policies))
+        adapt(net, params, stream, loss, opt, policies)
+    assert str(raised.value) == message.format((len(policies), 27))
     assert policies[0].steps == 0
     with pytest.raises(error) as raised:
-        gala.run_gala(net, params, stream, loss, OptimizerConfig(0.5), GalaConfig())
-    assert str(raised.value) == message.format(1)
+        gala.run_gala(net, params, stream, loss, opt, GalaConfig())
+    assert str(raised.value) == message.format((1, 27))
+    with pytest.raises(error) as raised:
+        gala.run_baseline(net, params, stream, SelectorKind("erm"), loss, opt)
+    assert str(raised.value) == message.format((27,))
 
 
 ENTRY_POINTS = {

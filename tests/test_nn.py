@@ -449,19 +449,19 @@ def pretrain_on(batches, lr=0.1, specs=None):
 
 def test_pretrain_checks_every_batch():
     """A bad batch after good ones raises what the public entry raises,
-    with no RuntimeWarning: an unlabeled batch and a per-run batch, of two
-    runs or of one, raise ValueError, a wrong input_dim raises
-    ConfigurationError."""
+    with no RuntimeWarning: an unlabeled batch raises ValueError, a wrong
+    input_dim raises ConfigurationError. No batch holds one batch per run:
+    Batch refuses (R, B, d) inputs, and labels other than one per sample."""
     rng = np.random.default_rng(67)
     good = Batch(rng.normal(size=(5, 2)), rng.integers(0, 2, size=5))
     with pytest.raises(ValueError, match="labeled"):
         pretrain_on([good, Batch(good.inputs)])
     with pytest.raises(ConfigurationError, match="input_dim 3"):
         pretrain_on([good, good, Batch(rng.normal(size=(5, 3)), good.labels)])
-    for runs in (2, 1):
-        per_run = Batch(np.stack([good.inputs] * runs), np.stack([good.labels] * runs))
-        with pytest.raises(ValueError, match="one model only"):
-            pretrain_on([good, per_run])
+    with pytest.raises(ConfigurationError, match="must be 2-D"):
+        Batch(np.stack([good.inputs] * 2), np.stack([good.labels] * 2))
+    with pytest.raises(ConfigurationError, match="match batch size"):
+        Batch(good.inputs, np.stack([good.labels] * 2))
     assert pretrain_on([good, good]).num_steps == 2
 
 
@@ -549,6 +549,23 @@ def test_accuracy_helper():
     assert accuracy(net, params, batch) == 75.0
 
 
+def test_predict_stacked_runs_equal_runs_alone():
+    """Stacked parameters predict (R, B) classes, row r being run r's own
+    prediction; accuracy scores one model and refuses stacked parameters,
+    naming their shape."""
+    rng = np.random.default_rng(83)
+    net = Network([LayerSpec("dense", 4, 6, "tanh"), LayerSpec("dense", 6, 3)])
+    runs = [net.init_params(seed).layers for seed in (1, 2)]
+    stacked = ModelParameters([np.stack(vs) for vs in zip(*runs)], net.layer_names)
+    batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
+    got = net.predict(stacked, batch)
+    assert got.shape == (2, 5)
+    for r in range(2):
+        assert np.array_equal(got[r], net.predict(stacked.run(r), batch))
+    with pytest.raises(ConfigurationError, match=r"shape \(2, 30\)"):
+        accuracy(net, stacked, batch)
+
+
 def test_minibatches_deterministic_and_sized():
     data = separable_blobs(np.random.default_rng(47), n=100)
     a = [b.inputs.copy() for b in minibatches(data, 16, 12, seed=5)]
@@ -557,40 +574,3 @@ def test_minibatches_deterministic_and_sized():
     assert all(x.shape == (16, 2) for x in a)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-
-
-@pytest.mark.parametrize("variant", ["cross_entropy", "shot_im"])
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_per_run_batches_equal_runs_alone(variant, batch_size):
-    """With (R, B, d) inputs, run r sees batch r: for R stacked models and
-    for one model shared by every run, the probabilities, loss values and
-    gradients of each run equal its own batch through its own model alone,
-    byte for byte."""
-    rng = np.random.default_rng(31)
-    net = Network([LayerSpec("dense", 3, 5, "tanh"), LayerSpec("normalization", 5, 5),
-                   LayerSpec("dense", 5, 4)])
-    net.norm_stats[1] = (rng.normal(size=5), rng.uniform(0.5, 2.0, size=5))
-    runs = 3
-    one = net.init_params(2)
-    stacked = ModelParameters([np.stack([v + rng.normal(scale=0.1, size=v.shape)
-                                         for _ in range(runs)]) for v in one.layers],
-                              one.layer_names)
-    x = rng.normal(size=(runs, batch_size, 3))
-    labels = rng.integers(0, 4, size=(runs, batch_size)) if variant == "cross_entropy" else None
-    loss = LossKind(variant)
-    for params in (one, stacked):
-        batch = Batch(x, labels)
-        values, grads, probs, _ = net.loss_and_gradients(params, batch, loss)
-        forward = net.forward(params, batch)
-        for r in range(runs):
-            alone = params if params is one else params.run(r)
-            batch_r = Batch(x[r], None if labels is None else labels[r])
-            value, grad, p, _ = net.loss_and_gradients(alone, batch_r, loss)
-            assert values[r] == value
-            assert probs[r].tobytes() == p.tobytes() == forward[r].tobytes()
-            for got, want in zip(grads[r], grad):
-                assert got.tobytes() == want.tobytes()
-    with pytest.raises(ConfigurationError, match="2 batches for 3 runs"):
-        net.forward(stacked, Batch(x[:2]))
-    with pytest.raises(ConfigurationError, match="leading axes"):
-        Batch(x, np.zeros(runs * batch_size, dtype=int))
