@@ -3,8 +3,8 @@
 Everything is float64 numpy. A network is described by an ordered list of
 :class:`LayerSpec`; trainable state lives in :class:`ModelParameters` as one
 flat vector per layer, so optimizer-side code can treat layers as opaque
-vectors, or as one (R, P_i) array per layer for R models that step in
-lockstep over the same batches.
+vectors. The public entries take one model; a pass (``gala.runner``) steps
+R models in lockstep over the same batches as one (R, P_i) array per layer.
 Every layer is an affine map with parameters, followed by its elementwise
 activation. Three losses are supported: supervised cross-entropy for
 pretraining, and two unsupervised adaptation losses (hard pseudo-labeling
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,14 +280,13 @@ class Network:
     The instance owns the architecture and the non-trainable running
     statistics of normalization layers; all trainable state is passed in
     and out as :class:`ModelParameters`, so ``forward`` and
-    ``loss_and_gradients`` are pure functions of (params, batch) unless
-    statistic updates are explicitly requested by the pretraining loop.
+    ``loss_and_gradients`` are pure functions of (params, batch); only
+    ``pretrain_erm`` moves the statistics.
 
-    Both take one model (1-D layer vectors) or R models stacked on a
-    leading run axis ((R, P_i) layer arrays) that see the same batch,
-    through one code path: layers index their parameters with ``...`` and
-    reduce the batch on axis -2, so one model keeps no run axis, with
-    (B, d) activations, and R models have (R, B, d) ones.
+    Both take one model (1-D layer vectors); their bodies also take R
+    models stacked on a leading run axis ((R, P_i) layer arrays), as a pass
+    does: layers index their parameters with ``...`` and reduce the batch
+    on axis -2, so one model keeps no run axis and has (B, d) activations.
     """
 
     def __init__(self, layer_specs: Iterable[LayerSpec]):
@@ -339,16 +338,19 @@ class Network:
     def _check_params(self, params: ModelParameters) -> tuple[int, ...]:
         """The parameters' run axis, () or (R,), once their shapes check out."""
         if len(params.layers) != len(self.specs):
-            raise ConfigurationError(
-                f"expected {len(self.specs)} parameter vectors, got {len(params.layers)}"
-            )
+            raise ConfigurationError(f"expected {len(self.specs)} parameter vectors, "
+                                     f"got {len(params.layers)}")
         runs = params.layers[0].shape[:-1][:1]  # one run axis at most
         for i, (vec, count) in enumerate(zip(params.layers, self._param_counts)):
             if vec.shape != (*runs, count):
-                raise ConfigurationError(
-                    f"layer {i} expects {count} parameters, got shape {vec.shape}"
-                )
+                raise ConfigurationError(f"layer {i} expects {count} parameters, "
+                                         f"got shape {vec.shape}")
         return runs
+
+    def _one_model(self, params: ModelParameters) -> None:
+        """``_check_params`` for the public entries, which refuse (R, P_i) layers."""
+        if self._check_params(params):
+            raise ConfigurationError(f"expected 1-D layers, got shape {params.layers[0].shape}")
 
     def _view(self, i: int, vec: np.ndarray) -> tuple:
         """The views of layer i's parameters ``vec`` that a pass reads: a
@@ -383,7 +385,7 @@ class Network:
                 src = x - mu
                 # x.var's own arithmetic, on the deviations it would form again
                 var = np.add.reduce(src * src, axis=-2, keepdims=True) / x.shape[-2]
-                if update_stats:  # one model (its callers check)
+                if update_stats:  # one model: pretrain_erm's
                     m = _NORM_MOMENTUM
                     rm, rv = self.norm_stats[i]
                     self.norm_stats[i] = ((1 - m) * rm + m * mu.reshape(-1),
@@ -420,13 +422,11 @@ class Network:
                              [live[b] for b in np.flatnonzero(bad)])
 
     def forward(self, params: ModelParameters, batch: Batch) -> np.ndarray:
-        """Class probabilities, rows summing to one: (B, C) for one model,
-        (R, B, C) for R stacked ones."""
-        lead = self._check_params(params)
+        """One model's (B, C) class probabilities, rows summing to one."""
+        self._one_model(params)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._restart([self._view(i, v) for i, v in enumerate(params.layers)],
-                                 [self._inputs(batch.inputs, lead)],
-                                 (0,) * (lead[0] if lead else 1))
+                                 [self._inputs(batch.inputs, ())], (0,))
 
     def _restart(self, views: list[tuple], acts: list[np.ndarray],
                  starts: tuple[int, ...]) -> np.ndarray:
@@ -457,7 +457,7 @@ class Network:
         return softmax(x)
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
-        """Argmax classes: (B,) for one model, (R, B) for R stacked ones."""
+        """One model's (B,) argmax classes."""
         return np.argmax(self.forward(params, batch), axis=-1)
 
     def _loss_and_dlogits(self, p: np.ndarray, labels: np.ndarray | None, loss: LossKind):
@@ -489,28 +489,10 @@ class Network:
         d_pl = loss.shot_pl_weight * dlogits / n
         return value, d_ent + d_div + d_pl
 
-    def loss_and_gradients(self, params: ModelParameters, batch: Batch, loss: LossKind,
-                           update_norm_stats: bool = False,
-                           layers: Collection[int] | Sequence[Collection[int]] | None = None,
-                           ) -> tuple:
-        """Loss value, per-layer gradients, the class probabilities of the
-        loss pass and its activations.
-
-        For one model: a float, one gradient per layer, (B, C)
-        probabilities and the activations with B leading. For R stacked
-        models: a list of R floats, one gradient list per run, (R, B, C)
-        probabilities and (R, B, d) activations.
+    def loss_and_gradients(self, params: ModelParameters, batch: Batch, loss: LossKind) -> tuple:
+        """One model's loss value (a float), every layer's gradient, the (B,
+        C) class probabilities of the loss pass and its activations:
         ``acts[i]`` is the input layer i saw and ``acts[-1]`` the logits.
-
-        ``layers`` holds the indices of the layers whose gradients are
-        wanted (None: every layer), one collection per run for R stacked
-        models. The backward pass stops at the lowest of them:
-        it forms a layer's parameter gradient only for the runs that want
-        it, and carries a run's input gradient down only while a lower
-        layer is wanted, by it or by a later run (order runs by lowest
-        wanted layer, and none carries more than it needs). An empty set
-        runs no backward at all. Every other entry of a gradient list is
-        None. Wanted gradients equal those of a full backward bit for bit.
 
         The probabilities are the same computation as ``forward`` on the
         same params and batch, so they match it bit for bit; the
@@ -520,31 +502,25 @@ class Network:
         into the update path. After its checks it runs ``_loss_pass``,
         which a pass, a frozen run and ``pretrain_erm`` call directly.
         """
-        lead, plan = self._checked(params, batch.labels, loss, layers, update_norm_stats)
+        self._one_model(params)
+        plan = self._checked(params, batch.labels, loss, (self._every_layer,))[1]
         with np.errstate(over="ignore", invalid="ignore"):
             values, grads, probs, acts = self._loss_pass(
                 [self._view(i, v) for i, v in enumerate(params.layers)],
-                self._inputs(batch.inputs, lead), batch.labels, loss, plan, update_norm_stats)
-        return (values, grads, probs, acts) if lead else (values[0], grads[0], probs, acts)
+                self._inputs(batch.inputs, ()), batch.labels, loss, plan)
+        return values[0], grads[0], probs, acts
 
     def _checked(self, params: ModelParameters, labels: np.ndarray | None, loss: LossKind,
-                 layers, update_norm_stats: bool = False) -> tuple:
-        """``loss_and_gradients``' checks of all but the inputs (``_inputs``), for
-        batches with ``labels`` (None: unlabeled ones), and the run axis (see
-        ``_check_params``) and the backward plan."""
+                 wanted) -> tuple:
+        """A pass's checks of all but its inputs (``_inputs``), for batches with
+        ``labels`` (None: unlabeled ones): its run axis (``_check_params``) and the
+        ``_backward_plan`` of ``wanted``, a set of layers per run (one model is one run)."""
         if loss.supervised and labels is None:
             raise ValueError("cross_entropy requires labels")
         if not loss.supervised and labels is not None:
             raise ValueError(f"{loss.variant} must not receive labels")
-        lead = self._check_params(params)
-        runs = lead[0] if lead else 1
-        if update_norm_stats and runs > 1:
-            raise ValueError("running statistics are updated from one model only")
-        wanted = ((self._every_layer,) * runs if layers is None
-                  else tuple(map(frozenset, layers)) if lead else (frozenset(layers),))
-        if len(wanted) != runs:
-            raise ValueError(f"{len(wanted)} layer sets for {runs} runs")
-        return lead, _backward_plan(wanted, len(self.specs))
+        return (self._check_params(params),
+                _backward_plan(tuple(map(frozenset, wanted)), len(self.specs)))
 
     def _loss_pass(self, views: list[tuple], x: np.ndarray, labels: np.ndarray | None,
                    loss: LossKind, plan: tuple, update_stats: bool = False) -> tuple:
@@ -613,8 +589,6 @@ def accuracy(network: Network, params: ModelParameters, batch: Batch) -> float:
     """Fraction of one model's correct argmax predictions, in percent."""
     if batch.labels is None:
         raise ValueError("accuracy requires labels")
-    if params.layers[0].ndim != 1:
-        raise ConfigurationError(f"accuracy scores one model, got shape {params.layers[0].shape}")
     return float(np.mean(network.predict(params, batch) == batch.labels) * 100.0)
 
 
@@ -659,18 +633,17 @@ def pretrain_erm(layer_specs: list[LayerSpec], train_stream: Iterable[Batch], va
     normalization layers' running statistics.
 
     Each step has the bytes of ``loss_and_gradients(params, batch,
-    cross_entropy, update_norm_stats=True)`` and ``vec -= lr * g`` per
-    layer, but the checks that cannot vary run once: the parameters, the
-    loss and the full backward plan. The update is in place, so the layer
-    views taken once stay valid. Per batch it checks the labels and the
-    batch's input_dim (``Network._inputs``), runs
-    ``Network._loss_pass`` and checks every layer for finite values after
-    the update. A non-finite activation, loss or parameter raises a
-    TrainingError that names the step.
+    cross_entropy)``, ``vec -= lr * g`` per layer and the statistics' move
+    (momentum 0.1), but what cannot vary is not checked per batch: the
+    parameters of ``init_params``, the loss and the full backward plan. The
+    update is in place, so the layer views taken once stay valid. Per
+    batch it checks the labels and the batch's input_dim
+    (``Network._inputs``), runs ``Network._loss_pass`` and checks every
+    layer for finite values after the update. A non-finite activation,
+    loss or parameter raises a TrainingError that names the step.
     """
     network = Network(layer_specs)
     params = network.init_params(seed)
-    network._check_params(params)
     layers, loss, lr = params.layers, LossKind("cross_entropy"), opt.learning_rate
     plan = _backward_plan((network._every_layer,), len(layers))
     views = [network._view(i, v) for i, v in enumerate(layers)]
@@ -728,14 +701,21 @@ def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, di
         specs = [LayerSpec(**s) for s in payload["layer_specs"]]
         network = Network(specs)
         for key, stats in payload["norm_stats"].items():
-            network.norm_stats[int(key)] = (np.asarray(stats["mean"], dtype=np.float64),
-                                            np.asarray(stats["var"], dtype=np.float64))
+            if int(key) not in network.norm_stats:
+                raise ConfigurationError(f"norm_stats {key!r} is not a normalization layer")
+            width = network.specs[int(key)].output_dim
+            mean, var = (np.asarray(stats[k], dtype=np.float64) for k in ("mean", "var"))
+            if not (mean.shape == var.shape == (width,) and np.isfinite(mean).all()
+                    and np.isfinite(var).all() and (var >= 0).all()):
+                raise ConfigurationError(f"norm_stats {key!r} must hold {width} finite means "
+                                         f"and {width} finite nonnegative variances")
+            network.norm_stats[int(key)] = mean, var
         params = ModelParameters([np.asarray(v, dtype=np.float64) for v in payload["params"]],
                                  list(payload["layer_names"]))
         if params.layer_names != network.layer_names:
             raise ConfigurationError(f"layer_names {params.layer_names} do not match the "
                                      f"layers {network.layer_names}")
-        network._check_params(params)
+        network._one_model(params)
         return network, params, int(payload["seed"]), dict(payload["metadata"])
     except KeyError as e:
         raise ConfigurationError(f"checkpoint {p} lacks field {e}") from e

@@ -177,7 +177,7 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
     gradients; a nonzero scale raises a ValueError.
     """
     params = pretrained.copy()
-    plan = network._checked(params, None, loss, ())[1]
+    plan = network._checked(params, None, loss, [()])[1]
     views = [network._view(i, v) for i, v in enumerate(params.layers)]
     no_grads = [None] * len(params.layers)
     hits, decisions, losses = [], [], []
@@ -201,13 +201,12 @@ def _frozen_record(network: Network, pretrained: ModelParameters, stream: ShiftS
 
 @dataclass
 class OracleSweepResult:
-    """One trial per group, in group order: its accuracy and its record."""
+    """One trial per group, in group order: its online accuracy."""
 
     group_names: list[str]
     accuracies: list[float]
     best_group: str
     worst_group: str
-    records: list[RunRecord]
 
 
 def oracle_sweep(network: Network, pretrained: ModelParameters, stream, loss: LossKind,
@@ -272,12 +271,12 @@ def run_selector(network: Network, pretrained: ModelParameters, stream: ShiftStr
         accuracies = [tta_accuracy(record) for record in records[first:]]
         best = trials.names[int(np.argmax(accuracies))]
         worst = trials.names[int(np.argmin(accuracies))]
-        sweep = OracleSweepResult(list(trials.names), accuracies, best, worst, records[first:])
+        sweep = OracleSweepResult(list(trials.names), accuracies, best, worst)
     if selector is None:
         return None, sweep
-    if name is None:  # an unpinned oracle: its trial's record
+    if name is None:  # an unpinned oracle, which adds no run: its trial's record
         group = sweep.best_group if selector.variant == "oracle_best" else sweep.worst_group
-        record = sweep.records[sweep.group_names.index(group)]
+        record = records[sweep.group_names.index(group)]
     else:
         record = records[0]
     return replace(record, seed=seed), sweep

@@ -1,6 +1,6 @@
 """Shared test utilities: independent loss recomputation, finite
-differences, the selection criterion on given proposals, one adaptation
-step and a run's digest."""
+differences, the selection criterion on given proposals, a loss pass with
+a backward plan, one adaptation step and a run's digest."""
 
 import hashlib
 from types import SimpleNamespace
@@ -28,6 +28,18 @@ def step(network, params, batch, loss, opt, policies):
     with np.errstate(over="ignore", invalid="ignore"):
         return _step(network, params, views, network._inputs(batch.inputs, lead),
                      batch.labels, loss, opt, policies, plan)
+
+
+def loss_pass(network, params, batch, loss, wanted):
+    """``Network._loss_pass`` of the runs stacked in ``params``, or of one
+    model, after the checks of ``Network._checked`` with one set of wanted
+    layers per run: its (values, grads, probs, acts), a list of values and
+    one of gradients per run."""
+    lead, plan = network._checked(params, batch.labels, loss, wanted)
+    views = [network._view(i, v) for i, v in enumerate(params.layers)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return network._loss_pass(views, network._inputs(batch.inputs, lead), batch.labels,
+                                  loss, plan)
 
 
 def single_step(network, params, batch, loss, opt, policy):

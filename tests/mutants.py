@@ -1,6 +1,6 @@
 """Hand-made mutants of the selection rule, the pretraining loop, the
-normalization kernel, the stream builder and the adaptation loop, and the
-tests that must kill them.
+normalization kernel, the stream builder, the adaptation loop and the
+command line's exit codes, and the tests that must kill them.
 
 Run from anywhere with ``python tests/mutants.py``; pytest does not collect
 this file. Each mutant is a file, an exact old text that occurs in it
@@ -84,6 +84,19 @@ MUTANTS = (
             "[no-run-axis-1.0]",
             "tests/test_nn.py::test_normalization_variance_has_the_bytes_of_numpy_var"
             "[run-axis-1.0]")),
+    Mutant("the normalization backward drops its xhat term", "src/gala/nn.py",
+           "- xhat * (dxhat * xhat).sum(axis=-2, keepdims=True))",
+           "- (dxhat * xhat).sum(axis=-2, keepdims=True))",
+           ("tests/test_lockstep.py::test_normalization_applies_its_activation[5-relu]",
+            "tests/test_nn.py::test_gradients_match_finite_differences[shot_im]",
+            REFERENCE)),
+    Mutant("a single-sample batch takes its own mean, not the frozen statistics",
+           "src/gala/nn.py",
+           "if x.shape[-2] >= 2:",
+           "if x.shape[-2] >= 1:",
+           ("tests/test_nn.py::test_normalization_single_sample_uses_frozen_stats",
+            "tests/test_lockstep.py::test_normalization_applies_its_activation[1-relu]",
+            REFERENCE)),
     Mutant("build_stream drops the last partial batch", "src/gala/shiftbench.py",
            "starts = range(0, n_adapt, batch_size)",
            "starts = range(0, n_adapt - batch_size + 1, batch_size)",
@@ -106,12 +119,18 @@ MUTANTS = (
            "if i < start:\n                        start = i\n",
            "if i < start:\n                        start = i + 1\n",
            ("tests/test_engine.py::test_gala_step_predictions_use_post_update_parameters",
-            "tests/test_engine.py::test_adapt_step_matches_full_passes_reference[4]")),
+            "tests/test_engine.py::test_adapt_step_matches_full_passes_reference[4]",
+            REFERENCE)),
     Mutant("the loss pass's probabilities are kept after a move", "src/gala/runner.py",
            "probs = network._restart(views, acts, tuple(starts))",
            "probs = network._restart(views, acts, (n,) * len(starts))",
            ("tests/test_engine.py::test_gala_step_predictions_use_post_update_parameters",
             REFERENCE)),
+    Mutant("a configuration error exits 1", "src/gala/cli.py",
+           "        return 2\n    except (GalaError",
+           "        return 1\n    except (GalaError",
+           ("tests/test_cli.py::test_adapt_missing_checkpoint_names_path",
+            "tests/test_cli.py::test_adapt_malformed_checkpoint_names_path[truncated]")),
 )
 
 

@@ -557,13 +557,14 @@ def test_adapt_missing_checkpoint_names_path(tmp_path, capsys):
 
 
 def _broken_checkpoint(workspace, tmp_path, corrupt):
-    """A config whose output dir holds the workspace checkpoint, corrupted."""
+    """A config whose output dir holds the workspace checkpoint, corrupted;
+    its stream comes in batches of one, which read running statistics."""
     root, _ = workspace
     text = (root / "out" / "pretrain" / "checkpoint.json").read_text()
     ckpt = tmp_path / "broken" / "pretrain" / "checkpoint.json"
     ckpt.parent.mkdir(parents=True)
     ckpt.write_text(corrupt(text))
-    return write_config(tmp_path, output_dir=str(tmp_path / "broken")), ckpt
+    return write_config(tmp_path, output_dir=str(tmp_path / "broken"), batch_size=1), ckpt
 
 
 def _without_layer_specs(text):
@@ -589,10 +590,38 @@ def _with_activation_layer(text):
     return json.dumps(payload)
 
 
+def _stacked_params(text):
+    """The checkpoint with each layer's parameters stacked twice, as two runs."""
+    payload = json.loads(text)
+    payload["params"] = [[v, v] for v in payload["params"]]
+    return json.dumps(payload)
+
+
+def _with_norm_stats(mean, var, layer="normalization"):
+    """The checkpoint with the running statistics ``mean`` and ``var`` for
+    layer 1: a normalization layer of width 8 put between its two dense
+    layers, or with ``layer`` "dense", its second dense layer."""
+    def corrupt(text):
+        payload = json.loads(text)
+        if layer == "normalization":
+            payload["layer_specs"].insert(1, {"kind": "normalization", "input_dim": 8,
+                                              "output_dim": 8, "activation": "identity"})
+            payload["params"].insert(1, [1.0] * 8 + [0.0] * 8)
+            payload["layer_names"] = [f"L{i}_{s['kind']}"
+                                      for i, s in enumerate(payload["layer_specs"])]
+        payload["norm_stats"] = {"1": {"mean": mean, "var": var}}
+        return json.dumps(payload)
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs,
-                                     _foreign_layer_names, _with_activation_layer],
+                                     _foreign_layer_names, _with_activation_layer,
+                                     _stacked_params, _with_norm_stats([0.0] * 3, [1.0] * 8),
+                                     _with_norm_stats([0.0] * 8, [1.0] * 8, layer="dense"),
+                                     _with_norm_stats([0.0] * 8, [1.0] * 7 + [-1.0])],
                          ids=["truncated", "no_layer_specs", "foreign_layer_names",
-                              "activation_layer"])
+                              "activation_layer", "stacked_params", "norm_mean_of_length_3",
+                              "norm_stats_of_a_dense_layer", "negative_norm_var"])
 def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt):
     cfg_path, ckpt = _broken_checkpoint(workspace, tmp_path, corrupt)
     assert main(["adapt", "--config", str(cfg_path)]) == 2

@@ -43,7 +43,7 @@ def reference_erm(net, params, stream, loss):
     for batch in stream.adapt_batches:
         inputs = Batch(batch.inputs)
         hits.append(net.forward(params, inputs).argmax(axis=1) == batch.labels)
-        losses.append(net.loss_and_gradients(params, inputs, loss, layers=frozenset())[0])
+        losses.append(net.loss_and_gradients(params, inputs, loss)[0])
     return hits, losses
 
 

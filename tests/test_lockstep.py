@@ -196,10 +196,10 @@ def reference_gala(net, params, stream, variant, lr, cfg, members):
     update scaled by the j / warmup_len ramp; hits from a full forward
     after it. A cfg of None is all_layers: every group, scale 1, every
     step, in no window. Returns hits, losses, cosines, masks, each step's
-    flags (a window's first step, the ramp, a window's last step) and the
-    final layers."""
+    flags (a window's first step, the ramp, a window's last step), its
+    post-update probabilities and the final layers."""
     layers = [v.copy() for v in params.layers]
-    hits, losses, cosines, masks, flags = [], [], [], [], []
+    hits, losses, cosines, masks, flags, probs = [], [], [], [], [], []
     anchor = None
     for step, batch in enumerate(stream.adapt_batches):
         window = math.inf if cfg is None else cfg.window_size
@@ -235,11 +235,12 @@ def reference_gala(net, params, stream, variant, lr, cfg, members):
             for i in members[k]:
                 layers[i] = layers[i] + (mask[k] * ramp) * u[i]
         logits, _ = ref_forward(net, layers, batch.inputs)
-        hits.append(ref_softmax(logits).argmax(axis=1) == batch.labels)
+        probs.append(ref_softmax(logits))
+        hits.append(probs[-1].argmax(axis=1) == batch.labels)
         cosines.append(np.array(cos))
         masks.append(mask)
         flags.append((cfg is not None and j == 0, ramp, cfg is not None and j + 1 == window))
-    return hits, losses, cosines, masks, flags, layers
+    return hits, losses, cosines, masks, flags, probs, layers
 
 
 @st.composite
@@ -285,18 +286,24 @@ def test_gala_and_all_layers_equal_the_reference_run(case, lr):
     rule run one step at a time with full passes: hits, losses, cosines,
     masks, first-sample, warm-up and reset flags and final parameters, over
     drawn nets, granularities, windows, thresholds, warm-ups, losses and
-    batch sizes."""
+    batch sizes. The same policy stepped alone has each step's post-update
+    probabilities."""
     net, params, stream, variant, cfg = case
     loss, opt = LossKind(variant, SHOT_PL_WEIGHT), OptimizerConfig(lr)
     grouping = build_grouping(net.layer_names, [s.param_count for s in net.specs],
                               cfg.granularity, cfg.num_blocks)
     every = build_grouping(net.layer_names, [s.param_count for s in net.specs], "single_layer")
-    runs = [(gala.run_gala(net, params, stream, loss, opt, cfg), cfg, grouping),
+    runs = [(gala.run_gala(net, params, stream, loss, opt, cfg), cfg, grouping,
+             GalaPolicy(cfg, grouping)),
             (gala.run_baseline(net, params, stream, SelectorKind("all_layers"), loss, opt),
-             None, every)]
-    for record, rule, groups in runs:
-        hits, losses, cosines, masks, flags, layers = reference_gala(
+             None, every, baseline_policy(SelectorKind("all_layers"), every))]
+    for record, rule, groups, policy in runs:
+        hits, losses, cosines, masks, flags, probs, layers = reference_gala(
             net, params, stream, variant, lr, rule, groups.members)
+        stacked = ModelParameters([v[None].copy() for v in params.layers], params.layer_names)
+        for batch, want in zip(stream.adapt_batches, probs):
+            got = step(net, stacked, Batch(batch.inputs), loss, opt, [policy])[1]
+            assert got[0].tobytes() == want.tobytes()
         assert [c.tobytes() for c in record.correct] == [h.tobytes() for h in hits]
         assert record.losses == losses
         assert [d.mask.tobytes() for d in record.decisions] == [m.tobytes() for m in masks]
@@ -520,9 +527,9 @@ ENTRY_POINTS = {
     "pinned_oracle": lambda net, params, stream, loss, opt: [gala.run_baseline(
         net, params, stream, SelectorKind("oracle_best", fixed_group=net.layer_names[-1]),
         loss, opt)],
-    "oracle_sweep": lambda net, params, stream, loss, opt: oracle_sweep(
-        net, params, stream, loss, opt, build_grouping(
-            net.layer_names, [s.param_count for s in net.specs], "single_layer")).records,
+    "oracle_sweep": lambda net, params, stream, loss, opt: adapt(
+        net, params, stream, loss, opt, oracle_policies(build_grouping(
+            net.layer_names, [s.param_count for s in net.specs], "single_layer"))),
 }
 
 

@@ -25,7 +25,7 @@ from gala import (
     save_checkpoint,
 )
 from gala.nn import _NORM_EPS, _NORM_MOMENTUM, LAYER_KINDS
-from helpers import finite_difference_grads, gradient_relative_error, random_small_net
+from helpers import finite_difference_grads, gradient_relative_error, loss_pass, random_small_net
 
 QUICKSTART = Path(__file__).resolve().parent.parent / "demos" / "configs" / "quickstart.json"
 
@@ -85,8 +85,7 @@ def test_normalization_batch_statistics():
     rng = np.random.default_rng(7)
     x = rng.normal(loc=5.0, scale=3.0, size=(64, 3))
     # gamma=1, beta=0 at init, so outputs are just standardized features.
-    *_, (_, out_logits) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"),
-                                                 layers=())
+    *_, (_, out_logits) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
     assert np.allclose(out_logits.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(out_logits.var(axis=0), 1.0, atol=1e-3)
 
@@ -120,7 +119,7 @@ def test_normalization_single_sample_uses_frozen_stats():
     params = ModelParameters([np.array([2.0, 0.5, 1.0, -1.0])], list(net.layer_names))
     net.norm_stats[0] = (np.array([1.0, -1.0]), np.array([4.0, 0.25]))
     x = np.array([[3.0, 0.0]])
-    *_, (_, out) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"), layers=())
+    *_, (_, out) = net.loss_and_gradients(params, Batch(x), LossKind("pseudo_label"))
     expected = np.array([
         2.0 * (3.0 - 1.0) / math.sqrt(4.0 + 1e-5) + 1.0,
         0.5 * (0.0 + 1.0) / math.sqrt(0.25 + 1e-5) - 1.0,
@@ -235,9 +234,10 @@ def _loss_batch(rng, variant, size):
 @pytest.mark.parametrize("variant", ["cross_entropy", "pseudo_label", "shot_im"])
 @pytest.mark.parametrize("size", [1, 5])
 def test_backward_layer_subset_matches_full_backward(variant, size):
-    """For every subset of layers, the requested gradients are the full
-    backward's bytes and every other entry is None; the loss, the
-    probabilities and the layer inputs do not depend on the subset."""
+    """For every subset of layers, a loss pass that wants only those has
+    the full backward's bytes for them and None for every other layer; the
+    loss, the probabilities and the layer inputs do not depend on the
+    subset."""
     rng = np.random.default_rng(61)
     net, params = mixed_net_and_params(rng)
     batch = _loss_batch(rng, variant, size)
@@ -248,7 +248,7 @@ def test_backward_layer_subset_matches_full_backward(variant, size):
     assert inputs[0].tobytes() == batch.inputs.tobytes()
     for bits in range(2 ** n):
         subset = frozenset(i for i in range(n) if bits >> i & 1)
-        v, grads, p, xs = net.loss_and_gradients(params, batch, loss, layers=subset)
+        (v,), (grads,), p, xs = loss_pass(net, params, batch, loss, [subset])
         assert v == value and p.tobytes() == probs.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(xs, inputs))
         for i in range(n):
@@ -299,8 +299,7 @@ def test_forward_per_run_starts_in_any_order(size):
     runs = len(starts)
     stacked = ModelParameters([np.repeat(v[None], runs, axis=0) for v in params.layers],
                               list(params.layer_names))
-    _, _, _, inputs = net.loss_and_gradients(stacked, batch, LossKind("shot_im"),
-                                             layers=[frozenset()] * runs)
+    _, _, _, inputs = loss_pass(net, stacked, batch, LossKind("shot_im"), [()] * runs)
     moved = ModelParameters([v.copy() for v in stacked.layers], list(params.layer_names))
     for r, s in enumerate(starts):
         for i in range(s, len(net.specs)):
@@ -384,14 +383,20 @@ def test_pretrain_divergence_reports_step():
 
 
 def reference_pretrain(specs, batches, lr, seed):
-    """Pretraining as the public entry runs it, one checked call per
-    batch: ``loss_and_gradients`` with statistic updates, then
-    ``vec -= lr * g``."""
+    """Pretraining through the public entry, one checked call per batch:
+    ``loss_and_gradients``, then ``vec -= lr * g``, and each normalization
+    layer's running statistics moved here, from the input the call saw,
+    by momentum 0.1. Every batch holds two samples or more, so the
+    statistics never feed a forward pass."""
     net = Network(specs)
     params = net.init_params(seed)
+    m = 0.1
     for batch in batches:
-        _, grads, _, _ = net.loss_and_gradients(params, batch, LossKind("cross_entropy"),
-                                                update_norm_stats=True)
+        assert batch.size >= 2
+        _, grads, _, acts = net.loss_and_gradients(params, batch, LossKind("cross_entropy"))
+        for i, (mean, var) in net.norm_stats.items():
+            net.norm_stats[i] = ((1 - m) * mean + m * acts[i].mean(axis=0),
+                                 (1 - m) * var + m * acts[i].var(axis=0))
         for vec, g in zip(params.layers, grads):
             vec -= lr * g
     return net, params
@@ -416,9 +421,9 @@ def quickstart_case():
 @pytest.mark.parametrize("case", ["norm-b2", "norm-b16", "quickstart"])
 def test_pretrain_equals_the_public_entry_per_batch(case):
     """pretrain_erm's parameters, running statistics and step count equal
-    the checked public entry called once per batch, byte for byte: on a
-    net with normalization layers at batch sizes of two and more, and on
-    the quickstart net."""
+    the checked public entry called once per batch, with the statistics
+    moved by the test, byte for byte: on a net with normalization layers
+    at batch sizes of two and more, and on the quickstart net."""
     specs, data, batch_size, steps, lr, seed = (
         quickstart_case() if case == "quickstart" else norm_net_case(int(case[6:])))
     val = Batch(data.inputs[:20], data.labels[:20])
@@ -549,21 +554,21 @@ def test_accuracy_helper():
     assert accuracy(net, params, batch) == 75.0
 
 
-def test_predict_stacked_runs_equal_runs_alone():
-    """Stacked parameters predict (R, B) classes, row r being run r's own
-    prediction; accuracy scores one model and refuses stacked parameters,
-    naming their shape."""
+def test_public_entries_refuse_stacked_parameters():
+    """forward, predict, loss_and_gradients and accuracy take one model:
+    (R, P_i) layers raise one ConfigurationError that names their shape.
+    Stacked runs are the passes' (see test_lockstep)."""
     rng = np.random.default_rng(83)
     net = Network([LayerSpec("dense", 4, 6, "tanh"), LayerSpec("dense", 6, 3)])
     runs = [net.init_params(seed).layers for seed in (1, 2)]
     stacked = ModelParameters([np.stack(vs) for vs in zip(*runs)], net.layer_names)
     batch = Batch(rng.normal(size=(5, 4)), rng.integers(0, 3, size=5))
-    got = net.predict(stacked, batch)
-    assert got.shape == (2, 5)
-    for r in range(2):
-        assert np.array_equal(got[r], net.predict(stacked.run(r), batch))
-    with pytest.raises(ConfigurationError, match=r"shape \(2, 30\)"):
-        accuracy(net, stacked, batch)
+    entries = [lambda: net.forward(stacked, batch), lambda: net.predict(stacked, batch),
+               lambda: net.loss_and_gradients(stacked, batch, LossKind("cross_entropy")),
+               lambda: accuracy(net, stacked, batch)]
+    for entry in entries:
+        with pytest.raises(ConfigurationError, match=r"^expected 1-D layers, got shape \(2, 30\)"):
+            entry()
 
 
 def test_minibatches_deterministic_and_sized():
