@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -207,45 +207,18 @@ def _spans(runs) -> list[tuple[int, int]]:
     return [tuple(span) for span in spans]
 
 
-def _rows(runs: list[int]):
-    """An index of the run axis that picks ``runs`` (ascending): a slice,
-    which takes a view, when they are consecutive."""
-    return slice(runs[0], runs[-1] + 1) if runs[-1] - runs[0] + 1 == len(runs) else runs
-
-
 @lru_cache(maxsize=256)
 def _forward_plan(starts: tuple[int, ...], n: int) -> tuple:
-    """How a forward pass runs when run r joins at layer ``starts[r]``:
-    (first, rows, steps). The pass starts at layer ``first`` on the input
-    rows ``rows`` of the runs that start there (None: every run, the whole
-    input). Each step, bottom up, is (layer, live, spans, join): ``live``
-    lists the runs the layer runs for, ascending, in the order x stacks
-    their rows; ``spans`` is None when they are every run, else splits
-    them into maximal ranges of the run axis, one layer call each, as (a,
-    b, lo, hi): rows [a, b) of x are runs [lo, hi); ``join`` is None or
-    (rows, order), the next layer's input rows of the runs that join
-    there, appended to x, and the permutation of x that restores run
-    order (None when they join at the end). A step's starts come from a
-    few layers, so each plan is worked out once.
+    """How a forward pass runs when run r restarts at layer ``starts[r]``:
+    one (layer, spans) per layer from the lowest start up. ``spans`` is
+    None when every run runs the layer, else the maximal [lo, hi) ranges
+    of the run axis that hold the runs starting at or below it, one layer
+    call each. A step's starts come from a few layers, so each plan is
+    worked out once.
     """
-    first = min(starts)
-    live = [r for r, s in enumerate(starts) if s == first]
-    rows, steps = None if len(live) == len(starts) else _rows(live), []
-    for i in range(first, n):
-        spans, a = [], 0
-        for lo, hi in _spans(live):
-            spans.append((a, a + hi - lo, lo, hi))
-            a += hi - lo
-        joining = [r for r, s in enumerate(starts) if s == i + 1]
-        join = None
-        if joining:
-            runs = live + joining
-            order = None if live[-1] < joining[0] else [int(k) for k in np.argsort(runs)]
-            join = _rows(joining), order
-        steps.append((i, tuple(live), tuple(spans) if len(live) < len(starts) else None, join))
-        if joining:
-            live = sorted(runs)
-    return first, rows, tuple(steps)
+    top = max(starts)
+    return tuple((i, None if top <= i else tuple(_spans(r for r, s in enumerate(starts) if s <= i)))
+                 for i in range(min(starts), n))
 
 
 @lru_cache(maxsize=256)
@@ -413,13 +386,13 @@ class Network:
                                      f"layer 0 input_dim {self.input_dim}")
         return np.broadcast_to(inputs, lead + inputs.shape) if lead else inputs
 
-    def _nonfinite(self, x: np.ndarray, i: int, live: Sequence[int]) -> NumericsError:
-        """The error for layer i's output x, naming the runs among ``live``
-        (x's rows; x with no run axis is run 0's) that went non-finite. It
-        reports overflow, so the passes silence numpy's own warning for it."""
+    def _nonfinite(self, x: np.ndarray, i: int) -> NumericsError:
+        """The error for layer i's output x, naming the runs (x's rows; x with
+        no run axis is run 0's) that went non-finite. It reports overflow, so
+        the passes silence numpy's own warning for it."""
         bad = ~np.isfinite(x.reshape(*x.shape[:-2], -1)).all(axis=-1)
         return NumericsError(f"non-finite activation at layer {i} ({self.layer_names[i]})",
-                             [live[b] for b in np.flatnonzero(bad)])
+                             np.flatnonzero(bad))
 
     def forward(self, params: ModelParameters, batch: Batch) -> np.ndarray:
         """One model's (B, C) class probabilities, rows summing to one."""
@@ -433,27 +406,22 @@ class Network:
         """Run r of the parameter views ``views`` from layer ``starts[r]``,
         starts in any order, on the activations ``acts`` of a loss pass (the
         inputs alone when every start is 0): a full forward's bytes when the
-        layers below each start hold the pass's parameters."""
-        first, rows, steps = _forward_plan(starts, len(self.specs))
-        x = acts[first] if rows is None else acts[first][rows]
-        for i, live, spans, join in steps:
+        layers below each start hold the pass's parameters. Below the highest
+        start the rerun rows overwrite theirs in ``acts``, whose other rows
+        hold the outputs of runs that start higher, so call it once per loss
+        pass; one start never writes ``acts``."""
+        x = acts[min(starts)]
+        for i, spans in _forward_plan(starts, len(self.specs)):
             view = views[i]
             if spans is None:  # every run
                 x = self._layer_forward(i, x, view, False)[0]
-            elif len(spans) == 1:
-                lo, hi = spans[0][2:]
-                x = self._layer_forward(i, x, [v[lo:hi] for v in view], False)[0]
             else:
-                x = np.concatenate([self._layer_forward(i, x[a:b], [v[lo:hi] for v in view],
-                                                        False)[0]
-                                    for a, b, lo, hi in spans])
+                for lo, hi in spans:
+                    acts[i + 1][lo:hi] = self._layer_forward(
+                        i, x[lo:hi], [v[lo:hi] for v in view], False)[0]
+                x = acts[i + 1]
             if not _all_finite(x):
-                raise self._nonfinite(x, i, live)
-            if join:
-                rows, order = join
-                x = np.concatenate([x, acts[i + 1][rows]])
-                if order:
-                    x = x[order]
+                raise self._nonfinite(x, i)
         return softmax(x)
 
     def predict(self, params: ModelParameters, batch: Batch) -> np.ndarray:
@@ -535,7 +503,7 @@ class Network:
         for i, view in enumerate(views):
             x, cache = self._layer_forward(i, x, view, update_stats)
             if not _all_finite(x):
-                raise self._nonfinite(x, i, range(len(x)))
+                raise self._nonfinite(x, i)
             caches.append(cache)
             acts.append(x)
         probs = softmax(x)
@@ -685,11 +653,25 @@ def save_checkpoint(path: str | Path, network: Network, params: ModelParameters,
     Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
 
 
+def _finite_numbers(value, what: str) -> np.ndarray:
+    """A checkpoint's list of finite JSON numbers as a float64 vector, or a
+    ConfigurationError naming ``what``: ``np.asarray`` alone would read true
+    as 1.0, null as nan and a string as the number it spells."""
+    if not (isinstance(value, list) and set(map(type, value)) <= {float, int}):
+        raise ConfigurationError(f"{what} must be a list of numbers")
+    vec = np.asarray(value, dtype=np.float64)
+    if not _all_finite(vec):
+        raise ConfigurationError(f"{what} must be finite")
+    return vec
+
+
 def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, dict]:
     """Read a checkpoint written by ``save_checkpoint``.
 
     A missing, undecodable or malformed file raises a
-    ConfigurationError naming the path.
+    ConfigurationError naming the path: every normalization layer needs its
+    running statistics, and every parameter and statistic must be a finite
+    JSON number (not a bool, null or string).
     """
     p = Path(path)
     payload = read_input(p, "checkpoint")
@@ -704,13 +686,19 @@ def load_checkpoint(path: str | Path) -> tuple[Network, ModelParameters, int, di
             if int(key) not in network.norm_stats:
                 raise ConfigurationError(f"norm_stats {key!r} is not a normalization layer")
             width = network.specs[int(key)].output_dim
-            mean, var = (np.asarray(stats[k], dtype=np.float64) for k in ("mean", "var"))
-            if not (mean.shape == var.shape == (width,) and np.isfinite(mean).all()
-                    and np.isfinite(var).all() and (var >= 0).all()):
-                raise ConfigurationError(f"norm_stats {key!r} must hold {width} finite means "
-                                         f"and {width} finite nonnegative variances")
+            mean, var = (_finite_numbers(stats[k], f"norm_stats {key!r} {k}")
+                         for k in ("mean", "var"))
+            if not (mean.shape == var.shape == (width,) and (var >= 0).all()):
+                raise ConfigurationError(f"norm_stats {key!r} must hold {width} means "
+                                         f"and {width} nonnegative variances")
             network.norm_stats[int(key)] = mean, var
-        params = ModelParameters([np.asarray(v, dtype=np.float64) for v in payload["params"]],
+        missing = network.norm_stats.keys() - {int(key) for key in payload["norm_stats"]}
+        if missing:
+            i = min(missing)
+            raise ConfigurationError(f"normalization layer {i} ({network.layer_names[i]}) "
+                                     f"has no norm_stats entry")
+        params = ModelParameters([_finite_numbers(v, f"params of layer {name}")
+                                  for name, v in zip(network.layer_names, payload["params"])],
                                  list(payload["layer_names"]))
         if params.layer_names != network.layer_names:
             raise ConfigurationError(f"layer_names {params.layer_names} do not match the "

@@ -60,9 +60,10 @@ def _step(network: Network, params: ModelParameters, views: list, x: np.ndarray,
     with no run axis) and each run's loss. A run backpropagates only down to
     its lowest ``grad_layers`` layer. A moved layer's copy replaces its array
     and views, so no array given is written and a pass keeps them for its next
-    step. A run's forward restarts at the lowest layer it moved; with no move
-    the loss pass's probabilities stand. Either way a run's results are those
-    of a full backward and a full forward of that run alone, bit for bit."""
+    step. A run's forward restarts at the lowest layer it moved, in the loss
+    pass's own activations; with no move the loss pass's probabilities stand.
+    Either way a run's results are those of a full backward and a full
+    forward of that run alone, bit for bit."""
     lr = opt.learning_rate
     losses, grads, probs, acts = network._loss_pass(views, x, labels, loss, plan)
     n = len(views)
@@ -76,7 +77,6 @@ def _step(network: Network, params: ModelParameters, views: list, x: np.ndarray,
             if s:
                 for i in members:
                     if i not in copied:
-                        probs = None  # the restarted forward replaces them
                         v = params.layers[i].copy()
                         run.layers[i] = v.reshape(len(policies), -1)[r]
                         params.layers[i], views[i] = v, network._view(i, v)

@@ -1,6 +1,8 @@
 """Hand-made mutants of the selection rule, the pretraining loop, the
-normalization kernel, the stream builder, the adaptation loop and the
-command line's exit codes, and the tests that must kill them.
+normalization kernel, the restarted forward, the stream builder, the
+adaptation loop, the metrics and trace writers, AutoRGN, the config
+checks and the command line's exit codes, and the tests that must kill
+them.
 
 Run from anywhere with ``python tests/mutants.py``; pytest does not collect
 this file. Each mutant is a file, an exact old text that occurs in it
@@ -126,6 +128,34 @@ MUTANTS = (
            "probs = network._restart(views, acts, (n,) * len(starts))",
            ("tests/test_engine.py::test_gala_step_predictions_use_post_update_parameters",
             REFERENCE)),
+    Mutant("a run joins its restart one layer late", "src/gala/nn.py",
+           "for r, s in enumerate(starts) if s <= i",
+           "for r, s in enumerate(starts) if s < i",
+           ("tests/test_nn.py::test_forward_per_run_starts_in_any_order[1]",
+            "tests/test_nn.py::test_forward_per_run_starts_in_any_order[5]",
+            "tests/test_lockstep.py::test_sweep_does_no_more_layer_work_than_separate_trials")),
+    Mutant("selection frequency counts window-first steps", "src/gala/metrics.py",
+           "        if d.first_sample:\n            continue\n",
+           "        if False:\n            continue\n",
+           ("tests/test_metrics.py::test_selection_frequency_counts_skips_in_denominator",
+            "tests/test_metrics.py::test_selection_frequency_only_first_samples")),
+    Mutant("online accuracy averages per-step means", "src/gala/metrics.py",
+           "return float(flat.mean() * 100.0)",
+           "return float(np.mean([np.mean(c) for c in record.correct]) * 100.0)",
+           ("tests/test_metrics.py::test_tta_accuracy_pools_samples_across_batch_sizes",)),
+    Mutant("the trace drops the reset column", "src/gala/metrics.py",
+           "repr(float(d.warmup)), str(int(d.reset))]",
+           "repr(float(d.warmup))]",
+           ("tests/test_metrics.py::test_trace_round_trip",
+            "tests/test_metrics.py::test_trace_derives_first_sample_after_resets")),
+    Mutant("AutoRGN's moving average weighs the new ratios 0.9", "src/gala/baselines.py",
+           "_RGN_DECAY * self.ema + (1.0 - _RGN_DECAY) * ratios",
+           "(1.0 - _RGN_DECAY) * self.ema + _RGN_DECAY * ratios",
+           ("tests/test_baselines.py::test_auto_rgn_ema_tracks_ratio_history",)),
+    Mutant("a real config field accepts a bool", "src/gala/config.py",
+           "if isinstance(value, bool) or not isinstance(value, (int, float)):",
+           "if not isinstance(value, (int, float)):",
+           ("tests/test_cli.py::test_sweep_values_checked_by_axis[threshold-True]",)),
     Mutant("a configuration error exits 1", "src/gala/cli.py",
            "        return 2\n    except (GalaError",
            "        return 1\n    except (GalaError",

@@ -600,7 +600,8 @@ def _stacked_params(text):
 def _with_norm_stats(mean, var, layer="normalization"):
     """The checkpoint with the running statistics ``mean`` and ``var`` for
     layer 1: a normalization layer of width 8 put between its two dense
-    layers, or with ``layer`` "dense", its second dense layer."""
+    layers, or with ``layer`` "dense", its second dense layer. A ``mean``
+    of None leaves layer 1 with no statistics at all."""
     def corrupt(text):
         payload = json.loads(text)
         if layer == "normalization":
@@ -609,24 +610,44 @@ def _with_norm_stats(mean, var, layer="normalization"):
             payload["params"].insert(1, [1.0] * 8 + [0.0] * 8)
             payload["layer_names"] = [f"L{i}_{s['kind']}"
                                       for i, s in enumerate(payload["layer_specs"])]
-        payload["norm_stats"] = {"1": {"mean": mean, "var": var}}
+        payload["norm_stats"] = {} if mean is None else {"1": {"mean": mean, "var": var}}
         return json.dumps(payload)
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [lambda text: text[: len(text) // 2], _without_layer_specs,
-                                     _foreign_layer_names, _with_activation_layer,
-                                     _stacked_params, _with_norm_stats([0.0] * 3, [1.0] * 8),
-                                     _with_norm_stats([0.0] * 8, [1.0] * 8, layer="dense"),
-                                     _with_norm_stats([0.0] * 8, [1.0] * 7 + [-1.0])],
-                         ids=["truncated", "no_layer_specs", "foreign_layer_names",
-                              "activation_layer", "stacked_params", "norm_mean_of_length_3",
-                              "norm_stats_of_a_dense_layer", "negative_norm_var"])
-def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt):
+def _with_param(value):
+    """The checkpoint with the first parameter of its second layer replaced
+    by ``value``, written as JSON writes it (nan as NaN, inf as Infinity)."""
+    def corrupt(text):
+        payload = json.loads(text)
+        payload["params"][1][0] = value
+        return json.dumps(payload)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, layer", [
+    (lambda text: text[: len(text) // 2], None), (_without_layer_specs, None),
+    (_foreign_layer_names, None), (_with_activation_layer, None), (_stacked_params, None),
+    (_with_norm_stats([0.0] * 3, [1.0] * 8), None),
+    (_with_norm_stats([0.0] * 8, [1.0] * 8, layer="dense"), None),
+    (_with_norm_stats([0.0] * 8, [1.0] * 7 + [-1.0]), None),
+    (_with_norm_stats(None, None), "L1_normalization"), (_with_param(None), "L1_dense"),
+    (_with_param(math.nan), "L1_dense"), (_with_param(math.inf), "L1_dense"),
+    (_with_param("0.5"), "L1_dense"), (_with_param(True), "L1_dense")],
+    ids=["truncated", "no_layer_specs", "foreign_layer_names", "activation_layer",
+         "stacked_params", "norm_mean_of_length_3", "norm_stats_of_a_dense_layer",
+         "negative_norm_var", "no_norm_stats", "null_param", "nan_param", "infinity_param",
+         "string_param", "true_param"])
+def test_adapt_malformed_checkpoint_names_path(workspace, tmp_path, capsys, corrupt, layer):
+    """A malformed checkpoint exits 2 naming its path. What ``np.asarray``
+    would read as a number (null as nan, true as 1.0, a string as the number
+    it spells) and a normalization layer with no statistics, which would take
+    the defaults, are refused too, naming the ``layer``."""
     cfg_path, ckpt = _broken_checkpoint(workspace, tmp_path, corrupt)
     assert main(["adapt", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err
+    assert layer is None or layer in err
     assert "Traceback" not in err
 
 

@@ -22,7 +22,8 @@ from gala import (
 )
 from gala.runner import FROZEN_CHUNK_ROWS, adapt
 from helpers import diverging_relu_net, step
-from test_lockstep import mixed_net, mixed_policy_makers, stream_of
+from test_lockstep import (SHOT_PL_WEIGHT, mixed_net, mixed_policy_makers, ref_forward,
+                           ref_loss, ref_softmax, stream_of)
 
 
 def sized_stream(sizes, seed=73, dim=3, classes=3):
@@ -37,13 +38,15 @@ def erm(net):
 
 
 def reference_erm(net, params, stream, loss):
-    """The pretrained model, one batch at a time: a forward pass for the
-    hits and the one-model loss pass for the loss."""
+    """The pretrained model, one batch at a time, in the plain 2-D numpy of
+    ``test_lockstep``'s reference: its forward's probabilities for the hits
+    and its loss of them, so the arithmetic is checked, not only the chunking."""
+    assert loss.shot_pl_weight == SHOT_PL_WEIGHT
     hits, losses = [], []
     for batch in stream.adapt_batches:
-        inputs = Batch(batch.inputs)
-        hits.append(net.forward(params, inputs).argmax(axis=1) == batch.labels)
-        losses.append(net.loss_and_gradients(params, inputs, loss)[0])
+        p = ref_softmax(ref_forward(net, params.layers, batch.inputs)[0])
+        hits.append(p.argmax(axis=1) == batch.labels)
+        losses.append(float(ref_loss(p, loss.variant)))
     return hits, losses
 
 

@@ -85,6 +85,12 @@ def test_tta_accuracy_alternating():
     assert tta_accuracy(rec) == 50.0
 
 
+def test_tta_accuracy_pools_samples_across_batch_sizes():
+    """3 of 4 samples are right: 75%, where a mean of per-step means reads 50%."""
+    rec = record_from([[True, True, True], [False]], [decision([1, 0])] * 2)
+    assert tta_accuracy(rec) == 75.0
+
+
 def test_tta_accuracy_empty_record_rejected():
     rec = RunRecord(["G0"], [], [], [], tiny_params())
     with pytest.raises(ConfigurationError):
